@@ -6,8 +6,9 @@ realizable), and a compact linear model over windowed one-hot features that
 optionally conditions on a scalar temperature through a learned affine
 embedding.
 
-Both evaluate with numpy; during training the trainer materializes the
-parameters as tape leaves via ``make_leaves`` / ``tape_logit_ids``.
+Both evaluate with numpy. Each model exposes its raw logits
+(``logits_batch``) and maps a gradient wrt those logits back onto its flat
+parameter vector in closed form (``param_grad``); the trainer owns the loss.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numerics import Tape
+from .numerics import log_softmax
 from .oracle import CategoricalTable
 
 __all__ = [
@@ -91,8 +92,19 @@ class ARModel:
 
     # -- to implement ------------------------------------------------------
 
+    def logits_batch(self, prefixes: np.ndarray, position: int,
+                     t_cond: float | None = None) -> np.ndarray:
+        """Unnormalized next-token logits, one (V,) row per prefix."""
+        raise NotImplementedError
+
     def conditional_log_probs_batch(self, prefixes: np.ndarray, position: int,
                                     t_cond: float | None = None) -> np.ndarray:
+        raise NotImplementedError
+
+    def param_grad(self, prefixes: np.ndarray, position: int, g_logits: np.ndarray,
+                   t_cond: float | None = None) -> np.ndarray:
+        """Chain rule through ``logits_batch``: given dL/dlogits (n, V) for
+        these prefixes, dL/dtheta as a flat vector in ``param_array`` order."""
         raise NotImplementedError
 
     def param_array(self) -> np.ndarray:
@@ -174,12 +186,7 @@ class ARModel:
             if myopic_t == 0.0:
                 toks = np.argmax(rows, axis=1)
             else:
-                if myopic_t != 1.0:
-                    scaled = rows / myopic_t
-                    m = scaled.max(axis=1, keepdims=True)
-                    scaled = scaled - (m + np.log(np.exp(scaled - m).sum(axis=1, keepdims=True)))
-                else:
-                    scaled = rows
+                scaled = log_softmax(rows / myopic_t) if myopic_t != 1.0 else rows
                 probs = np.exp(scaled)
                 probs /= probs.sum(axis=1, keepdims=True)
                 cum = np.cumsum(probs, axis=1)
@@ -261,16 +268,22 @@ class TabularAR(ARModel):
             lex = lex * self.vocab_size + prefixes[:, i]
         return self.offsets[position] + lex
 
-    def conditional_log_probs_batch(self, prefixes, position, t_cond=None):
+    def logits_batch(self, prefixes, position, t_cond=None):
         self._check_t_cond(t_cond)
         if position >= self.max_length:
             raise ModelError(f"position {position} out of range for max_length {self.max_length}")
         prefixes = np.asarray(prefixes, dtype=np.int64)
-        rows = self.logits[self.row_indices(prefixes, position)]
-        if self.exact_rows:
-            return rows
-        m = rows.max(axis=1, keepdims=True)
-        return rows - (m + np.log(np.exp(rows - m).sum(axis=1, keepdims=True)))
+        return self.logits[self.row_indices(prefixes, position)]
+
+    def conditional_log_probs_batch(self, prefixes, position, t_cond=None):
+        rows = self.logits_batch(prefixes, position, t_cond)
+        return rows if self.exact_rows else log_softmax(rows)
+
+    def param_grad(self, prefixes, position, g_logits, t_cond=None):
+        grad = np.zeros_like(self.logits)
+        rows = self.row_indices(np.asarray(prefixes, dtype=np.int64), position)
+        np.add.at(grad, rows, g_logits)
+        return grad.ravel()
 
     def param_array(self) -> np.ndarray:
         return self.logits.ravel().copy()
@@ -283,17 +296,6 @@ class TabularAR(ARModel):
     def copy(self) -> "TabularAR":
         return TabularAR(self.vocab_size, self.max_length, self.logits.copy(),
                          exact_rows=self.exact_rows)
-
-    # -- tape interface ----------------------------------------------------
-
-    def make_leaves(self, tape: Tape) -> list[int]:
-        return tape.params_from(self.logits.ravel())
-
-    def tape_logit_ids(self, tape: Tape, leaves: list[int], prefix: np.ndarray,
-                       position: int, t_cond: float | None, cache: dict) -> list[int]:
-        row = self._row_index(prefix[:position])
-        base = row * self.vocab_size
-        return [leaves[base + t] for t in range(self.vocab_size)]
 
 
 class LinearAR(ARModel):
@@ -331,7 +333,7 @@ class LinearAR(ARModel):
         out.bias = self.bias.copy()
         return out
 
-    def conditional_log_probs_batch(self, prefixes, position, t_cond=None):
+    def logits_batch(self, prefixes, position, t_cond=None):
         self._check_t_cond(t_cond)
         if position >= self.max_length:
             raise ModelError(f"position {position} out of range for max_length {self.max_length}")
@@ -343,8 +345,26 @@ class LinearAR(ARModel):
             logits += self.w_ctx[:, j, toks].T
         if self.embedding is not None:
             logits += self.w_emb @ self.embedding.features(t_cond)
-        m = logits.max(axis=1, keepdims=True)
-        return logits - (m + np.log(np.exp(logits - m).sum(axis=1, keepdims=True)))
+        return logits
+
+    def conditional_log_probs_batch(self, prefixes, position, t_cond=None):
+        return log_softmax(self.logits_batch(prefixes, position, t_cond))
+
+    def param_grad(self, prefixes, position, g_logits, t_cond=None):
+        prefixes = np.asarray(prefixes, dtype=np.int64)
+        g_row = g_logits.sum(axis=0)
+        g_ctx = np.zeros_like(self.w_ctx)
+        for j in range(min(self.window, position)):
+            np.add.at(g_ctx, (slice(None), j, prefixes[:, position - 1 - j]), g_logits.T)
+        g_pos = np.zeros_like(self.w_pos)
+        g_pos[:, position] = g_row
+        parts = [g_ctx.ravel(), g_pos.ravel(), g_row]
+        if self.embedding is not None:
+            # logits += w_emb @ e with e = scale * T + bias
+            g_e = self.w_emb.T @ g_row
+            parts += [np.outer(g_row, self.embedding.features(t_cond)).ravel(),
+                      g_e * float(t_cond), g_e]
+        return np.concatenate(parts)
 
     # parameter layout: [w_ctx, w_pos, bias, w_emb, emb.scale, emb.bias]
     def param_array(self) -> np.ndarray:
@@ -373,52 +393,6 @@ class LinearAR(ARModel):
                        embedding=self.embedding.copy() if self.embedding else None)
         out.set_param_array(self.param_array())
         return out
-
-    # -- tape interface ----------------------------------------------------
-
-    def make_leaves(self, tape: Tape) -> list[int]:
-        return tape.params_from(self.param_array())
-
-    def _layout(self):
-        V, w, L = self.vocab_size, self.window, self.max_length
-        off_ctx, off_pos, off_bias = 0, V * w * V, V * w * V + V * L
-        off_emb = off_bias + V
-        return V, w, L, off_ctx, off_pos, off_bias, off_emb
-
-    def tape_logit_ids(self, tape: Tape, leaves: list[int], prefix: np.ndarray,
-                       position: int, t_cond: float | None, cache: dict) -> list[int]:
-        V, w, L, off_ctx, off_pos, off_bias, off_emb = self._layout()
-        window_toks = tuple(int(prefix[position - 1 - j]) for j in range(min(w, position)))
-        key = ("logits", position, window_toks, t_cond)
-        hit = cache.get(key)
-        if hit is not None:
-            return hit
-        emb_nodes = None
-        if self.embedding is not None:
-            ekey = ("emb", t_cond)
-            emb_nodes = cache.get(ekey)
-            if emb_nodes is None:
-                E = self.embedding.width
-                off_scale = off_emb + V * E
-                off_ebias = off_scale + E
-                emb_nodes = [
-                    tape.add(tape.mul_const(leaves[off_scale + f], float(t_cond)),
-                             leaves[off_ebias + f])
-                    for f in range(E)
-                ]
-                cache[ekey] = emb_nodes
-        ids = []
-        for t in range(V):
-            terms = [leaves[off_bias + t], leaves[off_pos + t * L + position]]
-            for j, tok in enumerate(window_toks):
-                terms.append(leaves[off_ctx + (t * w + j) * V + tok])
-            if emb_nodes is not None:
-                E = self.embedding.width
-                for f, enode in enumerate(emb_nodes):
-                    terms.append(tape.mul(leaves[off_emb + t * E + f], enode))
-            ids.append(tape.nsum(terms))
-        cache[key] = ids
-        return ids
 
 
 def tabular_from_table(table: CategoricalTable) -> TabularAR:

@@ -6,9 +6,8 @@ from the standard variational bound with fixed posterior variances, which
 feeds the temperature-scaling weights; sharpening by shrinking the reverse
 noise is included as the pseudo-temperature baseline.
 
-Gradients here are closed-form layer backprop over numpy batches (verified
-against finite differences in the test suite); the scalar tape would be
-orders of magnitude too slow for the sampling-heavy acceptance runs.
+Gradients here are closed-form layer backprop over numpy batches, as in
+the autoregressive models.
 """
 
 from __future__ import annotations
@@ -452,10 +451,9 @@ def diffusion_checkpoint_dict(model: DiffusionModel) -> dict:
 
 def diffusion_from_checkpoint(doc: dict) -> DiffusionModel:
     sch = NoiseSchedule(np.array(doc["betas"]))
-    model = DiffusionModel(sch, dim=doc["dim"], hidden=doc["hidden"])
-    model.net.n_freqs = doc["n_freqs"]
-    model.set_param_array(np.array(doc["parameters"]))
-    return model
+    net = DenoiserMLP(doc["dim"], doc["hidden"], n_freqs=doc["n_freqs"])
+    net.set_param_array(np.array(doc["parameters"]))
+    return DiffusionModel(sch, dim=doc["dim"], net=net)
 
 
 def save_diffusion_checkpoint(model: DiffusionModel, path) -> None:

@@ -1,24 +1,23 @@
-"""Deterministic numerical substrate: a scalar reverse-mode tape, stable
-log-space arithmetic, splittable seeded randomness, and finite-difference
-gradient verification.
+"""Deterministic numerical substrate: stable log-space arithmetic,
+splittable seeded randomness, and finite-difference gradient verification.
 
-Everything is 64-bit. Tapes are single-threaded; one tape per training step.
+Everything is 64-bit. Gradients are written in closed form by the modules
+that own the parameters; ``finite_difference_gradient`` is the oracle the
+tests check them against.
 """
 
 from __future__ import annotations
 
 import math
 import zlib
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 __all__ = [
     "NumericsError",
-    "Tape",
-    "Var",
-    "gradient",
     "log_sum_exp",
+    "log_softmax",
     "rev_cum_sum",
     "finite_difference_gradient",
     "Rng",
@@ -55,238 +54,22 @@ def log_sum_exp(values: Sequence[float]) -> float:
     return m + math.log(s)
 
 
+def log_softmax(z: np.ndarray) -> np.ndarray:
+    """Row-wise log-softmax over the last axis, with max-subtraction.
+
+    Entries may be -inf (zero mass); a row that is all -inf gives NaN.
+    """
+    z = np.asarray(z, dtype=np.float64)
+    m = z.max(axis=-1, keepdims=True)
+    return z - (m + np.log(np.exp(z - m).sum(axis=-1, keepdims=True)))
+
+
 def rev_cum_sum(u: Sequence[float] | np.ndarray) -> np.ndarray:
     """Suffix sums: out[i] = sum(u[i:]). The last entry equals u[-1]."""
     arr = np.asarray(u, dtype=np.float64)
     if arr.ndim != 1 or arr.size == 0:
         raise NumericsError("rev_cum_sum expects a non-empty 1-D vector")
     return np.cumsum(arr[::-1])[::-1]
-
-
-class Tape:
-    """Wengert list of scalar operations.
-
-    Nodes are appended in evaluation order, so the list is topologically
-    sorted by construction and the backward sweep visits each node exactly
-    once, in reverse. Per node we store (parent indices, local partials).
-    Parameters are leaves registered through ``param``; ``grad`` returns an
-    adjoint for every node on the tape.
-    """
-
-    __slots__ = ("values", "parents", "partials", "param_ids")
-
-    def __init__(self) -> None:
-        self.values: list[float] = []
-        self.parents: list[tuple[int, ...]] = []
-        self.partials: list[tuple[float, ...]] = []
-        self.param_ids: list[int] = []
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-    def _push(self, value: float, parents: tuple[int, ...], partials: tuple[float, ...]) -> int:
-        idx = len(self.values)
-        self.values.append(value)
-        self.parents.append(parents)
-        self.partials.append(partials)
-        return idx
-
-    # -- leaves ------------------------------------------------------------
-
-    def leaf(self, value: float) -> int:
-        return self._push(float(value), (), ())
-
-    def param(self, value: float) -> int:
-        idx = self.leaf(value)
-        self.param_ids.append(idx)
-        return idx
-
-    def params_from(self, flat: np.ndarray) -> list[int]:
-        """Register one parameter leaf per entry of a flat vector."""
-        return [self.param(v) for v in np.asarray(flat, dtype=np.float64).ravel()]
-
-    # -- primitive ops -----------------------------------------------------
-
-    def add(self, a: int, b: int) -> int:
-        return self._push(self.values[a] + self.values[b], (a, b), (1.0, 1.0))
-
-    def sub(self, a: int, b: int) -> int:
-        return self._push(self.values[a] - self.values[b], (a, b), (1.0, -1.0))
-
-    def mul(self, a: int, b: int) -> int:
-        va, vb = self.values[a], self.values[b]
-        return self._push(va * vb, (a, b), (vb, va))
-
-    def div(self, a: int, b: int) -> int:
-        va, vb = self.values[a], self.values[b]
-        return self._push(va / vb, (a, b), (1.0 / vb, -va / (vb * vb)))
-
-    def neg(self, a: int) -> int:
-        return self._push(-self.values[a], (a,), (-1.0,))
-
-    def add_const(self, a: int, c: float) -> int:
-        return self._push(self.values[a] + c, (a,), (1.0,))
-
-    def mul_const(self, a: int, c: float) -> int:
-        return self._push(self.values[a] * c, (a,), (float(c),))
-
-    def exp(self, a: int) -> int:
-        v = math.exp(self.values[a])
-        return self._push(v, (a,), (v,))
-
-    def log(self, a: int) -> int:
-        va = self.values[a]
-        return self._push(math.log(va), (a,), (1.0 / va,))
-
-    def square(self, a: int) -> int:
-        va = self.values[a]
-        return self._push(va * va, (a,), (2.0 * va,))
-
-    def nsum(self, ids: Sequence[int]) -> int:
-        """n-ary sum node; keeps graphs shallow for long accumulations."""
-        ids = tuple(ids)
-        total = 0.0
-        values = self.values
-        for i in ids:
-            total += values[i]
-        return self._push(total, ids, (1.0,) * len(ids))
-
-    def log_sum_exp(self, ids: Sequence[int]) -> int:
-        """Fused stable log-sum-exp with softmax partials."""
-        ids = tuple(ids)
-        vals = [self.values[i] for i in ids]
-        m = max(vals)
-        if m == NEG_INF:
-            raise NumericsError("empty support: all inputs are -inf")
-        exps = [math.exp(v - m) for v in vals]
-        s = sum(exps)
-        value = m + math.log(s)
-        return self._push(value, ids, tuple(e / s for e in exps))
-
-    def weighted_nll(self, logit_ids: Sequence[int], weights: Sequence[float]) -> int:
-        """Fused node for -sum_t w_t * log_softmax(logits)_t.
-
-        Partial wrt logit k is -w_k + (sum_t w_t) * softmax_k. This is the
-        single hot op of the sequence-model losses: plain NLL (one-hot w),
-        importance-weighted NLL (scaled one-hot) and the cross-entropy part
-        of a KL penalty (w = reference conditional) all reduce to it.
-        """
-        ids = tuple(logit_ids)
-        values = self.values
-        vals = [values[i] for i in ids]
-        m = max(vals)
-        exps = [math.exp(v - m) for v in vals]
-        s = sum(exps)
-        lse = m + math.log(s)
-        wsum = 0.0
-        out = 0.0
-        for w, v in zip(weights, vals):
-            wsum += w
-            out -= w * (v - lse)
-        partials = tuple(-w + wsum * (e / s) for w, e in zip(weights, exps))
-        return self._push(out, ids, partials)
-
-    # -- reverse sweep -----------------------------------------------------
-
-    def grad(self, root: int) -> list[float]:
-        """Adjoint of every node wrt node ``root``; one reverse pass."""
-        if not 0 <= root < len(self.values):
-            raise NumericsError(f"node {root} is not on this tape")
-        adj = [0.0] * len(self.values)
-        adj[root] = 1.0
-        parents = self.parents
-        partials = self.partials
-        for i in range(root, -1, -1):
-            a = adj[i]
-            if a == 0.0:
-                continue
-            ps = parents[i]
-            if not ps:
-                continue
-            ds = partials[i]
-            for j in range(len(ps)):
-                adj[ps[j]] += a * ds[j]
-        return adj
-
-
-class Var:
-    """Handle to one tape node, with operator sugar for tests and losses."""
-
-    __slots__ = ("tape", "idx")
-
-    def __init__(self, tape: Tape, idx: int):
-        self.tape = tape
-        self.idx = idx
-
-    @property
-    def value(self) -> float:
-        return self.tape.values[self.idx]
-
-    @staticmethod
-    def input(tape: Tape, value: float) -> "Var":
-        return Var(tape, tape.param(value))
-
-    def _coerce(self, other) -> "Var | float":
-        if isinstance(other, Var):
-            if other.tape is not self.tape:
-                raise NumericsError("operands live on different tapes")
-            return other
-        return float(other)
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if isinstance(o, Var):
-            return Var(self.tape, self.tape.add(self.idx, o.idx))
-        return Var(self.tape, self.tape.add_const(self.idx, o))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if isinstance(o, Var):
-            return Var(self.tape, self.tape.sub(self.idx, o.idx))
-        return Var(self.tape, self.tape.add_const(self.idx, -o))
-
-    def __rsub__(self, other):
-        return Var(self.tape, self.tape.neg(self.idx)) + float(other)
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if isinstance(o, Var):
-            return Var(self.tape, self.tape.mul(self.idx, o.idx))
-        return Var(self.tape, self.tape.mul_const(self.idx, o))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if isinstance(o, Var):
-            return Var(self.tape, self.tape.div(self.idx, o.idx))
-        return Var(self.tape, self.tape.mul_const(self.idx, 1.0 / o))
-
-    def __neg__(self):
-        return Var(self.tape, self.tape.neg(self.idx))
-
-    def exp(self) -> "Var":
-        return Var(self.tape, self.tape.exp(self.idx))
-
-    def log(self) -> "Var":
-        return Var(self.tape, self.tape.log(self.idx))
-
-    def square(self) -> "Var":
-        return Var(self.tape, self.tape.square(self.idx))
-
-
-def gradient(loss: Var) -> dict[int, float]:
-    """d loss / d theta for every parameter leaf of the loss's tape.
-
-    Parameters the loss never touches map to 0. The loss must be a single
-    scalar node (a Var); anything else is rejected.
-    """
-    if not isinstance(loss, Var):
-        raise NumericsError(f"loss must be a scalar Var, got {type(loss).__name__}")
-    adj = loss.tape.grad(loss.idx)
-    return {pid: adj[pid] for pid in loss.tape.param_ids}
 
 
 def finite_difference_gradient(

@@ -14,7 +14,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .numerics import log_sum_exp
+from .numerics import log_softmax
 
 __all__ = [
     "OracleError",
@@ -146,14 +146,12 @@ class CategoricalTable:
         return CategoricalTable(space, np.array(d["log_probs"], dtype=np.float64), normalize=False)
 
 
-def enumerate_joint(model, length: int | None = None, t_cond: float | None = None,
-                    cap: int = ENUMERATION_CAP) -> CategoricalTable:
-    """Chain-rule enumeration of a model's joint over all sequences.
+def _chain_joint(model, length: int | None, t_cond: float | None, cap: int,
+                 temperature: float = 1.0) -> CategoricalTable:
+    """Chain the model's conditionals over every prefix, breadth first.
 
-    The model must expose ``vocab_size`` and
-    ``conditional_log_probs_batch(prefixes, position, t_cond)`` returning one
-    normalized row of V log-probs per prefix (any autoregressive model here
-    does). Entry for x is sum_i log p(x_i | x_<i).
+    Off T = 1 each conditional is rescaled as log p(.|prefix)/T and
+    renormalized before chaining; at T = 1 the rows are used untouched.
     """
     length = int(length if length is not None else model.max_length)
     space = SequenceSpace(model.vocab_size, length, cap=cap)
@@ -163,12 +161,26 @@ def enumerate_joint(model, length: int | None = None, t_cond: float | None = Non
     prefixes = np.zeros((1, 0), dtype=np.int64)
     for pos in range(length):
         rows = model.conditional_log_probs_batch(prefixes, pos, t_cond=t_cond)
+        if temperature != 1.0:
+            rows = log_softmax(rows / temperature)
         log_joint = (log_joint[:, None] + rows).reshape(-1)
         if pos < length - 1:
             n = prefixes.shape[0]
             ext = np.tile(np.arange(V, dtype=np.int64), n)[:, None]
             prefixes = np.concatenate([np.repeat(prefixes, V, axis=0), ext], axis=1)
     return CategoricalTable(space, log_joint, normalize=False)
+
+
+def enumerate_joint(model, length: int | None = None, t_cond: float | None = None,
+                    cap: int = ENUMERATION_CAP) -> CategoricalTable:
+    """Chain-rule enumeration of a model's joint over all sequences.
+
+    The model must expose ``vocab_size`` and
+    ``conditional_log_probs_batch(prefixes, position, t_cond)`` returning one
+    normalized row of V log-probs per prefix (any autoregressive model here
+    does). Entry for x is sum_i log p(x_i | x_<i).
+    """
+    return _chain_joint(model, length, t_cond, cap)
 
 
 def temperature_scale_exact(table: CategoricalTable, temperature: float) -> CategoricalTable:
@@ -197,24 +209,7 @@ def myopic_scale_joint(model, temperature: float, length: int | None = None,
     """
     if temperature <= 0:
         raise OracleError(f"temperature must be positive, got {temperature}")
-    length = int(length if length is not None else model.max_length)
-    space = SequenceSpace(model.vocab_size, length, cap=cap)
-    V = model.vocab_size
-
-    log_joint = np.zeros(1, dtype=np.float64)
-    prefixes = np.zeros((1, 0), dtype=np.int64)
-    for pos in range(length):
-        rows = model.conditional_log_probs_batch(prefixes, pos, t_cond=t_cond)
-        if temperature != 1.0:
-            rows = rows / temperature
-            m = rows.max(axis=1, keepdims=True)
-            rows = rows - (m + np.log(np.exp(rows - m).sum(axis=1, keepdims=True)))
-        log_joint = (log_joint[:, None] + rows).reshape(-1)
-        if pos < length - 1:
-            n = prefixes.shape[0]
-            ext = np.tile(np.arange(V, dtype=np.int64), n)[:, None]
-            prefixes = np.concatenate([np.repeat(prefixes, V, axis=0), ext], axis=1)
-    return CategoricalTable(space, log_joint, normalize=False)
+    return _chain_joint(model, length, t_cond, cap, temperature)
 
 
 def _check_same_space(p: CategoricalTable, q: CategoricalTable) -> None:

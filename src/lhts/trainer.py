@@ -6,6 +6,10 @@ suffix horizons, per-temperature loss normalization and an optional KL
 anchor to the base model. The base model p stays frozen; only q carries
 gradients, and importance weights are constants during differentiation.
 
+The loss is a weighted cross-entropy against q's softmax at every position,
+so its gradient wrt each logit row is the closed form (sum_t W_t) softmax - W;
+each model maps that row gradient onto its own parameters.
+
 The streaming baseline is prequential: weights for a batch use statistics
 accumulated from previous batches only, so the first batch runs with b = 0.
 """
@@ -18,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ar_model import ARModel, LinearAR
-from .numerics import Rng, Tape
+from .numerics import Rng, log_softmax
 from .oracle import CategoricalTable
 
 __all__ = [
@@ -99,6 +103,8 @@ class StreamingBaseline:
 
 
 def _norm_weights(n: int, data_weights: np.ndarray | None) -> np.ndarray:
+    if n == 0:
+        raise TrainerError("empty dataset: need at least one sequence")
     if data_weights is None:
         return np.full(n, 1.0 / n)
     w = np.asarray(data_weights, dtype=np.float64)
@@ -305,13 +311,13 @@ def ar_weights(v_horizon: np.ndarray, temperature: float,
     return WeightBatch(weights, exponents, c, temperature)
 
 
-# ----------------------------------------------------------------- tape loss
+# ---------------------------------------------------------------------- loss
 
-def weighted_nll_loss_node(tape: Tape, leaves: list[int], q: ARModel, xs: np.ndarray,
-                           importance: np.ndarray, data_weights: np.ndarray | None = None,
+def weighted_nll_loss_node(q: ARModel, xs: np.ndarray, importance: np.ndarray,
+                           data_weights: np.ndarray | None = None,
                            t_cond: float | None = None, kl_beta: float = 0.0,
-                           base: ARModel | None = None) -> int:
-    """Build the step loss on the tape and return its node.
+                           base: ARModel | None = None) -> tuple[float, np.ndarray]:
+    """The step loss and its gradient wrt q's flat parameters.
 
     loss = sum_x d_x [ sum_i w[x,i] * (-log q(x_i|x_<i))
                        + beta * sum_i KL(p(.|x_<i) || q(.|x_<i)) ]
@@ -322,41 +328,36 @@ def weighted_nll_loss_node(tape: Tape, leaves: list[int], q: ARModel, xs: np.nda
     """
     xs = np.asarray(xs, dtype=np.int64)
     n, length = xs.shape
-    V = q.vocab_size
     w = np.asarray(importance, dtype=np.float64)
     if w.shape == (n,):
         w = np.repeat(w[:, None], length, axis=1)
     if w.shape != (n, length):
         raise TrainerError(f"importance weights must be (n,) or (n, length), got {w.shape}")
     d = _norm_weights(n, data_weights)
-    kl_rows = None
-    kl_const = 0.0
-    if kl_beta > 0.0:
-        if base is None:
-            raise TrainerError("kl_beta > 0 needs the base model")
-        kl_rows = [base.conditional_log_probs_batch(xs[:, :i], i) for i in range(length)]
-    cache: dict = {}
-    terms: list[int] = []
-    for nidx in range(n):
-        x = xs[nidx]
-        dn = d[nidx]
-        for i in range(length):
-            logit_ids = q.tape_logit_ids(tape, leaves, x, i, t_cond, cache)
-            wvec = [0.0] * V
-            wvec[int(x[i])] = dn * float(w[nidx, i])
-            if kl_rows is not None:
-                lp = kl_rows[i][nidx]
-                pvec = np.exp(lp)
-                # KL = sum_t p_t log p_t - sum_t p_t log q_t: cross term goes
-                # into this node's weights, entropy term is a constant shift
-                for t in range(V):
-                    wvec[t] += kl_beta * dn * float(pvec[t])
-                kl_const += kl_beta * dn * float(np.sum(pvec * lp))
-            terms.append(tape.weighted_nll(logit_ids, wvec))
-    node = tape.nsum(terms)
-    if kl_const != 0.0:
-        node = tape.add_const(node, kl_const)
-    return node
+    if kl_beta > 0.0 and base is None:
+        raise TrainerError("kl_beta > 0 needs the base model")
+    examples = np.arange(n)
+    loss = 0.0
+    grad = np.zeros(q.n_params)
+    for i in range(length):
+        log_q = log_softmax(q.logits_batch(xs[:, :i], i, t_cond))
+        # W[x, t] weighs -log q(t|x_<i); zero entries are skipped in the
+        # loss so that a -inf log-prob with no weight adds nothing
+        W = np.zeros_like(log_q)
+        W[examples, xs[:, i]] = d * w[:, i]
+        if kl_beta > 0.0:
+            log_p = base.conditional_log_probs_batch(xs[:, :i], i)
+            # KL = sum_t p_t log p_t - sum_t p_t log q_t: the cross term
+            # joins W, the entropy term is a constant shift of the loss
+            pw = kl_beta * d[:, None] * np.exp(log_p)
+            W += pw
+            mass = pw > 0
+            loss += pw[mass] @ log_p[mass]
+        used = W != 0
+        loss -= W[used] @ log_q[used]
+        g_logits = W.sum(axis=1, keepdims=True) * np.exp(log_q) - W
+        grad += q.param_grad(xs[:, :i], i, g_logits, t_cond)
+    return float(loss), grad
 
 
 # ---------------------------------------------------------------------- step
@@ -384,13 +385,10 @@ def lhts_step(state: TrainState, xs: np.ndarray, temperature: float,
     state.baseline.update_suffix(s, data_weights)
 
     t_cond = temperature if state.conditions_on_temperature else None
-    tape = Tape()
-    leaves = state.q.make_leaves(tape)
-    node = weighted_nll_loss_node(
-        tape, leaves, state.q, xs, wb.weights, data_weights=data_weights,
+    loss, grad = weighted_nll_loss_node(
+        state.q, xs, wb.weights, data_weights=data_weights,
         t_cond=t_cond, kl_beta=cfg.kl_beta, base=state.p,
     )
-    loss = tape.values[node]
 
     record_stub = {
         "step": state.step, "T": temperature, "loss": loss,
@@ -402,8 +400,7 @@ def lhts_step(state: TrainState, xs: np.ndarray, temperature: float,
     state.normalizer.update(temperature, loss)
     scale = 1.0 / state.normalizer.factor(temperature)
 
-    adj = tape.grad(node)
-    grad = np.array([adj[leaf] for leaf in leaves]) * scale
+    grad = grad * scale
     norm = float(np.sqrt(np.sum(grad * grad)))
     if cfg.grad_clip is not None and norm > cfg.grad_clip:
         grad *= cfg.grad_clip / norm
@@ -435,12 +432,12 @@ def train(base: ARModel, xs: np.ndarray, data_weights: np.ndarray | None,
     cadence and recorded as the kl_to_target metric.
     """
     xs = np.asarray(xs, dtype=np.int64)
+    n = xs.shape[0]
+    dnorm = _norm_weights(n, data_weights)
     state = make_train_state(base, settings, embedding_width=embedding_width,
-                             length=xs.shape[1] if xs.size else None)
+                             length=xs.shape[1])
     temp_gen = rng.stream("temperatures")
     batch_gen = rng.stream("batches")
-    n = xs.shape[0]
-    dnorm = _norm_weights(n, data_weights) if n else None
     records: list[StepRecord] = []
     for step in range(settings.steps):
         T = settings.temperatures[int(temp_gen.integers(len(settings.temperatures)))]

@@ -15,7 +15,7 @@ from lhts.ar_model import (
     model_from_checkpoint,
     save_checkpoint,
 )
-from lhts.numerics import Rng, Tape
+from lhts.numerics import Rng, log_softmax
 from lhts.oracle import enumerate_joint, myopic_scale_joint, total_variation
 
 
@@ -229,32 +229,14 @@ def test_checkpoint_records_seed():
     assert doc["rng_seed"] == 42
 
 
-# ------------------------------------------------------------- tape interface
+# ------------------------------------------------------------------ logits
 
-def test_tape_logits_match_numpy_conditionals():
+def test_logits_match_numpy_conditionals():
+    xs = np.array([[1, 2, 0, 1], [0, 0, 2, 2]], dtype=np.int64)
     for embedding in (False, True):
         model = random_linear(10, embedding=embedding)
         t_cond = 0.8 if embedding else None
-        tape = Tape()
-        leaves = model.make_leaves(tape)
-        cache = {}
-        x = np.array([1, 2, 0, 1], dtype=np.int64)
         for pos in range(4):
-            ids = model.tape_logit_ids(tape, leaves, x, pos, t_cond, cache)
-            logits = np.array([tape.values[i] for i in ids])
-            row = logits - np.logaddexp.reduce(logits)
-            expected = model.conditional_log_probs(x[:pos], t_cond=t_cond)
-            assert np.allclose(row, expected, atol=1e-12)
-
-
-def test_tape_logits_cache_reuses_nodes():
-    model = random_linear(11)
-    tape = Tape()
-    leaves = model.make_leaves(tape)
-    cache = {}
-    x = np.array([1, 1, 1], dtype=np.int64)
-    a = model.tape_logit_ids(tape, leaves, x, 2, None, cache)
-    n_nodes = len(tape)
-    b = model.tape_logit_ids(tape, leaves, x, 2, None, cache)
-    assert a == b
-    assert len(tape) == n_nodes
+            row = log_softmax(model.logits_batch(xs[:, :pos], pos, t_cond=t_cond))
+            expected = model.conditional_log_probs_batch(xs[:, :pos], pos, t_cond=t_cond)
+            assert np.allclose(row, expected, rtol=0, atol=1e-12)

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lhts.ar_model import TabularAR, tabular_from_table
 from lhts.data import shared_prefix_scenario
@@ -137,6 +139,19 @@ def test_myopic_identity_at_one(counterexample_model):
     a = myopic_scale_joint(counterexample_model, 1.0)
     b = enumerate_joint(counterexample_model)
     assert np.array_equal(a.log_probs, b.log_probs)
+
+
+@given(
+    logits=st.lists(st.floats(min_value=-20.0, max_value=20.0), min_size=2, max_size=6),
+    temperature=st.floats(min_value=0.05, max_value=20.0),
+)
+@settings(max_examples=100, deadline=None)
+def test_myopic_equals_exact_at_length_one(logits, temperature):
+    # one position: per-position rescaling is the joint rescaling
+    model = TabularAR(len(logits), 1, np.array([logits]))
+    myopic = myopic_scale_joint(model, temperature)
+    exact = temperature_scale_exact(enumerate_joint(model), temperature)
+    assert np.allclose(myopic.log_probs, exact.log_probs, rtol=0, atol=1e-12)
 
 
 def test_myopic_vs_exact_argmax_divergence(counterexample_model):

@@ -3,9 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from lhts.ar_model import LinearAR, TabularAR, tabular_from_table
+from lhts.ar_model import (
+    LinearAR,
+    TabularAR,
+    TemperatureEmbedding,
+    kl_to_base_per_position,
+    tabular_from_table,
+)
 from lhts.data import enumerated_dataset, make_skewed_ground_truth
-from lhts.numerics import Rng, Tape
+from lhts.numerics import Rng, finite_difference_gradient
 from lhts.oracle import enumerate_joint, entropy, kl_divergence, temperature_scale_exact
 from lhts.trainer import (
     NumericalAbort,
@@ -144,6 +150,75 @@ def test_ar_weights_counterexample_two_sequences(counterexample_model):
     assert wb.weights[1, 1] == pytest.approx(math.exp(math.log(0.9) - m), rel=1e-12)
 
 
+# ------------------------------------------------------------ loss gradient
+
+def test_grad_softmax_cross_entropy():
+    # logits [0, 0], target 0: d/dlogits = softmax - onehot = [-0.5, 0.5]
+    q = TabularAR(2, 1)
+    loss, grad = weighted_nll_loss_node(q, np.array([[0]]), np.ones(1))
+    assert grad.tolist() == pytest.approx([-0.5, 0.5], abs=1e-15)
+    assert loss == pytest.approx(math.log(2.0), abs=1e-15)
+
+
+def _loss_grad_case(kind: str):
+    """A small q of each parameterization, with t_cond when it needs one."""
+    rng = np.random.default_rng(12)
+    if kind == "linear":
+        q = LinearAR(3, 3, window=2)
+    elif kind == "linear_emb":
+        q = LinearAR(3, 3, window=2, embedding=TemperatureEmbedding(2))
+    else:
+        q = make_skewed_ground_truth(3, 3, rng)
+        if kind == "tabular_exact":
+            return tabular_from_table(enumerate_joint(q)), None
+        return q, None
+    q.set_param_array(rng.normal(scale=0.5, size=q.n_params))
+    return q, (0.7 if q.has_embedding else None)
+
+
+@pytest.mark.parametrize("kl_beta", [0.0, 0.2])
+@pytest.mark.parametrize("data_weighted", [False, True])
+@pytest.mark.parametrize("per_index", [False, True])
+@pytest.mark.parametrize("kind", ["tabular", "tabular_exact", "linear", "linear_emb"])
+def test_loss_grad_matches_finite_differences(kind, per_index, data_weighted, kl_beta):
+    q, t_cond = _loss_grad_case(kind)
+    rng = np.random.default_rng(13)
+    base = make_skewed_ground_truth(3, 3, rng)
+    xs = rng.integers(0, 3, size=(8, 3))
+    importance = np.exp(rng.normal(scale=0.5, size=xs.shape if per_index else 8))
+    dw = rng.random(8) + 0.1 if data_weighted else None
+
+    def loss_at(theta):
+        probe = q.copy()
+        probe.set_param_array(theta)
+        return weighted_nll_loss_node(probe, xs, importance, data_weights=dw, t_cond=t_cond,
+                                      kl_beta=kl_beta, base=base)[0]
+
+    loss, grad = weighted_nll_loss_node(q, xs, importance, data_weights=dw, t_cond=t_cond,
+                                        kl_beta=kl_beta, base=base)
+    d = np.full(8, 1 / 8) if dw is None else dw / dw.sum()
+    w = importance if per_index else importance[:, None]
+    nll = -(w * q.per_token_log_probs_matrix(xs, t_cond=t_cond)).sum(axis=1)
+    kl = [kl_to_base_per_position(base, q, x, t_cond=t_cond) for x in xs]
+    assert loss == pytest.approx(d @ (nll + kl_beta * np.array(kl)), rel=1e-12)
+    assert loss == loss_at(q.param_array())
+    fd = finite_difference_gradient(loss_at, q.param_array())
+    assert np.max(np.abs(grad - fd)) < 1e-6 * np.max(np.abs(fd))
+    if isinstance(q, TabularAR):
+        # rows no prefix of the batch reaches get exactly zero
+        reached = np.concatenate([q.row_indices(xs[:, :i], i) for i in range(3)])
+        unreached = np.setdiff1d(np.arange(q.n_rows), reached)
+        assert unreached.size and not np.any(grad.reshape(q.n_rows, 3)[unreached])
+
+
+def test_loss_validates_inputs(counterexample_model):
+    xs = np.array([[0, 1], [1, 0]])
+    with pytest.raises(TrainerError, match=r"\(n,\) or \(n, length\)"):
+        weighted_nll_loss_node(counterexample_model, xs, np.ones(3))
+    with pytest.raises(TrainerError, match="base model"):
+        weighted_nll_loss_node(counterexample_model, xs, np.ones(2), kl_beta=0.1)
+
+
 # ----------------------------------------------------------------- lhts_step
 
 def _full_dataset(model):
@@ -157,12 +232,8 @@ def test_unit_temperature_step_is_plain_mle_gradient(counterexample_model):
     q0 = state.q.copy()
     lhts_step(state, xs, 1.0, data_weights=dw)
 
-    tape = Tape()
-    leaves = q0.make_leaves(tape)
-    node = weighted_nll_loss_node(tape, leaves, q0, xs, np.ones(xs.shape), data_weights=dw)
-    adj = tape.grad(node)
-    loss = tape.values[node]
-    expected = np.array([adj[l] for l in leaves]) * (1.0 / (loss / 1))
+    loss, grad = weighted_nll_loss_node(q0, xs, np.ones(xs.shape), data_weights=dw)
+    expected = grad * (1.0 / (loss / 1))
     assert np.array_equal(state.last_grad, expected)
 
 
@@ -216,6 +287,12 @@ def test_embedding_requires_linear(counterexample_model):
 
 
 # ---------------------------------------------------------------------- train
+
+def test_train_rejects_empty_dataset(counterexample_model):
+    xs = np.zeros((0, 2), dtype=np.int64)
+    with pytest.raises(TrainerError, match="empty dataset"):
+        train(counterexample_model, xs, None, TrainSettings(steps=3), Rng(1))
+
 
 def test_zero_steps_returns_copy_of_base(counterexample_model):
     xs, dw = _full_dataset(counterexample_model)
