@@ -290,6 +290,9 @@ class TabularAR(ARModel):
 
     def set_param_array(self, flat) -> None:
         flat = np.asarray(flat, dtype=np.float64)
+        expected = self.n_rows * self.vocab_size
+        if flat.ndim != 1 or flat.size != expected:
+            raise ModelError(f"parameter vector has shape {flat.shape}, expected ({expected},)")
         self.logits = flat.reshape(self.n_rows, self.vocab_size).copy()
         self.exact_rows = False
 
@@ -376,6 +379,11 @@ class LinearAR(ARModel):
     def set_param_array(self, flat) -> None:
         flat = np.asarray(flat, dtype=np.float64)
         V, w, L = self.vocab_size, self.window, self.max_length
+        expected = V * w * V + V * L + V
+        if self.embedding is not None:
+            expected += (V + 2) * self.embedding.width
+        if flat.ndim != 1 or flat.size != expected:
+            raise ModelError(f"parameter vector has shape {flat.shape}, expected ({expected},)")
         i = 0
         self.w_ctx = flat[i:i + V * w * V].reshape(V, w, V).copy(); i += V * w * V
         self.w_pos = flat[i:i + V * L].reshape(V, L).copy(); i += V * L
@@ -385,8 +393,6 @@ class LinearAR(ARModel):
             self.w_emb = flat[i:i + V * E].reshape(V, E).copy(); i += V * E
             self.embedding.scale = flat[i:i + E].copy(); i += E
             self.embedding.bias = flat[i:i + E].copy(); i += E
-        if i != flat.size:
-            raise ModelError(f"parameter vector has {flat.size} entries, expected {i}")
 
     def copy(self) -> "LinearAR":
         out = LinearAR(self.vocab_size, self.max_length, self.window,

@@ -8,6 +8,13 @@ noise is included as the pseudo-temperature baseline.
 
 Gradients here are closed-form layer backprop over numpy batches, as in
 the autoregressive models.
+
+The ELBO and the ancestral sampler walk the noise schedule one step at a
+time, with every row at the same step k. They evaluate the denoiser once
+per step: the step features pass through the first layer once, as a
+(hidden,) bias shared by all rows, and the hidden activations go into one
+(rows, hidden) buffer that the loop allocates once and reuses for all K
+steps. Training draws a step per row and keeps the plain batched forward.
 """
 
 from __future__ import annotations
@@ -105,9 +112,25 @@ class DenoiserMLP:
         self.w2 = rng.standard_normal((dim, hidden)) * (0.1 / math.sqrt(hidden))
         self.b2 = np.zeros(dim)
 
-    def forward(self, x_in: np.ndarray) -> np.ndarray:
-        h = np.tanh(x_in @ self.w1.T + self.b1)
-        return h @ self.w2.T + self.b2
+    def forward(self, x: np.ndarray, step_bias: np.ndarray,
+                work: np.ndarray | None = None) -> np.ndarray:
+        """Noise guess for points x of shape (n, dim); the inference forward.
+
+        ``step_bias`` is the step features' share of the first layer plus its
+        bias, ``feats @ w1[:, dim:].T + b1``: (hidden,) when every row is at
+        one step, (n, hidden) when rows have their own steps. ``work``, when
+        given, is a C-contiguous float64 (n, hidden) buffer that receives the
+        hidden activations and is overwritten; the returned (n, dim) array is
+        freshly allocated and never aliases it.
+        """
+        if work is None:
+            work = np.empty((x.shape[0], self.hidden))
+        np.matmul(x, self.w1[:, :self.dim].T, out=work)
+        work += step_bias
+        np.tanh(work, out=work)
+        out = work @ self.w2.T
+        out += self.b2
+        return out
 
     def forward_cached(self, x_in: np.ndarray):
         h = np.tanh(x_in @ self.w1.T + self.b1)
@@ -128,13 +151,16 @@ class DenoiserMLP:
 
     def set_param_array(self, flat: np.ndarray) -> None:
         flat = np.asarray(flat, dtype=np.float64)
+        names = ("w1", "b1", "w2", "b2")
+        expected = sum(getattr(self, name).size for name in names)
+        if flat.ndim != 1 or flat.size != expected:
+            raise DiffusionError(
+                f"parameter vector has shape {flat.shape}, expected ({expected},)")
         i = 0
-        for name in ("w1", "b1", "w2", "b2"):
+        for name in names:
             arr = getattr(self, name)
             setattr(self, name, flat[i:i + arr.size].reshape(arr.shape).copy())
             i += arr.size
-        if i != flat.size:
-            raise DiffusionError(f"parameter vector has {flat.size} entries, expected {i}")
 
     def copy(self) -> "DenoiserMLP":
         out = DenoiserMLP(self.dim, self.hidden, self.n_freqs)
@@ -155,27 +181,33 @@ class DiffusionModel:
         feats = _step_features(k, self.schedule.steps, self.net.n_freqs)
         return np.concatenate([x, feats], axis=1)
 
+    def _step_bias(self, k) -> np.ndarray:
+        """The step features' share of the first layer plus its bias:
+        (hidden,) for one int step, (n, hidden) for a vector of n steps."""
+        net = self.net
+        feats = _step_features(np.atleast_1d(k), self.schedule.steps, net.n_freqs)
+        bias = feats @ net.w1[:, net.dim:].T + net.b1
+        return bias if np.ndim(k) else bias[0]
+
     def predict_noise(self, x: np.ndarray, k: np.ndarray) -> np.ndarray:
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
         k = np.broadcast_to(np.asarray(k), (x.shape[0],))
-        return self.net.forward(self._inputs(x, k))
+        return self.net.forward(x, self._step_bias(k))
 
-    def posterior_mean(self, x_k: np.ndarray, k: np.ndarray, x0: np.ndarray) -> np.ndarray:
+    def posterior_mean(self, x_k: np.ndarray, k: int, x0: np.ndarray) -> np.ndarray:
+        """Mean of x_{k-1} | x_k, x0, with every row at step k."""
         sch = self.schedule
-        ab_k = sch.alphas_bar[k][:, None]
-        ab_prev = sch.alphas_bar[k - 1][:, None]
-        beta = sch.betas[k - 1][:, None]
-        alpha = sch.alphas[k - 1][:, None]
-        c0 = np.sqrt(ab_prev) * beta / (1.0 - ab_k)
-        ck = np.sqrt(alpha) * (1.0 - ab_prev) / (1.0 - ab_k)
+        ab_k = sch.alphas_bar[k]
+        ab_prev = sch.alphas_bar[k - 1]
+        c0 = math.sqrt(ab_prev) * sch.betas[k - 1] / (1.0 - ab_k)
+        ck = math.sqrt(sch.alphas[k - 1]) * (1.0 - ab_prev) / (1.0 - ab_k)
         return c0 * x0 + ck * x_k
 
-    def model_mean(self, x_k: np.ndarray, k: np.ndarray, eps_hat: np.ndarray) -> np.ndarray:
+    def model_mean(self, x_k: np.ndarray, k: int, eps_hat: np.ndarray) -> np.ndarray:
+        """Reverse-process mean at step k given the noise guess eps_hat."""
         sch = self.schedule
-        beta = sch.betas[k - 1][:, None]
-        alpha = sch.alphas[k - 1][:, None]
-        ab_k = sch.alphas_bar[k][:, None]
-        return (x_k - beta / np.sqrt(1.0 - ab_k) * eps_hat) / np.sqrt(alpha)
+        coef = sch.betas[k - 1] / math.sqrt(1.0 - sch.alphas_bar[k])
+        return (x_k - coef * eps_hat) / math.sqrt(sch.alphas[k - 1])
 
     def copy(self) -> "DiffusionModel":
         return DiffusionModel(self.schedule, self.dim, net=self.net.copy())
@@ -238,6 +270,14 @@ class MixtureGroundTruth:
 
 # ----------------------------------------------------------------------- elbo
 
+def _points(x, dim: int) -> np.ndarray:
+    """Points as a float64 (n, dim) array; a single point may be a vector."""
+    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    if x.ndim != 2 or x.shape[1] != dim:
+        raise DiffusionError(f"expected points of shape (n, {dim}), got {x.shape}")
+    return x
+
+
 def gaussian_kl(mu0, var0, mu1, var1):
     """KL(N(mu0, var0) || N(mu1, var1)), elementwise."""
     return 0.5 * (var0 / var1 + (mu1 - mu0) ** 2 / var1 - 1.0 + np.log(var1 / var0))
@@ -247,7 +287,7 @@ def _elbo_draws_matrix(model: DiffusionModel, x0: np.ndarray,
                        rng: np.random.Generator, n_mc: int) -> np.ndarray:
     """(n_mc, N) matrix of single-draw variational lower bounds, in joint
     (summed over dimensions) space."""
-    x0 = np.atleast_2d(np.asarray(x0, dtype=np.float64))
+    x0 = _points(x0, model.dim)
     n, d = x0.shape
     sch = model.schedule
     K = sch.steps
@@ -259,20 +299,20 @@ def _elbo_draws_matrix(model: DiffusionModel, x0: np.ndarray,
     out -= prior[None, :]
 
     flat_x0 = np.repeat(x0[None], n_mc, axis=0).reshape(n_mc * n, d)
+    work = np.empty((n_mc * n, model.net.hidden))
     for k in range(1, K + 1):
         ab = sch.alphas_bar[k]
         eps = rng.standard_normal((n_mc * n, d))
         x_k = math.sqrt(ab) * flat_x0 + math.sqrt(1.0 - ab) * eps
-        karr = np.full(n_mc * n, k)
-        eps_hat = model.predict_noise(x_k, karr)
-        mu_model = model.model_mean(x_k, karr, eps_hat)
+        eps_hat = model.net.forward(x_k, model._step_bias(k), work)
+        mu_model = model.model_mean(x_k, k, eps_hat)
         if k == 1:
             var = sch.posterior_var[0]
             sq = ((flat_x0 - mu_model) ** 2).sum(axis=1)
             recon = -0.5 * d * math.log(2 * math.pi * var) - sq / (2 * var)
             out += recon.reshape(n_mc, n)
         else:
-            mu_post = model.posterior_mean(x_k, karr, flat_x0)
+            mu_post = model.posterior_mean(x_k, k, flat_x0)
             var = sch.posterior_var[k - 1]
             kl = ((mu_post - mu_model) ** 2).sum(axis=1) / (2 * var)
             out -= kl.reshape(n_mc, n)
@@ -283,7 +323,10 @@ def elbo_draws(model: DiffusionModel, x0, rng: np.random.Generator, n_mc: int) -
     """Per-draw bound estimates for one point; their mean is the ELBO."""
     if n_mc < 1:
         raise DiffusionError("n_mc must be >= 1")
-    return _elbo_draws_matrix(model, np.atleast_2d(x0), rng, n_mc)[:, 0]
+    x0 = _points(x0, model.dim)
+    if x0.shape[0] != 1:
+        raise DiffusionError(f"expected one point, got {x0.shape[0]}; use elbo_batch")
+    return _elbo_draws_matrix(model, x0, rng, n_mc)[:, 0]
 
 
 def elbo(model: DiffusionModel, x0, rng: np.random.Generator, n_mc: int = 16) -> float:
@@ -368,10 +411,16 @@ def finetune_weighted(model: DiffusionModel, dataset: np.ndarray, weights: np.nd
     """Train a copy of the model on weighted data; unit weights reproduce
     plain noise-prediction training bit for bit under the same rng. The
     returned parameters are the EMA of the trajectory when ema_decay is set."""
-    dataset = np.atleast_2d(np.asarray(dataset, dtype=np.float64))
+    dataset = _points(dataset, model.dim)
     weights = np.asarray(weights, dtype=np.float64)
     if weights.shape != (dataset.shape[0],):
         raise DiffusionError("need one weight per dataset point")
+    if not (np.all(np.isfinite(weights)) and np.all(weights >= 0) and weights.sum() > 0):
+        raise DiffusionError("weights must be finite and nonnegative with a positive mean")
+    if steps < 0:
+        raise DiffusionError("steps must be >= 0")
+    if batch_size < 1:
+        raise DiffusionError("batch_size must be >= 1")
     out = model.copy()
     weight_norm = float(weights.mean())
     adam = _Adam(out.param_array().size, learning_rate)
@@ -424,10 +473,10 @@ def sample_ancestral(model: DiffusionModel, n: int, pseudo_temperature: float = 
         raise DiffusionError("pass an explicit numpy Generator for reproducibility")
     sch = model.schedule
     x = rng.standard_normal((n, model.dim))
+    work = np.empty((n, model.net.hidden))
     for k in range(sch.steps, 0, -1):
-        karr = np.full(n, k)
-        eps_hat = model.predict_noise(x, karr)
-        mu = model.model_mean(x, karr, eps_hat)
+        eps_hat = model.net.forward(x, model._step_bias(k), work)
+        mu = model.model_mean(x, k, eps_hat)
         if k > 1:
             sigma = math.sqrt(sch.posterior_var[k - 1])
             x = mu + pseudo_temperature * sigma * rng.standard_normal((n, model.dim))

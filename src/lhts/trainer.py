@@ -155,8 +155,14 @@ class WeightBatch:
         return float(np.mean(self.exponents > self.clip))
 
     def stats(self) -> dict:
+        """Mean, variance and max of the weights; their effective sample size
+        (sum w)^2 / sum w^2 over all entries (Kong 1992); and the range of the
+        exponents, i.e. the log-weights before clipping."""
         w = self.weights
-        return {"mean": float(w.mean()), "var": float(w.var()), "max": float(w.max())}
+        return {"mean": float(w.mean()), "var": float(w.var()), "max": float(w.max()),
+                "ess": float(w.sum() ** 2 / np.sum(w * w)),
+                "log_w_min": float(self.exponents.min()),
+                "log_w_max": float(self.exponents.max())}
 
 
 @dataclass
@@ -390,9 +396,10 @@ def lhts_step(state: TrainState, xs: np.ndarray, temperature: float,
         t_cond=t_cond, kl_beta=cfg.kl_beta, base=state.p,
     )
 
+    weight_stats = wb.stats()
     record_stub = {
         "step": state.step, "T": temperature, "loss": loss,
-        "weight_stats": wb.stats(), "clip_rate": wb.clip_rate,
+        "weight_stats": weight_stats, "clip_rate": wb.clip_rate,
     }
     if not math.isfinite(loss):
         raise NumericalAbort(f"non-finite loss {loss} at step {state.step}", record_stub)
@@ -413,7 +420,7 @@ def lhts_step(state: TrainState, xs: np.ndarray, temperature: float,
         temperature=temperature,
         loss=loss,
         normalized_loss=loss * scale,
-        weight_stats=wb.stats(),
+        weight_stats=weight_stats,
         clip_rate=wb.clip_rate,
         grad_norm=norm,
     )

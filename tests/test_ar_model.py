@@ -224,6 +224,24 @@ def test_checkpoint_roundtrip_linear_with_embedding(tmp_path):
     assert back.embedding.width == model.embedding.width
 
 
+def test_tabular_set_param_array_rejects_wrong_size(counterexample_model):
+    before = counterexample_model.param_array()
+    for bad in (before[:-1], np.append(before, 0.0), before[None]):
+        with pytest.raises(ModelError, match=rf"expected \({before.size},\)"):
+            counterexample_model.set_param_array(bad)
+    assert np.array_equal(counterexample_model.param_array(), before)
+
+
+@pytest.mark.parametrize("embedding", [False, True])
+def test_linear_set_param_array_rejects_wrong_size(embedding):
+    model = random_linear(12, embedding=embedding)
+    before = model.param_array()
+    for bad in (before[:-1], np.append(before, 0.0), before[None]):
+        with pytest.raises(ModelError, match=rf"expected \({before.size},\)"):
+            model.set_param_array(bad)
+    assert np.array_equal(model.param_array(), before)
+
+
 def test_checkpoint_records_seed():
     doc = checkpoint_dict(random_linear(1), rng_seed=42)
     assert doc["rng_seed"] == 42

@@ -353,6 +353,27 @@ def test_exact_kl_metric_recorded(counterexample_model):
     assert set(d) == {"step", "T", "loss", "kl_to_target", "weight_stats", "clip_rate"}
 
 
+def test_weight_stats_report_ess_and_log_weight_range(counterexample_model):
+    xs = np.array([[0, 0], [0, 1], [1, 0], [1, 1], [1, 0]])
+    stats = joint_weights(counterexample_model, xs, 1.0, StreamingBaseline()).stats()
+    assert stats["ess"] == len(xs)
+    assert stats["log_w_min"] == stats["log_w_max"] == 0.0
+    # log p of the five rows lies in [log 0.04, log 0.36]; the clip at -1.05
+    # caps only the 0.36 rows, and the range reports the unclipped exponents
+    wb = joint_weights(counterexample_model, xs, 0.5, StreamingBaseline(), clip=-1.05)
+    stats = wb.stats()
+    w = wb.weights
+    assert stats["ess"] == pytest.approx(w.sum() ** 2 / (w @ w), rel=1e-15)
+    assert 1.0 < stats["ess"] < len(xs)
+    assert stats["log_w_min"] == pytest.approx(math.log(0.04), rel=1e-12)
+    assert stats["log_w_max"] == pytest.approx(math.log(0.36), rel=1e-12)
+
+    state = make_train_state(counterexample_model, TrainSettings(steps=1))
+    d = lhts_step(state, xs, 0.5).metrics_dict()
+    assert set(d) == {"step", "T", "loss", "weight_stats", "clip_rate"}
+    assert set(d["weight_stats"]) == {"mean", "var", "max", "ess", "log_w_min", "log_w_max"}
+
+
 # ------------------------------------------------------ exact loss identities
 
 def test_corollary_identity_joint_loss():
