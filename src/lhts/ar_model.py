@@ -89,6 +89,9 @@ class ARModel:
 
     vocab_size: int
     max_length: int
+    # the conditionals read only the last ``window`` tokens; None means the
+    # whole prefix
+    window: int | None = None
 
     # -- to implement ------------------------------------------------------
 

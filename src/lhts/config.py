@@ -7,7 +7,7 @@ into the output directory and the resolved form is written alongside it.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 from .trainer import TrainSettings
 
@@ -29,6 +29,26 @@ class ConfigError(ValueError):
 def _require(cond: bool, fieldname: str, message: str) -> None:
     if not cond:
         raise ConfigError(f"config field '{fieldname}': {message}")
+
+
+# the scalar field annotations used below; float fields also take ints
+_TYPES = {"int": int, "float": (int, float), "str": str, "bool": bool, "list": list,
+          "None": type(None)}
+
+
+def _check_types(obj, prefix: str) -> None:
+    """Every scalar field holds a value of its annotated type (bool is not
+    an int here)."""
+    for f in fields(obj):
+        names = [t.strip() for t in f.type.split("|")]
+        if not all(n in _TYPES for n in names):
+            continue
+        value = getattr(obj, f.name)
+        ok = any(isinstance(value, _TYPES[n]) for n in names)
+        if isinstance(value, bool) and "bool" not in names:
+            ok = False
+        _require(ok, prefix + f.name,
+                 f"expected {f.type}, got {type(value).__name__} {value!r}")
 
 
 @dataclass
@@ -184,13 +204,21 @@ class RunConfig:
     diffusion: DiffusionConfig = field(default_factory=DiffusionConfig)
 
     def validate(self) -> None:
+        _check_types(self, "")
         if self.task is not None:
             _require(self.task in TASKS, "task", f"must be one of {', '.join(TASKS)}")
-        _require(isinstance(self.seed, int), "seed", "must be an integer")
         _require(bool(self.out_dir), "out_dir", "must be a non-empty path")
-        for section in (self.model, self.data, self.train, self.sample, self.sweep,
-                        self.diffusion):
-            section.validate()
+        for name, kind in _SECTIONS.items():
+            section = getattr(self, name)
+            _require(isinstance(section, kind), name, f"must be a {kind.__name__}")
+            _check_types(section, name + ".")
+            try:
+                section.validate()
+            except ConfigError:
+                raise
+            except (TypeError, ValueError) as err:
+                # e.g. a list entry of the wrong type
+                raise ConfigError(f"config field '{name}': {err}") from err
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -206,23 +234,40 @@ _SECTIONS = {
 }
 
 
+def _field_names(obj) -> set[str]:
+    return {f.name for f in fields(obj)}
+
+
+def _set_field(cfg: RunConfig, key: str, value) -> None:
+    """Set one field by its dotted path; a whole section takes an object of
+    its fields."""
+    head, _, rest = key.partition(".")
+    if head not in _field_names(cfg):
+        raise ConfigError(f"config field '{key}': unknown field")
+    if head not in _SECTIONS:
+        if rest:
+            raise ConfigError(f"config field '{key}': '{head}' is not a section")
+        setattr(cfg, head, value)
+        return
+    if rest:
+        value = {rest: value}
+    elif not isinstance(value, dict):
+        raise ConfigError(f"config field '{head}': must be an object")
+    section = getattr(cfg, head)
+    for k, v in value.items():
+        if k not in _field_names(section):
+            raise ConfigError(f"config field '{head}.{k}': unknown field")
+        setattr(section, k, v)
+
+
 def config_from_dict(doc: dict) -> RunConfig:
     if not isinstance(doc, dict):
         raise ConfigError("config document must be a JSON object")
     cfg = RunConfig()
     for key, value in doc.items():
-        if key in _SECTIONS:
-            if not isinstance(value, dict):
-                raise ConfigError(f"config field '{key}': must be an object")
-            section = getattr(cfg, key)
-            for k, v in value.items():
-                if not hasattr(section, k):
-                    raise ConfigError(f"config field '{key}.{k}': unknown field")
-                setattr(section, k, v)
-        elif hasattr(cfg, key):
-            setattr(cfg, key, value)
-        else:
+        if "." in key:
             raise ConfigError(f"config field '{key}': unknown field")
+        _set_field(cfg, key, value)
     return cfg
 
 
@@ -248,13 +293,5 @@ def apply_overrides(cfg: RunConfig, overrides: list[str]) -> RunConfig:
             value = json.loads(raw)
         except json.JSONDecodeError:
             value = raw
-        target = cfg
-        parts = key.split(".")
-        for part in parts[:-1]:
-            if not hasattr(target, part):
-                raise ConfigError(f"config field '{key}': unknown section '{part}'")
-            target = getattr(target, part)
-        if not hasattr(target, parts[-1]):
-            raise ConfigError(f"config field '{key}': unknown field")
-        setattr(target, parts[-1], value)
+        _set_field(cfg, key, value)
     return cfg

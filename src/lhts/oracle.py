@@ -3,6 +3,12 @@
 Builds explicit joint distributions from autoregressive models, scales them
 exactly (jointly or per-position), and provides KL / entropy / argmax.
 Tables are immutable after construction and safe to share.
+
+Enumeration evaluates each position's conditionals once per distinct
+context. A model whose ``window`` attribute is an int declares that its
+conditionals read only the last ``window`` tokens of the prefix, so position
+i needs V^min(i, window) rows; ``window`` None (or absent) means the whole
+prefix, V^i rows.
 """
 
 from __future__ import annotations
@@ -98,17 +104,20 @@ class CategoricalTable:
         lw = np.asarray(log_weights, dtype=np.float64)
         if lw.shape != (space.size,):
             raise OracleError(f"expected {space.size} entries, got shape {lw.shape}")
-        if np.any(np.isnan(lw)) or np.any(lw == np.inf):
+        m = lw.max()
+        if np.isnan(m) or m == np.inf:
             raise OracleError("table entries must be finite or -inf")
         if normalize:
-            finite = lw[lw > -np.inf]
-            if finite.size == 0:
+            if m == -np.inf:
                 raise OracleError("empty support: all entries are -inf")
-            m = finite.max()
-            log_z = m + math.log(np.exp(lw[lw > -np.inf] - m).sum())
-            lw = lw - log_z
+            # exp(-inf - m) is 0, so -inf entries need no mask
+            buf = lw - m
+            np.exp(buf, out=buf)
+            log_z = m + math.log(buf.sum())
+            lw = np.subtract(lw, log_z, out=buf)
         else:
             log_z = 0.0
+            lw = lw.view()  # never freeze the caller's array
         lw.flags.writeable = False
         self.space = space
         self.log_probs = lw
@@ -150,24 +159,27 @@ def _chain_joint(model, length: int | None, t_cond: float | None, cap: int,
                  temperature: float = 1.0) -> CategoricalTable:
     """Chain the model's conditionals over every prefix, breadth first.
 
+    Position i evaluates the conditionals once on the V^c distinct contexts,
+    c = min(i, window) (c = i when the model has no window), and broadcasts
+    them over the lexicographic prefixes that share those last c tokens.
     Off T = 1 each conditional is rescaled as log p(.|prefix)/T and
     renormalized before chaining; at T = 1 the rows are used untouched.
     """
     length = int(length if length is not None else model.max_length)
     space = SequenceSpace(model.vocab_size, length, cap=cap)
     V = model.vocab_size
+    window = getattr(model, "window", None)
 
     log_joint = np.zeros(1, dtype=np.float64)
-    prefixes = np.zeros((1, 0), dtype=np.int64)
     for pos in range(length):
-        rows = model.conditional_log_probs_batch(prefixes, pos, t_cond=t_cond)
+        c = pos if window is None else min(pos, window)
+        contexts = np.zeros((V**c, pos), dtype=np.int64)
+        if c:
+            contexts[:, pos - c:] = SequenceSpace(V, c, cap=cap).all_sequences()
+        rows = model.conditional_log_probs_batch(contexts, pos, t_cond=t_cond)
         if temperature != 1.0:
             rows = log_softmax(rows / temperature)
-        log_joint = (log_joint[:, None] + rows).reshape(-1)
-        if pos < length - 1:
-            n = prefixes.shape[0]
-            ext = np.tile(np.arange(V, dtype=np.int64), n)[:, None]
-            prefixes = np.concatenate([np.repeat(prefixes, V, axis=0), ext], axis=1)
+        log_joint = (log_joint.reshape(-1, V**c, 1) + rows).reshape(-1)
     return CategoricalTable(space, log_joint, normalize=False)
 
 
@@ -179,6 +191,11 @@ def enumerate_joint(model, length: int | None = None, t_cond: float | None = Non
     ``conditional_log_probs_batch(prefixes, position, t_cond)`` returning one
     normalized row of V log-probs per prefix (any autoregressive model here
     does). Entry for x is sum_i log p(x_i | x_<i).
+
+    If the model sets ``window`` to an int, its conditional at position i
+    must depend only on the last min(i, window) prefix tokens: it is called
+    once per distinct context, with zeros in the earlier columns. ``window``
+    None, or no such attribute, means the whole prefix.
     """
     return _chain_joint(model, length, t_cond, cap)
 
@@ -228,6 +245,12 @@ def kl_divergence(p: CategoricalTable, q: CategoricalTable) -> float:
     """
     _check_same_space(p, q)
     lp, lq = p.log_probs, q.log_probs
+    # one pass when both tables have full support; -inf entries make it
+    # non-finite and take the masked path below
+    with np.errstate(invalid="ignore"):
+        kl = float(np.exp(lp) @ (lp - lq))
+    if math.isfinite(kl):
+        return kl
     mass = lp > -np.inf
     bad = mass & (lq == -np.inf)
     if np.any(bad):
@@ -238,8 +261,8 @@ def kl_divergence(p: CategoricalTable, q: CategoricalTable) -> float:
             SupportWarning,
         )
         return math.inf
-    diff = np.where(mass, lp - lq, 0.0)
-    return float(np.sum(np.exp(lp[mass]) * diff[mass]))
+    lp, lq = lp[mass], lq[mass]
+    return float(np.sum(np.exp(lp) * (lp - lq)))
 
 
 def total_variation(p: CategoricalTable, q: CategoricalTable) -> float:

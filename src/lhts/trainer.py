@@ -35,7 +35,6 @@ __all__ = [
     "TrainSettings",
     "StepRecord",
     "joint_weights",
-    "suffix_log_liks",
     "suffix_log_liks_matrix",
     "apply_horizon",
     "ar_weights",
@@ -278,14 +277,9 @@ def joint_weights(p: ARModel, xs: np.ndarray, temperature: float,
     return WeightBatch(weights, exponents, c, temperature)
 
 
-def suffix_log_liks(p: ARModel, x, t_cond: float | None = None) -> np.ndarray:
-    """v_i = log p(x_{>=i} | x_<i) via a reverse cumulative sum of the
-    per-token conditionals; v_0 is the full sequence log-prob."""
-    u = p.per_token_log_probs(x, t_cond=t_cond)
-    return np.cumsum(u[::-1])[::-1]
-
-
 def suffix_log_liks_matrix(p: ARModel, xs: np.ndarray, t_cond: float | None = None) -> np.ndarray:
+    """v[n, i] = log p(x_{>=i} | x_<i) for each row, a reverse cumulative sum
+    of the per-token conditionals; v[:, 0] is the full sequence log-prob."""
     u = p.per_token_log_probs_matrix(xs, t_cond=t_cond)
     return np.cumsum(u[:, ::-1], axis=1)[:, ::-1]
 

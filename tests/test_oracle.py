@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lhts.ar_model import TabularAR, tabular_from_table
+from lhts.ar_model import LinearAR, TabularAR, tabular_from_table
 from lhts.data import shared_prefix_scenario
+from lhts.numerics import log_softmax
 from lhts.oracle import (
     CategoricalTable,
     OracleError,
@@ -69,6 +70,86 @@ def test_enumerate_normalizes():
         assert abs(np.exp(table.log_probs).sum() - 1.0) < 1e-9
 
 
+def random_ar(kind, V, L, window, embedding, seed):
+    """A random TabularAR (window ignored) or LinearAR, and its t_cond."""
+    rng = np.random.default_rng(seed)
+    if kind == "tabular":
+        model = TabularAR(V, L)
+        model.set_param_array(rng.normal(size=model.n_params))
+        return model, None
+    model = LinearAR(V, L, window)
+    if embedding:
+        model = model.with_embedding(2)
+    model.set_param_array(rng.normal(size=model.n_params))
+    return model, (float(rng.uniform(0.2, 2.0)) if embedding else None)
+
+
+def full_prefix_joint(model, L, t_cond, temperature=None):
+    """Reference joint: every position's row taken on the whole prefix of
+    every sequence, optionally rescaled as log_softmax(row / T)."""
+    xs = SequenceSpace(model.vocab_size, L).all_sequences()
+    if temperature is None:
+        return model.per_token_log_probs_matrix(xs, t_cond=t_cond).sum(axis=1)
+    total = np.zeros(len(xs))
+    for i in range(L):
+        rows = log_softmax(model.conditional_log_probs_batch(xs[:, :i], i, t_cond=t_cond)
+                           / temperature)
+        total += rows[np.arange(len(xs)), xs[:, i]]
+    return total
+
+
+@given(
+    kind=st.sampled_from(["tabular", "linear"]),
+    V=st.sampled_from([2, 3]),
+    L=st.integers(min_value=1, max_value=5),
+    window_frac=st.floats(min_value=0.0, max_value=1.0),
+    embedding=st.booleans(),
+    seed=st.integers(min_value=0, max_value=2**16),
+)
+@settings(max_examples=60, deadline=None)
+def test_enumeration_matches_full_prefix_reference(kind, V, L, window_frac, embedding, seed):
+    # windows 0..L+1: wider than the sequence means the whole prefix
+    window = round(window_frac * (L + 1))
+    model, t_cond = random_ar(kind, V, L, window, embedding, seed)
+    table = enumerate_joint(model, t_cond=t_cond)
+    assert np.allclose(table.log_probs, full_prefix_joint(model, L, t_cond),
+                       rtol=0, atol=1e-12)
+    for T in (0.4, 1.0):
+        myopic = myopic_scale_joint(model, T, t_cond=t_cond)
+        assert np.allclose(myopic.log_probs, full_prefix_joint(model, L, t_cond, T),
+                           rtol=0, atol=1e-12)
+
+
+def _count_rows(model, monkeypatch) -> list:
+    counts = []
+    inner = model.conditional_log_probs_batch
+
+    def counting(prefixes, position, t_cond=None):
+        counts.append(len(prefixes))
+        return inner(prefixes, position, t_cond=t_cond)
+
+    monkeypatch.setattr(model, "conditional_log_probs_batch", counting)
+    return counts
+
+
+def test_linear_enumeration_evaluates_each_context_once(monkeypatch):
+    model, _ = random_ar("linear", 8, 7, 3, False, 0)
+    counts = _count_rows(model, monkeypatch)
+    enumerate_joint(model)
+    assert counts == [8 ** min(pos, 3) for pos in range(7)]
+    assert sum(counts) == 2121
+    counts.clear()
+    myopic_scale_joint(model, 0.5)
+    assert sum(counts) == 2121
+
+
+def test_tabular_enumeration_evaluates_every_prefix(monkeypatch):
+    model, _ = random_ar("tabular", 3, 4, None, False, 0)
+    counts = _count_rows(model, monkeypatch)
+    enumerate_joint(model)
+    assert counts == [3**pos for pos in range(4)]
+
+
 # --------------------------------------------------- temperature_scale_exact
 
 def test_scale_identity_at_one():
@@ -82,6 +163,14 @@ def test_scale_hand_example():
     t = CategoricalTable(space, np.log([0.8, 0.2]))
     out = temperature_scale_exact(t, 0.5)
     assert np.exp(out.log_probs) == pytest.approx([0.64 / 0.68, 0.04 / 0.68], abs=1e-12)
+
+
+def test_scale_leaves_source_unchanged():
+    t = random_table(9, V=3, L=3)
+    before = t.log_probs.copy()
+    for T in (0.3, 1.0, 2.5):
+        temperature_scale_exact(t, T)
+    assert np.array_equal(t.log_probs, before)
 
 
 def test_scale_rejects_nonpositive():
@@ -205,6 +294,26 @@ def test_kl_support_violation_warns_and_is_inf():
         assert kl_divergence(p, q) == math.inf
 
 
+def test_kl_zero_mass_in_p_matches_masked_formula():
+    space = SequenceSpace(2, 2)
+    with np.errstate(divide="ignore"):
+        p = CategoricalTable(space, np.log([0.5, 0.0, 0.5, 0.0]))
+        q = CategoricalTable(space, np.log([0.25, 0.0, 0.5, 0.25]))
+    lp, lq = np.log([0.5, 0.5]), np.log([0.25, 0.5])
+    expected = float(np.sum(np.exp(lp) * (lp - lq)))
+    assert kl_divergence(p, q) == pytest.approx(expected, abs=1e-15)
+    assert kl_divergence(p, p) == 0.0
+
+
+def test_kl_support_violation_after_zero_mass_names_first_sequence():
+    space = SequenceSpace(2, 2)
+    with np.errstate(divide="ignore"):
+        p = CategoricalTable(space, np.log([0.0, 0.2, 0.4, 0.4]))
+        q = CategoricalTable(space, np.log([0.0, 1.0, 0.0, 0.0]))
+    with pytest.warns(SupportWarning, match=r"\(1, 0\)"):
+        assert kl_divergence(p, q) == math.inf
+
+
 def test_kl_rejects_mismatched_spaces():
     with pytest.raises(OracleError, match="different spaces"):
         kl_divergence(random_table(1, V=2, L=2), random_table(1, V=3, L=2))
@@ -235,6 +344,37 @@ def test_total_variation():
     p = CategoricalTable(space, np.log([0.8, 0.2]))
     q = CategoricalTable(space, np.log([0.5, 0.5]))
     assert total_variation(p, q) == pytest.approx(0.3, abs=1e-12)
+
+
+# --------------------------------------------------------- table validation
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("normalize", [True, False])
+def test_table_rejects_nan_and_pos_inf(bad, normalize):
+    lw = np.array([0.0, -1.0, bad, -np.inf])
+    with pytest.raises(OracleError, match="finite or -inf"):
+        CategoricalTable(SequenceSpace(2, 2), lw, normalize=normalize)
+
+
+def test_table_rejects_empty_support_when_normalizing():
+    with pytest.raises(OracleError, match="empty support"):
+        CategoricalTable(SequenceSpace(2, 2), np.full(4, -np.inf))
+
+
+def test_table_normalizes_with_neg_inf_entries():
+    lw = np.array([np.log(3.0), -np.inf, 0.0, -np.inf])
+    t = CategoricalTable(SequenceSpace(2, 2), lw)
+    assert np.exp(t.log_probs) == pytest.approx([0.75, 0.0, 0.25, 0.0], abs=1e-15)
+    assert t.log_z == pytest.approx(np.log(4.0), abs=1e-15)
+
+
+def test_unnormalized_table_leaves_caller_array_writeable():
+    a = np.log(np.full(4, 0.25))
+    t = CategoricalTable(SequenceSpace(2, 2), a, normalize=False)
+    assert a.flags.writeable
+    assert not t.log_probs.flags.writeable
+    with pytest.raises(ValueError):
+        t.log_probs[0] = 0.0
 
 
 # -------------------------------------------------------------- serialization

@@ -25,7 +25,6 @@ from lhts.trainer import (
     joint_weights,
     lhts_step,
     make_train_state,
-    suffix_log_liks,
     suffix_log_liks_matrix,
     train,
     weighted_nll_loss_node,
@@ -51,12 +50,12 @@ def test_suffix_log_liks_definition(counterexample_model):
 
 
 def test_suffix_head_equals_sequence_log_prob(counterexample_model):
-    v = suffix_log_liks(counterexample_model, [1, 0])
+    v = suffix_log_liks_matrix(counterexample_model, [[1, 0]])[0]
     assert v[0] == pytest.approx(counterexample_model.sequence_log_prob([1, 0]), abs=1e-14)
 
 
 def test_suffix_counterexample_hand_values(counterexample_model):
-    v = suffix_log_liks(counterexample_model, [1, 0])
+    v = suffix_log_liks_matrix(counterexample_model, [[1, 0]])[0]
     assert v == pytest.approx([math.log(0.36), math.log(0.9)], abs=1e-12)
 
 
