@@ -487,24 +487,33 @@ def checkpoint_dict(model: ARModel, rng_seed: int | None = None) -> dict:
     raise ModelError(f"cannot checkpoint {type(model).__name__}")
 
 
+def _checkpoint_array(values, shape: tuple, name: str) -> np.ndarray:
+    """A checkpoint's flat parameter list as a float64 array of ``shape``."""
+    arr = np.array(values, dtype=np.float64)
+    if arr.shape != (np.prod(shape),):
+        raise ModelError(f"checkpoint field {name!r} has shape {arr.shape}, "
+                         f"expected ({np.prod(shape)},)")
+    return arr.reshape(shape)
+
+
 def model_from_checkpoint(doc: dict) -> ARModel:
     kind = doc.get("parameterization")
     V, L = doc["vocab_size"], doc["max_length"]
     if kind == "tabular":
-        logits = np.array(doc["parameters"]["logits"]).reshape(-1, V)
-        return TabularAR(V, L, logits, exact_rows=bool(doc.get("exact_rows", False)))
+        model = TabularAR(V, L, exact_rows=bool(doc.get("exact_rows", False)))
+        model.logits = _checkpoint_array(doc["parameters"]["logits"], model.logits.shape, "logits")
+        return model
     if kind == "linear":
         emb = None
         if doc.get("embedding"):
             e = doc["embedding"]
-            emb = TemperatureEmbedding(e["width"], np.array(e["scale"]), np.array(e["bias"]))
+            emb = TemperatureEmbedding(
+                e["width"], _checkpoint_array(e["scale"], (e["width"],), "embedding.scale"),
+                _checkpoint_array(e["bias"], (e["width"],), "embedding.bias"))
         model = LinearAR(V, L, doc["window"], embedding=emb)
         p = doc["parameters"]
-        model.w_ctx = np.array(p["w_ctx"]).reshape(V, model.window, V)
-        model.w_pos = np.array(p["w_pos"]).reshape(V, L)
-        model.bias = np.array(p["bias"])
-        if emb is not None:
-            model.w_emb = np.array(p["w_emb"]).reshape(V, emb.width)
+        for name in ("w_ctx", "w_pos", "bias") + (("w_emb",) if emb else ()):
+            setattr(model, name, _checkpoint_array(p[name], getattr(model, name).shape, name))
         return model
     raise ModelError(f"unknown parameterization {kind!r}")
 

@@ -12,9 +12,11 @@ the autoregressive models.
 The ELBO and the ancestral sampler walk the noise schedule one step at a
 time, with every row at the same step k. They evaluate the denoiser once
 per step: the step features pass through the first layer once, as a
-(hidden,) bias shared by all rows, and the hidden activations go into one
+(1, hidden) bias shared by all rows, and the hidden activations go into one
 (rows, hidden) buffer that the loop allocates once and reuses for all K
-steps. Training draws a step per row and keeps the plain batched forward.
+steps. Training draws a step per row and goes through the same forward with
+a (rows, hidden) step bias; Adam and the EMA update the denoiser's one flat
+parameter vector in place.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .trainer import TrainerError, WeightBatch
+from .trainer import WeightBatch
 
 __all__ = [
     "DiffusionError",
@@ -79,10 +81,6 @@ class NoiseSchedule:
                 (1.0 - self.alphas_bar[1:-1]) / (1.0 - self.alphas_bar[2:]) * betas[1:]
             )
 
-    @property
-    def K(self) -> int:
-        return self.steps
-
 
 def linear_schedule(steps: int, beta_start: float = 1e-3, beta_end: float = 0.25) -> NoiseSchedule:
     return NoiseSchedule(np.linspace(beta_start, beta_end, steps))
@@ -97,7 +95,12 @@ def _step_features(k: np.ndarray, steps: int, n_freqs: int = 4) -> np.ndarray:
 
 
 class DenoiserMLP:
-    """One tanh hidden layer mapping (point, step features) -> noise guess."""
+    """One tanh hidden layer mapping (point, step features) -> noise guess.
+
+    The parameters are one flat float64 vector, ``params``; w1, b1, w2 and b2
+    are views into it, laid out by ``split``, and are never rebound, so every
+    write into the vector (``set_param_array``, training) reaches the forward.
+    """
 
     def __init__(self, dim: int, hidden: int = 64, n_freqs: int = 4,
                  rng: np.random.Generator | None = None):
@@ -105,23 +108,34 @@ class DenoiserMLP:
         self.hidden = hidden
         self.n_freqs = n_freqs
         n_in = dim + 2 * n_freqs
+        self.params = np.zeros(hidden * n_in + hidden + dim * hidden + dim)
+        self.w1, self.b1, self.w2, self.b2 = self.split(self.params)
         if rng is None:
             rng = np.random.default_rng(0)
-        self.w1 = rng.standard_normal((hidden, n_in)) / math.sqrt(n_in)
-        self.b1 = np.zeros(hidden)
-        self.w2 = rng.standard_normal((dim, hidden)) * (0.1 / math.sqrt(hidden))
-        self.b2 = np.zeros(dim)
+        self.w1[...] = rng.standard_normal((hidden, n_in)) / math.sqrt(n_in)
+        self.w2[...] = rng.standard_normal((dim, hidden)) * (0.1 / math.sqrt(hidden))
+
+    def split(self, flat: np.ndarray) -> tuple[np.ndarray, ...]:
+        """Views (w1, b1, w2, b2) of a parameter-sized vector: w1 is
+        (hidden, dim + 2 n_freqs), b1 (hidden,), w2 (dim, hidden), b2 (dim,)."""
+        h, d, n_in = self.hidden, self.dim, self.dim + 2 * self.n_freqs
+        i, j, k = h * n_in, h * n_in + h, h * n_in + h + d * h
+        return flat[:i].reshape(h, n_in), flat[i:j], flat[j:k].reshape(d, h), flat[k:]
+
+    def step_bias(self, feats: np.ndarray) -> np.ndarray:
+        """The step features' share of the first layer plus its bias."""
+        return feats @ self.w1[:, self.dim:].T + self.b1
 
     def forward(self, x: np.ndarray, step_bias: np.ndarray,
                 work: np.ndarray | None = None) -> np.ndarray:
-        """Noise guess for points x of shape (n, dim); the inference forward.
+        """Noise guess for points x of shape (n, dim); the one forward of
+        the ELBO, the sampler and training.
 
-        ``step_bias`` is the step features' share of the first layer plus its
-        bias, ``feats @ w1[:, dim:].T + b1``: (hidden,) when every row is at
-        one step, (n, hidden) when rows have their own steps. ``work``, when
+        ``step_bias`` is ``step_bias(feats)``: (1, hidden) when every row is
+        at one step, (n, hidden) when rows have their own steps. ``work``, when
         given, is a C-contiguous float64 (n, hidden) buffer that receives the
-        hidden activations and is overwritten; the returned (n, dim) array is
-        freshly allocated and never aliases it.
+        hidden activations (which ``backward`` takes) and is overwritten; the
+        returned (n, dim) array is freshly allocated and never aliases it.
         """
         if work is None:
             work = np.empty((x.shape[0], self.hidden))
@@ -132,39 +146,37 @@ class DenoiserMLP:
         out += self.b2
         return out
 
-    def forward_cached(self, x_in: np.ndarray):
-        h = np.tanh(x_in @ self.w1.T + self.b1)
-        return h @ self.w2.T + self.b2, h
-
-    def backward(self, x_in: np.ndarray, h: np.ndarray, g_out: np.ndarray) -> dict:
-        """Parameter gradients given dL/d(output); closed form."""
-        g_w2 = g_out.T @ h
-        g_b2 = g_out.sum(axis=0)
-        g_h = g_out @ self.w2
-        g_z = g_h * (1.0 - h * h)
-        g_w1 = g_z.T @ x_in
-        g_b1 = g_z.sum(axis=0)
-        return {"w1": g_w1, "b1": g_b1, "w2": g_w2, "b2": g_b2}
+    def backward(self, x: np.ndarray, feats: np.ndarray, h: np.ndarray,
+                 g_out: np.ndarray) -> np.ndarray:
+        """Flat parameter gradient, in the layout of ``split``, given
+        dL/d(output) of the forward of points x at step features feats that
+        left the hidden activations h; closed form."""
+        grad = np.empty_like(self.params)
+        g_w1, g_b1, g_w2, g_b2 = self.split(grad)
+        np.matmul(g_out.T, h, out=g_w2)
+        g_out.sum(axis=0, out=g_b2)
+        g_z = g_out @ self.w2
+        g_z *= 1.0 - h * h
+        np.matmul(g_z.T, x, out=g_w1[:, :self.dim])
+        np.matmul(g_z.T, feats, out=g_w1[:, self.dim:])
+        g_z.sum(axis=0, out=g_b1)
+        return grad
 
     def param_array(self) -> np.ndarray:
-        return np.concatenate([self.w1.ravel(), self.b1, self.w2.ravel(), self.b2])
+        return self.params.copy()
 
     def set_param_array(self, flat: np.ndarray) -> None:
         flat = np.asarray(flat, dtype=np.float64)
-        names = ("w1", "b1", "w2", "b2")
-        expected = sum(getattr(self, name).size for name in names)
-        if flat.ndim != 1 or flat.size != expected:
+        if flat.shape != self.params.shape:
             raise DiffusionError(
-                f"parameter vector has shape {flat.shape}, expected ({expected},)")
-        i = 0
-        for name in names:
-            arr = getattr(self, name)
-            setattr(self, name, flat[i:i + arr.size].reshape(arr.shape).copy())
-            i += arr.size
+                f"parameter vector has shape {flat.shape}, expected {self.params.shape}")
+        self.params[...] = flat
 
     def copy(self) -> "DenoiserMLP":
-        out = DenoiserMLP(self.dim, self.hidden, self.n_freqs)
-        out.set_param_array(self.param_array())
+        out = DenoiserMLP.__new__(DenoiserMLP)
+        out.dim, out.hidden, out.n_freqs = self.dim, self.hidden, self.n_freqs
+        out.params = self.params.copy()
+        out.w1, out.b1, out.w2, out.b2 = out.split(out.params)
         return out
 
 
@@ -173,21 +185,17 @@ class DiffusionModel:
 
     def __init__(self, schedule: NoiseSchedule, dim: int = 2, hidden: int = 64,
                  rng: np.random.Generator | None = None, net: DenoiserMLP | None = None):
+        if net is not None and net.dim != dim:
+            raise DiffusionError(f"denoiser has dim {net.dim}, model has dim {dim}")
         self.schedule = schedule
         self.dim = dim
         self.net = net if net is not None else DenoiserMLP(dim, hidden, rng=rng)
 
-    def _inputs(self, x: np.ndarray, k: np.ndarray) -> np.ndarray:
-        feats = _step_features(k, self.schedule.steps, self.net.n_freqs)
-        return np.concatenate([x, feats], axis=1)
-
     def _step_bias(self, k) -> np.ndarray:
-        """The step features' share of the first layer plus its bias:
-        (hidden,) for one int step, (n, hidden) for a vector of n steps."""
-        net = self.net
-        feats = _step_features(np.atleast_1d(k), self.schedule.steps, net.n_freqs)
-        bias = feats @ net.w1[:, net.dim:].T + net.b1
-        return bias if np.ndim(k) else bias[0]
+        """``net.step_bias`` at step k: (1, hidden) for one int step, (n, hidden)
+        for a vector of n steps."""
+        return self.net.step_bias(
+            _step_features(np.atleast_1d(k), self.schedule.steps, self.net.n_freqs))
 
     def predict_noise(self, x: np.ndarray, k: np.ndarray) -> np.ndarray:
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
@@ -238,19 +246,6 @@ class MixtureGroundTruth:
     def dim(self) -> int:
         return self.means.shape[1]
 
-    def log_density(self, x: np.ndarray) -> np.ndarray:
-        x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-        d = self.dim
-        comp = []
-        for m in range(len(self.weights)):
-            var = self.stds[m] ** 2
-            sq = np.sum((x - self.means[m]) ** 2, axis=1)
-            comp.append(math.log(self.weights[m]) - 0.5 * d * math.log(2 * math.pi * var)
-                        - sq / (2 * var))
-        stack = np.stack(comp, axis=1)
-        m = stack.max(axis=1, keepdims=True)
-        return (m + np.log(np.exp(stack - m).sum(axis=1, keepdims=True)))[:, 0]
-
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         comp = rng.choice(len(self.weights), size=n, p=self.weights)
         return self.means[comp] + self.stds[comp][:, None] * rng.standard_normal((n, self.dim))
@@ -288,6 +283,8 @@ def _elbo_draws_matrix(model: DiffusionModel, x0: np.ndarray,
     """(n_mc, N) matrix of single-draw variational lower bounds, in joint
     (summed over dimensions) space."""
     x0 = _points(x0, model.dim)
+    if n_mc < 1:
+        raise DiffusionError("n_mc must be >= 1")
     n, d = x0.shape
     sch = model.schedule
     K = sch.steps
@@ -321,8 +318,6 @@ def _elbo_draws_matrix(model: DiffusionModel, x0: np.ndarray,
 
 def elbo_draws(model: DiffusionModel, x0, rng: np.random.Generator, n_mc: int) -> np.ndarray:
     """Per-draw bound estimates for one point; their mean is the ELBO."""
-    if n_mc < 1:
-        raise DiffusionError("n_mc must be >= 1")
     x0 = _points(x0, model.dim)
     if x0.shape[0] != 1:
         raise DiffusionError(f"expected one point, got {x0.shape[0]}; use elbo_batch")
@@ -336,8 +331,6 @@ def elbo(model: DiffusionModel, x0, rng: np.random.Generator, n_mc: int = 16) ->
 
 def elbo_batch(model: DiffusionModel, x0: np.ndarray, rng: np.random.Generator,
                n_mc: int = 16) -> np.ndarray:
-    if n_mc < 1:
-        raise DiffusionError("n_mc must be >= 1")
     return _elbo_draws_matrix(model, x0, rng, n_mc).mean(axis=0)
 
 
@@ -349,12 +342,17 @@ def lhts_diffusion_weights(model: DiffusionModel, dataset: np.ndarray, temperatu
     """Per-point weights exp(min((1-T)/T elbo_i - b, c)) with b the mean of
     (1-T)/T elbo over the dataset; the frozen base model prices every point
     once, before finetuning."""
-    if temperature <= 0:
-        raise TrainerError("temperature must be positive")
+    if not (math.isfinite(temperature) and temperature > 0):
+        raise DiffusionError("temperature must be positive and finite")
+    n = _points(dataset, model.dim).shape[0]
     if elbos is None:
         if rng is None:
             raise DiffusionError("pass an rng (or precomputed elbos)")
         elbos = elbo_batch(model, dataset, rng, n_mc)
+    elbos = np.asarray(elbos, dtype=np.float64)
+    if elbos.shape != (n,) or not np.all(np.isfinite(elbos)):
+        raise DiffusionError(f"need one finite elbo per point: got shape {elbos.shape} "
+                             f"for {n} points")
     factor = (1.0 - temperature) / temperature
     exponents = factor * elbos - np.mean(factor * elbos)
     c = math.inf if clip is None else float(clip)
@@ -364,21 +362,8 @@ def lhts_diffusion_weights(model: DiffusionModel, dataset: np.ndarray, temperatu
 
 # ------------------------------------------------------------------- training
 
-class _Adam:
-    def __init__(self, size: int, lr: float):
-        self.lr = lr
-        self.m = np.zeros(size)
-        self.v = np.zeros(size)
-        self.t = 0
-
-    def step(self, params: np.ndarray, grad: np.ndarray,
-             b1: float = 0.9, b2: float = 0.999, eps: float = 1e-8) -> np.ndarray:
-        self.t += 1
-        self.m = b1 * self.m + (1 - b1) * grad
-        self.v = b2 * self.v + (1 - b2) * grad * grad
-        mhat = self.m / (1 - b1**self.t)
-        vhat = self.v / (1 - b2**self.t)
-        return params - self.lr * mhat / (np.sqrt(vhat) + eps)
+# Adam's moment decays and epsilon; the decay of the EMA that training returns
+_ADAM_B1, _ADAM_B2, _ADAM_EPS, _EMA_DECAY = 0.9, 0.999, 1e-8, 0.999
 
 
 def weighted_noise_loss(model: DiffusionModel, x0: np.ndarray, k: np.ndarray,
@@ -392,25 +377,24 @@ def weighted_noise_loss(model: DiffusionModel, x0: np.ndarray, k: np.ndarray,
     makes a common rescaling of all weights an exact no-op.
     """
     sch = model.schedule
+    net = model.net
     ab = sch.alphas_bar[k][:, None]
     x_k = np.sqrt(ab) * x0 + np.sqrt(1.0 - ab) * eps
-    x_in = model._inputs(x_k, k)
-    pred, h = model.net.forward_cached(x_in)
-    resid = pred - eps
+    feats = _step_features(k, sch.steps, net.n_freqs)
+    h = np.empty((len(k), net.hidden))
+    resid = net.forward(x_k, net.step_bias(feats), h)
+    resid -= eps
     w = (weights / weight_norm)[:, None] / len(k)
     loss = float(np.sum(w * resid * resid))
-    grads = model.net.backward(x_in, h, 2.0 * w * resid)
-    flat = np.concatenate([grads["w1"].ravel(), grads["b1"], grads["w2"].ravel(), grads["b2"]])
-    return loss, flat
+    return loss, net.backward(x_k, feats, h, 2.0 * w * resid)
 
 
 def finetune_weighted(model: DiffusionModel, dataset: np.ndarray, weights: np.ndarray,
                       steps: int, rng: np.random.Generator, batch_size: int = 128,
-                      learning_rate: float = 2e-3,
-                      ema_decay: float | None = 0.999) -> tuple[DiffusionModel, list[dict]]:
-    """Train a copy of the model on weighted data; unit weights reproduce
-    plain noise-prediction training bit for bit under the same rng. The
-    returned parameters are the EMA of the trajectory when ema_decay is set."""
+                      learning_rate: float = 2e-3) -> tuple[DiffusionModel, list[dict]]:
+    """Train a copy of the model on weighted data with Adam; unit weights
+    reproduce plain noise-prediction training bit for bit under the same rng.
+    The returned parameters are the EMA (decay 0.999) of the trajectory."""
     dataset = _points(dataset, model.dim)
     weights = np.asarray(weights, dtype=np.float64)
     if weights.shape != (dataset.shape[0],):
@@ -422,9 +406,11 @@ def finetune_weighted(model: DiffusionModel, dataset: np.ndarray, weights: np.nd
     if batch_size < 1:
         raise DiffusionError("batch_size must be >= 1")
     out = model.copy()
+    params = out.net.params
     weight_norm = float(weights.mean())
-    adam = _Adam(out.param_array().size, learning_rate)
-    ema = out.param_array()
+    m = np.zeros_like(params)
+    v = np.zeros_like(params)
+    ema = params.copy()
     records = []
     K = out.schedule.steps
     for step in range(steps):
@@ -433,27 +419,29 @@ def finetune_weighted(model: DiffusionModel, dataset: np.ndarray, weights: np.nd
         eps = rng.standard_normal((batch_size, dataset.shape[1]))
         loss, grad = weighted_noise_loss(out, dataset[idx], k, eps, weights[idx], weight_norm)
         if not math.isfinite(loss):
-            raise TrainerError(f"non-finite diffusion loss at step {step}")
-        params = adam.step(out.param_array(), grad)
-        out.set_param_array(params)
-        if ema_decay is not None:
-            ema = ema_decay * ema + (1.0 - ema_decay) * params
+            raise DiffusionError(f"non-finite diffusion loss at step {step}")
+        t = step + 1
+        m *= _ADAM_B1
+        m += (1 - _ADAM_B1) * grad
+        v *= _ADAM_B2
+        v += (1 - _ADAM_B2) * grad * grad
+        params -= learning_rate * (m / (1 - _ADAM_B1**t)) / (
+            np.sqrt(v / (1 - _ADAM_B2**t)) + _ADAM_EPS)
+        ema *= _EMA_DECAY
+        ema += (1.0 - _EMA_DECAY) * params
         if step % 200 == 0 or step == steps - 1:
             records.append({"step": step, "loss": loss})
-    if ema_decay is not None and steps > 0:
-        out.set_param_array(ema)
+    params[...] = ema
     return out, records
 
 
 def train_base(model: DiffusionModel, dataset: np.ndarray, steps: int,
                rng: np.random.Generator, batch_size: int = 128,
-               learning_rate: float = 2e-3,
-               ema_decay: float | None = 0.999) -> tuple[DiffusionModel, list[dict]]:
+               learning_rate: float = 2e-3) -> tuple[DiffusionModel, list[dict]]:
     """Standard noise-prediction training: the weighted path with unit weights."""
     ones = np.ones(np.atleast_2d(dataset).shape[0])
     return finetune_weighted(model, dataset, ones, steps, rng,
-                             batch_size=batch_size, learning_rate=learning_rate,
-                             ema_decay=ema_decay)
+                             batch_size=batch_size, learning_rate=learning_rate)
 
 
 # ------------------------------------------------------------------- sampling

@@ -242,6 +242,29 @@ def test_linear_set_param_array_rejects_wrong_size(embedding):
     assert np.array_equal(model.param_array(), before)
 
 
+@pytest.mark.parametrize("field", ["embedding.scale", "embedding.bias", "bias", "w_ctx",
+                                   "w_pos", "w_emb"])
+@pytest.mark.parametrize("extra", [-1, 1])
+def test_linear_checkpoint_rejects_wrong_sizes(field, extra):
+    # V=3, L=4, window 2, width-2 embedding; one entry short or one too many
+    doc = checkpoint_dict(random_linear(13).with_embedding(width=2))
+    section, _, name = field.rpartition(".")
+    values = doc[section or "parameters"][name]
+    if extra < 0:
+        values.pop()
+    else:
+        values.append(0.0)
+    with pytest.raises(ModelError, match=rf"'{field}'"):
+        model_from_checkpoint(doc)
+
+
+def test_tabular_checkpoint_rejects_wrong_size(counterexample_model):
+    doc = checkpoint_dict(counterexample_model)
+    doc["parameters"]["logits"].pop()
+    with pytest.raises(ModelError, match="'logits'"):
+        model_from_checkpoint(doc)
+
+
 def test_checkpoint_records_seed():
     doc = checkpoint_dict(random_linear(1), rng_seed=42)
     assert doc["rng_seed"] == 42

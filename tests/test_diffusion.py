@@ -7,11 +7,13 @@ from lhts.diffusion import (
     DenoiserMLP,
     DiffusionError,
     DiffusionModel,
+    MixtureGroundTruth,
     elbo,
     elbo_batch,
     elbo_draws,
     finetune_weighted,
     gaussian_kl,
+    lhts_diffusion_weights,
     linear_schedule,
     load_diffusion_checkpoint,
     sample_ancestral,
@@ -19,7 +21,7 @@ from lhts.diffusion import (
     train_base,
     weighted_noise_loss,
 )
-from lhts.numerics import finite_difference_gradient
+from lhts.numerics import Rng, finite_difference_gradient
 
 
 def _model(steps=6, hidden=16, n_freqs=4, seed=0) -> DiffusionModel:
@@ -174,6 +176,107 @@ def test_weighted_noise_loss_gradient_matches_finite_differences():
     assert np.linalg.norm(grad - fd) < 1e-6 * np.linalg.norm(fd)
 
 
+def _reference_noise_loss(model, x0, k, eps, weights, weight_norm):
+    """The loss and gradient over the concatenated (point, step features) input."""
+    net, sch = model.net, model.schedule
+    ab = sch.alphas_bar[k][:, None]
+    x_k = np.sqrt(ab) * x0 + np.sqrt(1.0 - ab) * eps
+    ang = 2 * math.pi * (k[:, None] / sch.steps) * 2.0 ** np.arange(net.n_freqs)
+    x_in = np.concatenate([x_k, np.sin(ang), np.cos(ang)], axis=1)
+    h = np.tanh(x_in @ net.w1.T + net.b1)
+    resid = h @ net.w2.T + net.b2 - eps
+    w = (weights / weight_norm)[:, None] / len(k)
+    g_out = 2.0 * w * resid
+    g_z = (g_out @ net.w2) * (1.0 - h * h)
+    grad = np.concatenate([(g_z.T @ x_in).ravel(), g_z.sum(axis=0),
+                           (g_out.T @ h).ravel(), g_out.sum(axis=0)])
+    return float(np.sum(w * resid * resid)), grad
+
+
+def test_weighted_noise_loss_matches_concat_reference():
+    model = _model(steps=50, hidden=64, seed=18)
+    rng = np.random.default_rng(19)
+    x0 = rng.normal(size=(256, 2))
+    k = rng.integers(1, 51, size=256)
+    eps = rng.normal(size=(256, 2))
+    weights = rng.uniform(0.2, 3.0, size=256)
+    loss, grad = weighted_noise_loss(model, x0, k, eps, weights, 1.3)
+    want_loss, want_grad = _reference_noise_loss(model, x0, k, eps, weights, 1.3)
+    assert abs(loss - want_loss) <= 1e-12 * abs(want_loss)
+    assert np.max(np.abs(grad - want_grad)) <= 1e-12 * np.max(np.abs(want_grad))
+
+
+def _reference_finetune(model, data, weights, steps, rng, batch_size, lr=2e-3):
+    """Adam (0.9, 0.999, 1e-8) and a 0.999 EMA over concatenated parameter
+    vectors, written out with fresh arrays at every step."""
+    out = model.copy()
+    m = np.zeros(out.param_array().size)
+    v = np.zeros_like(m)
+    ema = out.param_array()
+    norm = float(weights.mean())
+    records = []
+    for step in range(steps):
+        idx = rng.integers(0, len(data), size=batch_size)
+        k = rng.integers(1, out.schedule.steps + 1, size=batch_size)
+        eps = rng.standard_normal((batch_size, data.shape[1]))
+        loss, grad = weighted_noise_loss(out, data[idx], k, eps, weights[idx], norm)
+        t = step + 1
+        m = 0.9 * m + (1 - 0.9) * grad
+        v = 0.999 * v + (1 - 0.999) * grad * grad
+        mhat = m / (1 - 0.9**t)
+        vhat = v / (1 - 0.999**t)
+        params = out.param_array() - lr * mhat / (np.sqrt(vhat) + 1e-8)
+        out.set_param_array(params)
+        ema = 0.999 * ema + (1.0 - 0.999) * params
+        if step % 200 == 0 or step == steps - 1:
+            records.append({"step": step, "loss": loss})
+    if steps > 0:
+        out.set_param_array(ema)
+    return out, records
+
+
+@pytest.mark.parametrize("steps", [0, 1, 230])
+def test_finetune_matches_reference_adam_and_ema(steps):
+    model, data = _model(), _data()
+    w = np.random.default_rng(20).uniform(0.1, 2.0, size=len(data))
+    before = model.param_array()
+    got, records = finetune_weighted(model, data, w, steps, np.random.default_rng(21),
+                                     batch_size=16, learning_rate=5e-3)
+    want, want_records = _reference_finetune(model, data, w, steps,
+                                             np.random.default_rng(21), 16, lr=5e-3)
+    assert np.array_equal(got.param_array(), want.param_array())
+    assert records == want_records
+    assert np.array_equal(model.param_array(), before)
+
+
+def test_set_param_array_reaches_forward_and_param_array_is_a_copy():
+    model = _model()
+    net = model.net
+    x = np.random.default_rng(22).normal(size=(5, 2))
+    k = np.array([1, 2, 3, 4, 6])
+    before = model.predict_noise(x, k)
+    theta = np.random.default_rng(23).normal(size=net.param_array().size)
+    net.set_param_array(theta)
+    # w1 (16, 10), b1, w2 (2, 16), b2 in that order
+    w1, b1 = theta[:160].reshape(16, 10), theta[160:176]
+    w2, b2 = theta[176:208].reshape(2, 16), theta[208:]
+    ang = 2 * math.pi * (k[:, None] / 6) * 2.0 ** np.arange(4)
+    x_in = np.concatenate([x, np.sin(ang), np.cos(ang)], axis=1)
+    want = np.tanh(x_in @ w1.T + b1) @ w2.T + b2
+    assert np.max(np.abs(model.predict_noise(x, k) - want)) <= 1e-12
+
+    out = net.param_array()
+    out += 1.0
+    assert np.array_equal(net.param_array(), theta)
+    clone = model.copy()
+    clone.set_param_array(out)
+    assert np.array_equal(net.param_array(), theta)
+    assert np.array_equal(clone.param_array(), out)
+    clone.set_param_array(_model().param_array())
+    assert np.array_equal(clone.predict_noise(x, k), before)
+    assert np.max(np.abs(model.predict_noise(x, k) - want)) <= 1e-12
+
+
 def _data(n=48):
     rng = np.random.default_rng(11)
     return rng.normal(size=(n, 2)) + np.where(rng.random(n) < 0.7, -2.0, 2.0)[:, None]
@@ -197,7 +300,65 @@ def test_common_weight_scale_is_a_no_op():
     assert np.array_equal(a.param_array(), b.param_array())
 
 
+# ---------------------------------------------------------------- weights
+
+@pytest.mark.parametrize("temperature, clip", [(0.5, None), (0.5, 1.0), (0.8, 0.3), (2.0, None)])
+def test_lhts_weights_formula_and_clip_rate(temperature, clip):
+    model, data = _model(), _data(40)
+    elbos = np.random.default_rng(24).normal(-3.0, 2.0, size=40)
+    wb = lhts_diffusion_weights(model, data, temperature, clip=clip, elbos=elbos)
+    c = math.inf if clip is None else clip
+    expo = (1 - temperature) / temperature * (elbos - elbos.mean())
+    want = np.exp(np.minimum(expo, c))
+    assert np.max(np.abs(wb.weights - want)) <= 1e-12 * np.max(want)
+    assert wb.clip_rate == (0.0 if clip is None else np.mean(expo > c))
+    if clip is not None:
+        assert 0.0 < wb.clip_rate < 1.0
+
+
+def test_lhts_weights_are_ones_at_unit_temperature():
+    model, data = _model(), _data(40)
+    wb = lhts_diffusion_weights(model, data, 1.0, clip=0.0, rng=np.random.default_rng(25),
+                                n_mc=2)
+    assert np.array_equal(wb.weights, np.ones(40))
+    assert wb.clip_rate == 0.0
+
+
+@pytest.mark.parametrize("temperature, elbos, message", [
+    (0.0, "ok", "temperature"),
+    (-0.5, "ok", "temperature"),
+    (math.nan, "ok", "temperature"),
+    (0.5, "nan", "finite elbo"),
+    (0.5, "short", "one finite elbo per point"),
+    (0.5, "long", "one finite elbo per point"),
+    (0.5, "column", "one finite elbo per point"),
+    (0.5, None, "rng"),
+])
+def test_lhts_weights_reject_bad_arguments(temperature, elbos, message):
+    model, data = _model(), _data(8)
+    e = {"ok": np.zeros(8), "nan": np.array([0.0] * 7 + [np.nan]), "short": np.zeros(7),
+         "long": np.zeros(9), "column": np.zeros((8, 1)), None: None}[elbos]
+    with pytest.raises(DiffusionError, match=message):
+        lhts_diffusion_weights(model, data, temperature, elbos=e)
+
+
 # ------------------------------------------------------------- validation
+
+def test_finetune_raises_on_non_finite_loss():
+    model, data = _model(), _data(8)
+    theta = model.param_array()
+    theta[-1] = np.nan
+    model.set_param_array(theta)
+    with pytest.raises(DiffusionError, match="non-finite diffusion loss at step 0"):
+        finetune_weighted(model, data, np.ones(8), 3, np.random.default_rng(26))
+
+
+def test_model_rejects_denoiser_of_other_dim():
+    with pytest.raises(DiffusionError, match="dim 3"):
+        DiffusionModel(linear_schedule(4), net=DenoiserMLP(3))
+    model = DiffusionModel(linear_schedule(4), dim=3, net=DenoiserMLP(3, hidden=8))
+    assert elbo_batch(model, np.zeros((2, 3)), np.random.default_rng(27), 2).shape == (2,)
+
 
 @pytest.mark.parametrize("x0", [np.zeros((4, 3)), np.zeros(3), np.zeros((2, 4, 2))])
 def test_elbo_rejects_points_of_wrong_shape(x0):
@@ -207,6 +368,15 @@ def test_elbo_rejects_points_of_wrong_shape(x0):
     for fn in (elbo, elbo_draws, elbo_batch):
         with pytest.raises(DiffusionError, match=r"shape \(n, 2\)"):
             fn(model, x0, rng, 2)
+    assert rng.bit_generator.state == state
+
+
+def test_elbo_rejects_non_positive_draw_count():
+    rng = np.random.default_rng(15)
+    state = rng.bit_generator.state
+    for fn in (elbo, elbo_draws, elbo_batch):
+        with pytest.raises(DiffusionError, match="n_mc"):
+            fn(_model(), np.zeros((1, 2)), rng, 0)
     assert rng.bit_generator.state == state
 
 
@@ -261,3 +431,33 @@ def test_checkpoint_roundtrip_non_default_n_freqs(tmp_path):
     k = np.arange(1, 7) % 5 + 1
     assert back.net.n_freqs == 2
     assert np.array_equal(back.predict_noise(x, k), model.predict_noise(x, k))
+
+
+# ------------------------------------------------------------ paper claim
+
+def _share_gaps(seed: int, temperature: float = 0.5) -> tuple[float, float]:
+    """Distances of the major component's sample share from its share under
+    the temperature-scaled mixture, after LHTS finetuning and after
+    pseudo-temperature sampling of the base; the sizes of the benchmark's
+    diffusion-mixture workload, with 4 ELBO draws per point."""
+    rng = Rng(seed)
+    truth = MixtureGroundTruth(means=[[-2.0, 0.0], [2.0, 0.0]], stds=[0.25, 0.25],
+                               weights=[0.7, 0.3])
+    points = truth.sample(2048, rng.stream("data"))
+    model = DiffusionModel(linear_schedule(50), dim=2, hidden=64, rng=rng.stream("init"))
+    base, _ = train_base(model, points, 2000, rng.stream("base"))
+    target = truth.scaled_weights(temperature)[0]
+    pseudo = sample_ancestral(base, 10_000, temperature, rng.stream("pseudo"))
+    wb = lhts_diffusion_weights(base, points, temperature, rng=rng.stream("price"), n_mc=4)
+    tuned, _ = finetune_weighted(base, points, wb.weights, 1000, rng.stream("finetune"))
+    lhts = sample_ancestral(tuned, 10_000, rng=rng.stream("sample"))
+    return (abs(np.mean(truth.assign(lhts) == 0) - target),
+            abs(np.mean(truth.assign(pseudo) == 0) - target))
+
+
+def test_lhts_beats_pseudo_temperature_on_mixture():
+    # the paper's diffusion claim: at T = 0.5 the 0.7/0.3 mixture should
+    # sample its major component at 0.845; LHTS gets closer than shrinking
+    # the reverse noise
+    lhts_gap, pseudo_gap = _share_gaps(seed=1)
+    assert lhts_gap < pseudo_gap
