@@ -9,6 +9,12 @@ embedding.
 Both evaluate with numpy. Each model exposes its raw logits
 (``logits_batch``) and maps a gradient wrt those logits back onto its flat
 parameter vector in closed form (``param_grad``); the trainer owns the loss.
+
+A model's ``window`` declares which prefix tokens its conditionals read: the
+last ``window`` of them, or the whole prefix when it is None. Pricing,
+sampling, the trainer's loss and exact enumeration all rely on it: they
+evaluate each position's conditionals once per distinct context
+(``distinct_contexts``) and gather the rows back to the sequences.
 """
 
 from __future__ import annotations
@@ -19,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .numerics import log_softmax
-from .oracle import CategoricalTable
+from .oracle import CategoricalTable, _context_ids, _context_prefixes
 
 __all__ = [
     "ModelError",
@@ -90,7 +96,8 @@ class ARModel:
     vocab_size: int
     max_length: int
     # the conditionals read only the last ``window`` tokens; None means the
-    # whole prefix
+    # whole prefix. Pricing, sampling, the loss and enumeration evaluate one
+    # row per distinct context and share it between the prefixes that end in it
     window: int | None = None
 
     # -- to implement ------------------------------------------------------
@@ -151,6 +158,26 @@ class ARModel:
         x = self._check_tokens(x)
         return self.per_token_log_probs_matrix(x[None, :], t_cond=t_cond)[0]
 
+    def distinct_contexts(self, prefixes: np.ndarray, position: int) -> tuple[np.ndarray, np.ndarray]:
+        """The contexts that occur at ``position`` among the rows of
+        ``prefixes``, whose first ``position`` columns hold in-vocab tokens.
+
+        A context is the last c = min(position, window) of those tokens (all
+        of them when ``window`` is None). Returns ``reps``, one (position,)
+        prefix per context that occurs, in lexicographic order with zeros in
+        the columns the model does not read, and ``inverse``, the row of
+        ``reps`` for each prefix. Costs O(n + V^c) and does not sort.
+        """
+        V = self.vocab_size
+        c = position if self.window is None else min(position, self.window)
+        ids = _context_ids(prefixes[:, position - c:position], V)
+        seen = np.zeros(V**c, dtype=bool)
+        seen[ids] = True
+        present = np.flatnonzero(seen)
+        rank = np.empty(V**c, dtype=np.int64)
+        rank[present] = np.arange(present.size)
+        return _context_prefixes(present, V, c, position), rank[ids]
+
     def per_token_log_probs_matrix(self, xs: np.ndarray, t_cond: float | None = None) -> np.ndarray:
         """u over a batch: (N, L) matrix of conditional log-probs."""
         xs = self._check_tokens(xs)
@@ -159,8 +186,9 @@ class ARModel:
             raise ModelError(f"sequence length {length} exceeds max_length {self.max_length}")
         u = np.empty((n, length))
         for i in range(length):
-            rows = self.conditional_log_probs_batch(xs[:, :i], i, t_cond=t_cond)
-            u[:, i] = rows[np.arange(n), xs[:, i]]
+            reps, inverse = self.distinct_contexts(xs, i)
+            rows = self.conditional_log_probs_batch(reps, i, t_cond=t_cond)
+            u[:, i] = rows[inverse, xs[:, i]]
         return u
 
     def sequence_log_prob(self, x, t_cond: float | None = None) -> float:
@@ -185,18 +213,19 @@ class ARModel:
         seqs = np.zeros((n, length), dtype=np.int64)
         logp = np.zeros(n)
         for i in range(length):
-            rows = self.conditional_log_probs_batch(seqs[:, :i], i, t_cond=t_cond)
+            reps, inverse = self.distinct_contexts(seqs, i)
+            rows = self.conditional_log_probs_batch(reps, i, t_cond=t_cond)
             if myopic_t == 0.0:
-                toks = np.argmax(rows, axis=1)
+                toks = np.argmax(rows, axis=1)[inverse]
             else:
                 scaled = log_softmax(rows / myopic_t) if myopic_t != 1.0 else rows
                 probs = np.exp(scaled)
                 probs /= probs.sum(axis=1, keepdims=True)
                 cum = np.cumsum(probs, axis=1)
                 u = rng.random((n, 1))
-                toks = np.minimum((cum < u).sum(axis=1), self.vocab_size - 1)
+                toks = np.minimum((cum[inverse] < u).sum(axis=1), self.vocab_size - 1)
             seqs[:, i] = toks
-            logp += rows[np.arange(n), toks]
+            logp += rows[inverse, toks]
         return SampleBatch(seqs, logp, myopic_t=float(myopic_t), t_cond=t_cond)
 
     @property
@@ -266,10 +295,7 @@ class TabularAR(ARModel):
         return int(self.offsets[len(prefix)] + idx)
 
     def row_indices(self, prefixes: np.ndarray, position: int) -> np.ndarray:
-        lex = np.zeros(prefixes.shape[0], dtype=np.int64)
-        for i in range(position):
-            lex = lex * self.vocab_size + prefixes[:, i]
-        return self.offsets[position] + lex
+        return self.offsets[position] + _context_ids(prefixes[:, :position], self.vocab_size)
 
     def logits_batch(self, prefixes, position, t_cond=None):
         self._check_t_cond(t_cond)

@@ -7,6 +7,7 @@ into the output directory and the resolved form is written alongside it.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, field, fields
 
 from .trainer import TrainSettings
@@ -180,7 +181,10 @@ class DiffusionConfig:
                  "diffusion.mixture_means", "means/stds/weights must have equal length")
         _require(abs(sum(self.mixture_weights) - 1.0) < 1e-9, "diffusion.mixture_weights",
                  "must sum to 1")
-        _require(self.temperature > 0, "diffusion.temperature", "must be positive")
+        _require(math.isfinite(self.temperature) and self.temperature > 0,
+                 "diffusion.temperature", "must be positive and finite")
+        _require(self.clip is None or (math.isfinite(self.clip) and self.clip > 0),
+                 "diffusion.clip", "must be positive and finite")
         _require(0 < self.pseudo_temperature <= 1.0, "diffusion.pseudo_temperature",
                  "must lie in (0, 1]")
         _require(self.n_mc >= 1, "diffusion.n_mc", "must be >= 1")

@@ -10,7 +10,6 @@ from .oracle import CategoricalTable, SequenceSpace, enumerate_joint
 __all__ = [
     "make_skewed_ground_truth",
     "sample_sequences",
-    "dedupe_sequences",
     "enumerated_dataset",
     "shared_prefix_scenario",
     "save_sequences_csv",
@@ -32,15 +31,6 @@ def make_skewed_ground_truth(vocab_size: int, length: int,
 
 def sample_sequences(model: ARModel, n: int, rng: np.random.Generator) -> np.ndarray:
     return model.sample(n, myopic_t=1.0, rng=rng).sequences
-
-
-def dedupe_sequences(seqs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Unique sequences (lexicographically sorted) plus normalized counts.
-
-    Keeps full-batch training cheap and the iteration order deterministic.
-    """
-    uniq, counts = np.unique(np.asarray(seqs, dtype=np.int64), axis=0, return_counts=True)
-    return uniq, counts / counts.sum()
 
 
 def enumerated_dataset(model: ARModel, length: int | None = None) -> tuple[np.ndarray, np.ndarray]:

@@ -344,6 +344,8 @@ def lhts_diffusion_weights(model: DiffusionModel, dataset: np.ndarray, temperatu
     once, before finetuning."""
     if not (math.isfinite(temperature) and temperature > 0):
         raise DiffusionError("temperature must be positive and finite")
+    if clip is not None and not math.isfinite(clip):
+        raise DiffusionError(f"clip must be finite, got {clip}")
     n = _points(dataset, model.dim).shape[0]
     if elbos is None:
         if rng is None:

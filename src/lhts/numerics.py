@@ -18,7 +18,6 @@ __all__ = [
     "NumericsError",
     "log_sum_exp",
     "log_softmax",
-    "rev_cum_sum",
     "finite_difference_gradient",
     "Rng",
 ]
@@ -62,14 +61,6 @@ def log_softmax(z: np.ndarray) -> np.ndarray:
     z = np.asarray(z, dtype=np.float64)
     m = z.max(axis=-1, keepdims=True)
     return z - (m + np.log(np.exp(z - m).sum(axis=-1, keepdims=True)))
-
-
-def rev_cum_sum(u: Sequence[float] | np.ndarray) -> np.ndarray:
-    """Suffix sums: out[i] = sum(u[i:]). The last entry equals u[-1]."""
-    arr = np.asarray(u, dtype=np.float64)
-    if arr.ndim != 1 or arr.size == 0:
-        raise NumericsError("rev_cum_sum expects a non-empty 1-D vector")
-    return np.cumsum(arr[::-1])[::-1]
 
 
 def finite_difference_gradient(

@@ -8,7 +8,10 @@ Enumeration evaluates each position's conditionals once per distinct
 context. A model whose ``window`` attribute is an int declares that its
 conditionals read only the last ``window`` tokens of the prefix, so position
 i needs V^min(i, window) rows; ``window`` None (or absent) means the whole
-prefix, V^i rows.
+prefix, V^i rows. A context of c tokens has one id in [0, V^c), its
+lexicographic index with the first token most significant; the models'
+pricing, sampling and loss (``ARModel.distinct_contexts``) use the same
+encoding.
 """
 
 from __future__ import annotations
@@ -45,6 +48,23 @@ class OracleError(ValueError):
 
 class SupportWarning(UserWarning):
     """Emitted when a KL query hits a support violation (result is +inf)."""
+
+
+def _context_ids(tokens: np.ndarray, vocab_size: int) -> np.ndarray:
+    """Lexicographic id of each row of a (n, c) token array, in [0, V^c)."""
+    ids = np.zeros(tokens.shape[0], dtype=np.int64)
+    for col in range(tokens.shape[1]):
+        ids = ids * vocab_size + tokens[:, col]
+    return ids
+
+
+def _context_prefixes(ids: np.ndarray, vocab_size: int, c: int, width: int) -> np.ndarray:
+    """Inverse of ``_context_ids``: (len(ids), width) prefixes holding each
+    id's c tokens in the last c columns and zeros before them."""
+    out = np.zeros((ids.shape[0], width), dtype=np.int64)
+    for col in range(width - 1, width - 1 - c, -1):
+        ids, out[:, col] = np.divmod(ids, vocab_size)
+    return out
 
 
 class SequenceSpace:
@@ -84,12 +104,7 @@ class SequenceSpace:
 
     def all_sequences(self) -> np.ndarray:
         """(V^L, L) int array, row i = sequence_at(i)."""
-        idx = np.arange(self.size)
-        cols = []
-        for pos in range(self.length - 1, -1, -1):
-            cols.append(idx % self.vocab_size)
-            idx = idx // self.vocab_size
-        return np.stack(cols[::-1], axis=1).astype(np.int64)
+        return _context_prefixes(np.arange(self.size), self.vocab_size, self.length, self.length)
 
 
 class CategoricalTable:
@@ -173,9 +188,7 @@ def _chain_joint(model, length: int | None, t_cond: float | None, cap: int,
     log_joint = np.zeros(1, dtype=np.float64)
     for pos in range(length):
         c = pos if window is None else min(pos, window)
-        contexts = np.zeros((V**c, pos), dtype=np.int64)
-        if c:
-            contexts[:, pos - c:] = SequenceSpace(V, c, cap=cap).all_sequences()
+        contexts = _context_prefixes(np.arange(V**c), V, c, pos)
         rows = model.conditional_log_probs_batch(contexts, pos, t_cond=t_cond)
         if temperature != 1.0:
             rows = log_softmax(rows / temperature)

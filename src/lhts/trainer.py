@@ -201,16 +201,22 @@ class TrainSettings:
         self.temperatures = tuple(float(t) for t in self.temperatures)
         if self.steps < 0:
             raise TrainerError("steps must be >= 0")
-        if self.learning_rate <= 0:
-            raise TrainerError("learning_rate must be positive")
-        if not self.temperatures or any(t <= 0 for t in self.temperatures):
-            raise TrainerError("temperatures must be a non-empty set of positive values")
+        if not _finite_positive(self.learning_rate):
+            raise TrainerError("learning_rate must be positive and finite")
+        if self.grad_clip is not None and not _finite_positive(self.grad_clip):
+            raise TrainerError("grad_clip must be positive and finite")
+        if not self.temperatures or not all(map(_finite_positive, self.temperatures)):
+            raise TrainerError("temperatures must be a non-empty set of positive finite values")
         if self.horizon is not None and self.horizon < 1:
             raise TrainerError("horizon must be >= 1")
-        if self.clip is not None and self.clip <= 0:
-            raise TrainerError("clip must be positive")
-        if self.kl_beta < 0:
-            raise TrainerError("kl_beta must be >= 0")
+        if self.clip is not None and not _finite_positive(self.clip):
+            raise TrainerError("clip must be positive and finite")
+        if not (math.isfinite(self.kl_beta) and self.kl_beta >= 0):
+            raise TrainerError("kl_beta must be finite and >= 0")
+
+
+def _finite_positive(value: float) -> bool:
+    return math.isfinite(value) and value > 0
 
 
 class TrainState:
@@ -325,8 +331,10 @@ def weighted_nll_loss_node(q: ARModel, xs: np.ndarray, importance: np.ndarray,
     ``importance`` is (n, L) per-index weights or (n,) per-example weights
     (the joint form, applied to every index). Importance weights and the
     base conditionals are constants; only q's parameters carry gradients.
+    Each position sums the weights of the rows that share a context and
+    evaluates q and the base once per distinct context.
     """
-    xs = np.asarray(xs, dtype=np.int64)
+    xs = q._check_tokens(xs)
     n, length = xs.shape
     w = np.asarray(importance, dtype=np.float64)
     if w.shape == (n,):
@@ -334,29 +342,38 @@ def weighted_nll_loss_node(q: ARModel, xs: np.ndarray, importance: np.ndarray,
     if w.shape != (n, length):
         raise TrainerError(f"importance weights must be (n,) or (n, length), got {w.shape}")
     d = _norm_weights(n, data_weights)
-    if kl_beta > 0.0 and base is None:
+    anchored = kl_beta > 0.0
+    if anchored and base is None:
         raise TrainerError("kl_beta > 0 needs the base model")
-    examples = np.arange(n)
+    # group rows by the contexts that both q and the anchor's base read: the
+    # wider window, None (the whole prefix) counting as widest
+    grouper = q
+    if anchored and q.window is not None and (base.window is None or base.window > q.window):
+        grouper = base
+    V = q.vocab_size
     loss = 0.0
     grad = np.zeros(q.n_params)
     for i in range(length):
-        log_q = log_softmax(q.logits_batch(xs[:, :i], i, t_cond))
-        # W[x, t] weighs -log q(t|x_<i); zero entries are skipped in the
-        # loss so that a -inf log-prob with no weight adds nothing
-        W = np.zeros_like(log_q)
-        W[examples, xs[:, i]] = d * w[:, i]
-        if kl_beta > 0.0:
-            log_p = base.conditional_log_probs_batch(xs[:, :i], i)
+        reps, inverse = grouper.distinct_contexts(xs, i)
+        log_q = log_softmax(q.logits_batch(reps, i, t_cond))
+        # W[c, t] weighs -log q(t|c), summed over the rows with context c;
+        # zero entries are skipped in the loss so that a -inf log-prob with
+        # no weight adds nothing
+        W = np.bincount(inverse * V + xs[:, i], weights=d * w[:, i],
+                        minlength=log_q.size).reshape(log_q.shape)
+        if anchored:
+            log_p = base.conditional_log_probs_batch(reps, i)
             # KL = sum_t p_t log p_t - sum_t p_t log q_t: the cross term
             # joins W, the entropy term is a constant shift of the loss
-            pw = kl_beta * d[:, None] * np.exp(log_p)
+            d_ctx = np.bincount(inverse, weights=d, minlength=reps.shape[0])
+            pw = kl_beta * d_ctx[:, None] * np.exp(log_p)
             W += pw
             mass = pw > 0
             loss += pw[mass] @ log_p[mass]
         used = W != 0
         loss -= W[used] @ log_q[used]
         g_logits = W.sum(axis=1, keepdims=True) * np.exp(log_q) - W
-        grad += q.param_grad(xs[:, :i], i, g_logits, t_cond)
+        grad += q.param_grad(reps, i, g_logits, t_cond)
     return float(loss), grad
 
 

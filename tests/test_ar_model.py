@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from lhts.ar_model import (
@@ -14,9 +16,11 @@ from lhts.ar_model import (
     load_checkpoint,
     model_from_checkpoint,
     save_checkpoint,
+    tabular_from_table,
 )
 from lhts.numerics import Rng, log_softmax
 from lhts.oracle import enumerate_joint, myopic_scale_joint, total_variation
+from lhts.trainer import suffix_log_liks_matrix
 
 
 def random_linear(seed, V=3, L=4, window=2, embedding=False) -> LinearAR:
@@ -281,3 +285,127 @@ def test_logits_match_numpy_conditionals():
             row = log_softmax(model.logits_batch(xs[:, :pos], pos, t_cond=t_cond))
             expected = model.conditional_log_probs_batch(xs[:, :pos], pos, t_cond=t_cond)
             assert np.allclose(row, expected, rtol=0, atol=1e-12)
+
+
+# ------------------------------------------------- one row per distinct context
+
+def test_distinct_contexts_windowed():
+    model = LinearAR(3, 4, window=2)
+    prefixes = np.array([[0, 2, 1], [1, 0, 2], [2, 2, 1], [0, 0, 2]])
+    reps, inverse = model.distinct_contexts(prefixes, 3)
+    # contexts (0, 2) and (2, 1), lexicographic, first column unread and zero
+    assert reps.tolist() == [[0, 0, 2], [0, 2, 1]]
+    assert inverse.tolist() == [1, 0, 1, 0]
+    reps, inverse = model.distinct_contexts(prefixes, 1)
+    assert reps.tolist() == [[0], [1], [2]]
+    assert inverse.tolist() == [0, 1, 2, 0]
+    reps, inverse = model.distinct_contexts(prefixes, 0)
+    assert reps.shape == (1, 0) and inverse.tolist() == [0, 0, 0, 0]
+
+
+def test_distinct_contexts_whole_prefix():
+    model = TabularAR(3, 4)
+    prefixes = np.array([[1, 2, 0], [0, 2, 1], [1, 2, 0], [2, 0, 0]])
+    reps, inverse = model.distinct_contexts(prefixes, 3)
+    assert reps.tolist() == [[0, 2, 1], [1, 2, 0], [2, 0, 0]]
+    assert inverse.tolist() == [1, 0, 1, 2]
+    assert np.array_equal(reps[inverse], prefixes)
+
+
+def random_model(kind, V, L, window, embedding, seed):
+    """A random TabularAR (window ignored; "tabular_exact" keeps exact rows)
+    or LinearAR, and its t_cond."""
+    rng = np.random.default_rng(seed)
+    if kind.startswith("tabular"):
+        model = TabularAR(V, L)
+        model.set_param_array(rng.normal(size=model.n_params))
+        if kind == "tabular_exact":
+            model = tabular_from_table(enumerate_joint(model))
+        return model, None
+    model = LinearAR(V, L, window)
+    if embedding:
+        model = model.with_embedding(2)
+    model.set_param_array(rng.normal(size=model.n_params))
+    return model, (float(rng.uniform(0.2, 2.0)) if embedding else None)
+
+
+def per_row_log_probs(model, xs, t_cond):
+    """Reference pricing: every position's conditional on every row."""
+    n, length = xs.shape
+    u = np.empty((n, length))
+    for i in range(length):
+        rows = model.conditional_log_probs_batch(xs[:, :i], i, t_cond=t_cond)
+        u[:, i] = rows[np.arange(n), xs[:, i]]
+    return u
+
+
+def per_row_sample(model, n, myopic_t, t_cond, rng):
+    """Reference ancestral sampler: every position's conditional, rescale
+    and cumulative sum on every row, one uniform draw per row."""
+    length = model.max_length
+    seqs = np.zeros((n, length), dtype=np.int64)
+    logp = np.zeros(n)
+    for i in range(length):
+        rows = model.conditional_log_probs_batch(seqs[:, :i], i, t_cond=t_cond)
+        if myopic_t == 0.0:
+            toks = np.argmax(rows, axis=1)
+        else:
+            scaled = log_softmax(rows / myopic_t) if myopic_t != 1.0 else rows
+            probs = np.exp(scaled)
+            probs /= probs.sum(axis=1, keepdims=True)
+            cum = np.cumsum(probs, axis=1)
+            u = rng.random((n, 1))
+            toks = np.minimum((cum < u).sum(axis=1), model.vocab_size - 1)
+        seqs[:, i] = toks
+        logp += rows[np.arange(n), toks]
+    return seqs, logp
+
+
+@given(
+    kind=st.sampled_from(["tabular", "tabular_exact", "linear"]),
+    V=st.sampled_from([2, 3]),
+    L=st.integers(min_value=1, max_value=5),
+    window_frac=st.floats(min_value=0.0, max_value=1.0),
+    embedding=st.booleans(),
+    seed=st.integers(min_value=0, max_value=2**16),
+)
+@settings(max_examples=60, deadline=None)
+def test_pricing_and_sampling_match_per_row_reference(kind, V, L, window_frac, embedding, seed):
+    # windows 0..L+1: wider than the sequence means the whole prefix
+    window = round(window_frac * (L + 1))
+    model, t_cond = random_model(kind, V, L, window, embedding, seed)
+    xs = np.random.default_rng(seed).integers(0, V, size=(60, L))
+    u = per_row_log_probs(model, xs, t_cond)
+    assert np.array_equal(model.per_token_log_probs_matrix(xs, t_cond=t_cond), u)
+    assert np.array_equal(suffix_log_liks_matrix(model, xs, t_cond=t_cond),
+                          np.cumsum(u[:, ::-1], axis=1)[:, ::-1])
+    for myopic_t in (0.0, 0.6, 1.0):
+        batch = model.sample(60, myopic_t=myopic_t, t_cond=t_cond,
+                             rng=np.random.default_rng(seed + 1))
+        seqs, logp = per_row_sample(model, 60, myopic_t, t_cond,
+                                    np.random.default_rng(seed + 1))
+        assert np.array_equal(batch.sequences, seqs)
+        assert np.array_equal(batch.log_probs, logp)
+
+
+def _count_rows(model, monkeypatch) -> list:
+    counts = []
+    inner = model.conditional_log_probs_batch
+
+    def counting(prefixes, position, t_cond=None):
+        counts.append(len(prefixes))
+        return inner(prefixes, position, t_cond=t_cond)
+
+    monkeypatch.setattr(model, "conditional_log_probs_batch", counting)
+    return counts
+
+
+def test_pricing_and_sampling_evaluate_each_context_once(monkeypatch):
+    model, _ = random_model("linear", 8, 7, 3, False, 0)
+    xs = model.sample(5000, rng=np.random.default_rng(1)).sequences
+    counts = _count_rows(model, monkeypatch)
+    model.per_token_log_probs_matrix(xs)
+    assert len(counts) == 7 and sum(counts) <= 2121
+    counts.clear()
+    model.sample(5000, rng=np.random.default_rng(1))
+    assert len(counts) == 7 and sum(counts) <= 2121

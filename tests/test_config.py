@@ -126,3 +126,19 @@ def test_load_config_roundtrip_and_errors(tmp_path):
     path.write_text("{not json")
     with pytest.raises(ConfigError, match="not valid JSON"):
         load_config(path)
+
+
+@pytest.mark.parametrize("override, name", [
+    ("train.learning_rate=NaN", "learning_rate"),
+    ("train.grad_clip=-1", "grad_clip"),
+    ("train.clip=NaN", "clip"),
+    ("train.kl_beta=Infinity", "kl_beta"),
+    ("train.temperatures=[0.5, Infinity]", "temperatures"),
+    ("diffusion.clip=NaN", "diffusion.clip"),
+    ("diffusion.clip=-1", "diffusion.clip"),
+    ("diffusion.temperature=Infinity", "diffusion.temperature"),
+])
+def test_non_finite_or_non_positive_knobs_name_the_field(override, name):
+    cfg = apply_overrides(RunConfig(), [override])
+    with pytest.raises(ConfigError, match=name):
+        cfg.validate()

@@ -342,6 +342,13 @@ def test_lhts_weights_reject_bad_arguments(temperature, elbos, message):
         lhts_diffusion_weights(model, data, temperature, elbos=e)
 
 
+@pytest.mark.parametrize("clip", [math.nan, math.inf, -math.inf])
+def test_lhts_weights_reject_non_finite_clip(clip):
+    model, data = _model(), _data(8)
+    with pytest.raises(DiffusionError, match="clip"):
+        lhts_diffusion_weights(model, data, 0.5, clip=clip, elbos=np.zeros(8))
+
+
 # ------------------------------------------------------------- validation
 
 def test_finetune_raises_on_non_finite_loss():

@@ -11,7 +11,6 @@ from lhts.numerics import (
     finite_difference_gradient,
     log_softmax,
     log_sum_exp,
-    rev_cum_sum,
 )
 
 
@@ -52,35 +51,6 @@ def test_lse_shift_invariance(vals, shift):
     base = log_sum_exp(vals)
     shifted = log_sum_exp([v - shift for v in vals]) + shift
     assert shifted == pytest.approx(base, abs=1e-9)
-
-
-# ---------------------------------------------------------------- rev_cum_sum
-
-def test_rev_cum_sum_arithmetic():
-    assert rev_cum_sum([-1.0, -2.0, -3.0]).tolist() == [-6.0, -5.0, -3.0]
-
-
-def test_rev_cum_sum_singleton():
-    assert rev_cum_sum([4.5]).tolist() == [4.5]
-
-
-def test_rev_cum_sum_zeros():
-    assert rev_cum_sum(np.zeros(5)).tolist() == [0.0] * 5
-
-
-def test_rev_cum_sum_empty_errors():
-    with pytest.raises(NumericsError):
-        rev_cum_sum([])
-
-
-@given(
-    u=st.lists(st.floats(min_value=-1e3, max_value=1e3), min_size=1, max_size=1024)
-)
-@settings(max_examples=100, deadline=None)
-def test_rev_cum_sum_head_is_total(u):
-    s = rev_cum_sum(u)
-    assert s[0] == pytest.approx(math.fsum(u), abs=1e-12 * max(1.0, len(u)))
-    assert s[-1] == u[-1]
 
 
 # ---------------------------------------------------------------- log_softmax

@@ -88,12 +88,11 @@ def full_prefix_joint(model, L, t_cond, temperature=None):
     """Reference joint: every position's row taken on the whole prefix of
     every sequence, optionally rescaled as log_softmax(row / T)."""
     xs = SequenceSpace(model.vocab_size, L).all_sequences()
-    if temperature is None:
-        return model.per_token_log_probs_matrix(xs, t_cond=t_cond).sum(axis=1)
     total = np.zeros(len(xs))
     for i in range(L):
-        rows = log_softmax(model.conditional_log_probs_batch(xs[:, :i], i, t_cond=t_cond)
-                           / temperature)
+        rows = model.conditional_log_probs_batch(xs[:, :i], i, t_cond=t_cond)
+        if temperature is not None:
+            rows = log_softmax(rows / temperature)
         total += rows[np.arange(len(xs)), xs[:, i]]
     return total
 

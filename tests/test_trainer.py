@@ -5,13 +5,14 @@ import pytest
 
 from lhts.ar_model import (
     LinearAR,
+    ModelError,
     TabularAR,
     TemperatureEmbedding,
     kl_to_base_per_position,
     tabular_from_table,
 )
 from lhts.data import enumerated_dataset, make_skewed_ground_truth
-from lhts.numerics import Rng, finite_difference_gradient
+from lhts.numerics import Rng, finite_difference_gradient, log_softmax
 from lhts.oracle import enumerate_joint, entropy, kl_divergence, temperature_scale_exact
 from lhts.trainer import (
     NumericalAbort,
@@ -218,6 +219,74 @@ def test_loss_validates_inputs(counterexample_model):
         weighted_nll_loss_node(counterexample_model, xs, np.ones(2), kl_beta=0.1)
 
 
+def per_row_loss(q, xs, importance, d, t_cond, kl_beta, base):
+    """Reference loss and gradient: q's logits, the base's conditionals and
+    the weight matrix W taken on every row, one param_grad per row set."""
+    n, length = xs.shape
+    w = importance if importance.ndim == 2 else np.repeat(importance[:, None], length, axis=1)
+    loss, grad = 0.0, np.zeros(q.n_params)
+    for i in range(length):
+        log_q = log_softmax(q.logits_batch(xs[:, :i], i, t_cond))
+        W = np.zeros_like(log_q)
+        W[np.arange(n), xs[:, i]] = d * w[:, i]
+        if kl_beta > 0.0:
+            log_p = base.conditional_log_probs_batch(xs[:, :i], i)
+            pw = kl_beta * d[:, None] * np.exp(log_p)
+            W += pw
+            loss += np.sum(pw * log_p)
+        loss -= np.sum(W * log_q)
+        grad += q.param_grad(xs[:, :i], i, W.sum(axis=1, keepdims=True) * np.exp(log_q) - W,
+                             t_cond)
+    return loss, grad
+
+
+def _linear(V, L, window, seed, embedding=False):
+    model = LinearAR(V, L, window, embedding=TemperatureEmbedding(2) if embedding else None)
+    model.set_param_array(np.random.default_rng(seed).normal(scale=0.6, size=model.n_params))
+    return model
+
+
+def _anchor_pair(case):
+    """(q, base): the base reads more of the prefix than q, less, or as much."""
+    rng = np.random.default_rng(21)
+    tabular = make_skewed_ground_truth(3, 4, rng)
+    return {
+        "tabular_base_linear_q1": (_linear(3, 4, 1, 1), tabular),
+        "linear_base3_linear_q1": (_linear(3, 4, 1, 2, embedding=True), _linear(3, 4, 3, 3)),
+        "linear_base1_linear_q3": (_linear(3, 4, 3, 4), _linear(3, 4, 1, 5)),
+        "linear_base1_tabular_q": (tabular.copy(), _linear(3, 4, 1, 6)),
+        "linear_base2_linear_q2": (_linear(3, 4, 2, 7), _linear(3, 4, 2, 8)),
+    }[case]
+
+
+@pytest.mark.parametrize("kl_beta", [0.0, 0.3])
+@pytest.mark.parametrize("case", ["tabular_base_linear_q1", "linear_base3_linear_q1",
+                                  "linear_base1_linear_q3", "linear_base1_tabular_q",
+                                  "linear_base2_linear_q2"])
+def test_loss_grad_match_per_row_reference(case, kl_beta):
+    q, base = _anchor_pair(case)
+    t_cond = 0.7 if q.has_embedding else None
+    rng = np.random.default_rng(22)
+    # 400 rows over 81 sequences: every context is shared by many rows
+    xs = rng.integers(0, 3, size=(400, 4))
+    dw = rng.random(400) + 0.1
+    for importance in (np.exp(rng.normal(scale=0.5, size=xs.shape)),
+                       np.exp(rng.normal(scale=0.5, size=400))):
+        loss, grad = weighted_nll_loss_node(q, xs, importance, data_weights=dw,
+                                            t_cond=t_cond, kl_beta=kl_beta, base=base)
+        ref_loss, ref_grad = per_row_loss(q, xs, importance, dw / dw.sum(), t_cond,
+                                          kl_beta, base)
+        assert loss == pytest.approx(ref_loss, rel=1e-12)
+        assert np.max(np.abs(grad - ref_grad)) <= 1e-12 * np.max(np.abs(ref_grad))
+
+
+@pytest.mark.parametrize("q", [TabularAR(2, 3), LinearAR(2, 3, 2)], ids=["tabular", "linear"])
+@pytest.mark.parametrize("bad", [[[0, -1, 0]], [[0, 2, 0]]], ids=["negative", "too_large"])
+def test_loss_rejects_out_of_vocab_tokens(q, bad):
+    with pytest.raises(ModelError, match="out of vocab"):
+        weighted_nll_loss_node(q, np.array(bad), np.ones(1))
+
+
 # ----------------------------------------------------------------- lhts_step
 
 def _full_dataset(model):
@@ -420,3 +489,17 @@ def test_base_model_never_modified(counterexample_model):
     train(counterexample_model, xs, dw,
           TrainSettings(steps=25, learning_rate=1.0, temperatures=(0.5,)), Rng(9))
     assert np.array_equal(counterexample_model.param_array(), before)
+
+
+# ------------------------------------------------------------------ settings
+
+@pytest.mark.parametrize("field, value", [
+    ("learning_rate", math.nan), ("learning_rate", math.inf),
+    ("grad_clip", -1.0), ("grad_clip", 0.0), ("grad_clip", math.nan), ("grad_clip", math.inf),
+    ("clip", math.nan), ("clip", math.inf), ("clip", -1.0),
+    ("kl_beta", math.nan), ("kl_beta", math.inf),
+    ("temperatures", (0.5, math.nan)), ("temperatures", (math.inf,)),
+])
+def test_settings_reject_non_finite_or_non_positive_knobs(field, value):
+    with pytest.raises(TrainerError, match=field):
+        TrainSettings(**{field: value})
