@@ -8,49 +8,16 @@ tests check them against.
 
 from __future__ import annotations
 
-import math
 import zlib
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
 __all__ = [
-    "NumericsError",
-    "log_sum_exp",
     "log_softmax",
     "finite_difference_gradient",
     "Rng",
 ]
-
-NEG_INF = float("-inf")
-
-
-class NumericsError(ValueError):
-    """Raised for invalid numerical inputs (empty support, bad shapes)."""
-
-
-def log_sum_exp(values: Sequence[float]) -> float:
-    """log(sum(exp(v))) over a sequence of log-scalars, with max-subtraction.
-
-    Entries may be -inf (zero mass) but not all of them; +inf and NaN are
-    rejected. Exact for a singleton.
-    """
-    vals = [float(v) for v in values]
-    if not vals:
-        raise NumericsError("log_sum_exp of empty list")
-    m = max(vals)
-    if m == NEG_INF:
-        raise NumericsError("empty support: all inputs are -inf")
-    if math.isinf(m) or math.isnan(m):
-        raise NumericsError(f"non-finite input to log_sum_exp: {m}")
-    if len(vals) == 1:
-        return vals[0]
-    s = 0.0
-    for v in vals:
-        if math.isnan(v):
-            raise NumericsError("NaN input to log_sum_exp")
-        s += math.exp(v - m)
-    return m + math.log(s)
 
 
 def log_softmax(z: np.ndarray) -> np.ndarray:

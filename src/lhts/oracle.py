@@ -2,7 +2,11 @@
 
 Builds explicit joint distributions from autoregressive models, scales them
 exactly (jointly or per-position), and provides KL / entropy / argmax.
-Tables are immutable after construction and safe to share.
+Tables are immutable after construction and safe to share; scaling at T = 1
+shares its source's entries. Whole-table sums (normalization, KL, entropy,
+total variation) are reduced over blocks of ``_BLOCK`` entries, so their
+temporaries stay cache-sized. A table of one block is one pass with one-shot
+arithmetic; on larger tables the block sums move a result by a few ulp.
 
 Enumeration evaluates each position's conditionals once per distinct
 context. A model whose ``window`` attribute is an int declares that its
@@ -19,7 +23,7 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -41,6 +45,10 @@ __all__ = [
 
 ENUMERATION_CAP = 10_000_000
 
+# 2^15 float64 (256 KB) keeps a block's temporaries in L2; on 2^21-entry
+# tables 2^14-2^17 all ran 2-3x faster than one-shot, and 2^15 was fastest.
+_BLOCK = 1 << 15
+
 
 class OracleError(ValueError):
     pass
@@ -48,6 +56,25 @@ class OracleError(ValueError):
 
 class SupportWarning(UserWarning):
     """Emitted when a KL query hits a support violation (result is +inf)."""
+
+
+def _block_sum(fn, *tables: np.ndarray) -> float:
+    """sum_b fn(*(t[b] for t in tables)) over blocks b of ``_BLOCK`` entries."""
+    total = 0.0
+    for start in range(0, tables[0].size, _BLOCK):
+        block = slice(start, start + _BLOCK)
+        total += fn(*[t[block] for t in tables])
+    return total
+
+
+def _log_z(lw: np.ndarray, m: float) -> float:
+    """log sum(exp(lw)) given m = max(lw), as m + log sum(exp(lw - m))."""
+    if m == -np.inf:
+        raise OracleError("empty support: all entries are -inf")
+    if m == np.inf:  # p/T can overflow
+        raise OracleError("table entries must be finite or -inf")
+    # exp(-inf - m) is 0, so -inf entries need no mask
+    return m + math.log(_block_sum(lambda b: float(np.exp(b - m).sum()), lw))
 
 
 def _context_ids(tokens: np.ndarray, vocab_size: int) -> np.ndarray:
@@ -98,10 +125,6 @@ class SequenceSpace:
             index //= self.vocab_size
         return tuple(reversed(toks))
 
-    def __iter__(self) -> Iterator[tuple[int, ...]]:
-        for i in range(self.size):
-            yield self.sequence_at(i)
-
     def all_sequences(self) -> np.ndarray:
         """(V^L, L) int array, row i = sequence_at(i)."""
         return _context_prefixes(np.arange(self.size), self.vocab_size, self.length, self.length)
@@ -123,13 +146,8 @@ class CategoricalTable:
         if np.isnan(m) or m == np.inf:
             raise OracleError("table entries must be finite or -inf")
         if normalize:
-            if m == -np.inf:
-                raise OracleError("empty support: all entries are -inf")
-            # exp(-inf - m) is 0, so -inf entries need no mask
-            buf = lw - m
-            np.exp(buf, out=buf)
-            log_z = m + math.log(buf.sum())
-            lw = np.subtract(lw, log_z, out=buf)
+            log_z = _log_z(lw, m)
+            lw = lw - log_z
         else:
             log_z = 0.0
             lw = lw.view()  # never freeze the caller's array
@@ -216,16 +234,27 @@ def enumerate_joint(model, length: int | None = None, t_cond: float | None = Non
 def temperature_scale_exact(table: CategoricalTable, temperature: float) -> CategoricalTable:
     """The temperature-scaled joint: log of p^(1/T), renormalized exactly.
 
-    T = 1 returns an identical table. T <= 0 is rejected; the T -> 0 limit
-    object is argmax_joint.
+    T must be positive and finite; the T -> 0 limit object is argmax_joint.
+    T = 1 returns a table that shares the source's read-only entries. Any
+    other T allocates p/T once, reduces its log Z block by block and
+    subtracts it in place.
     """
-    if temperature <= 0:
-        raise OracleError(f"temperature must be positive, got {temperature} "
+    if not 0 < temperature < math.inf:
+        raise OracleError(f"temperature must be positive and finite, got {temperature} "
                           "(the T -> 0 limit is served by argmax_joint)")
     if temperature == 1.0:
-        return CategoricalTable(table.space, table.log_probs.copy(), normalize=False)
+        return _derived_table(table.space, table.log_probs, 0.0)
     scaled = table.log_probs / temperature
-    out = CategoricalTable(table.space, scaled, normalize=True)
+    log_z = _log_z(scaled, float(scaled.max()))
+    scaled -= log_z
+    return _derived_table(table.space, scaled, log_z)
+
+
+def _derived_table(space: SequenceSpace, log_probs: np.ndarray, log_z: float) -> CategoricalTable:
+    """Freeze entries derived from a checked table, skipping the checks."""
+    out = object.__new__(CategoricalTable)
+    log_probs.flags.writeable = False
+    out.space, out.log_probs, out.log_z = space, log_probs, log_z
     return out
 
 
@@ -237,8 +266,8 @@ def myopic_scale_joint(model, temperature: float, length: int | None = None,
     position before chaining. At T = 1 this reproduces enumerate_joint
     entry-for-entry (the rescale is skipped so the arithmetic is identical).
     """
-    if temperature <= 0:
-        raise OracleError(f"temperature must be positive, got {temperature}")
+    if not 0 < temperature < math.inf:
+        raise OracleError(f"temperature must be positive and finite, got {temperature}")
     return _chain_joint(model, length, t_cond, cap, temperature)
 
 
@@ -253,15 +282,17 @@ def _check_same_space(p: CategoricalTable, q: CategoricalTable) -> None:
 def kl_divergence(p: CategoricalTable, q: CategoricalTable) -> float:
     """KL(p || q) = sum_x p(x) (log p(x) - log q(x)), exact.
 
-    If q lacks support somewhere p has mass, the divergence is +inf and a
-    SupportWarning names the first offending sequence.
+    Summed over blocks b as exp(lp_b) @ (lp_b - lq_b), with no temporary
+    larger than a block. If q lacks support somewhere p has mass, the
+    divergence is +inf and a SupportWarning names the first offending
+    sequence.
     """
     _check_same_space(p, q)
     lp, lq = p.log_probs, q.log_probs
     # one pass when both tables have full support; -inf entries make it
     # non-finite and take the masked path below
     with np.errstate(invalid="ignore"):
-        kl = float(np.exp(lp) @ (lp - lq))
+        kl = _block_sum(lambda a, b: float(np.exp(a) @ (a - b)), lp, lq)
     if math.isfinite(kl):
         return kl
     mass = lp > -np.inf
@@ -280,13 +311,16 @@ def kl_divergence(p: CategoricalTable, q: CategoricalTable) -> float:
 
 def total_variation(p: CategoricalTable, q: CategoricalTable) -> float:
     _check_same_space(p, q)
-    return 0.5 * float(np.abs(p.probs() - q.probs()).sum())
+    return 0.5 * _block_sum(lambda a, b: float(np.abs(np.exp(a) - np.exp(b)).sum()),
+                            p.log_probs, q.log_probs)
 
 
 def entropy(table: CategoricalTable) -> float:
-    lp = table.log_probs
-    mass = lp > -np.inf
-    return float(-np.sum(np.exp(lp[mass]) * lp[mass]))
+    def block(a):
+        a = a[a > -np.inf]
+        return float(np.sum(np.exp(a) * a))
+
+    return -_block_sum(block, table.log_probs)
 
 
 def argmax_joint(table: CategoricalTable) -> tuple[int, ...]:

@@ -41,7 +41,6 @@ __all__ = [
     "weighted_nll_loss_node",
     "lhts_step",
     "train",
-    "make_train_state",
     "joint_loss_exact",
     "ar_loss_exact",
 ]
@@ -249,13 +248,15 @@ class TrainState:
             raise TrainerError("base model was modified during training")
 
 
-def make_train_state(base: ARModel, settings: TrainSettings,
-                     embedding_width: int | None = None,
-                     length: int | None = None) -> TrainState:
-    return TrainState(base, settings, embedding_width=embedding_width, length=length)
-
-
 # ------------------------------------------------------------------- weights
+
+def _exponent_cap(clip: float | None) -> float:
+    """The cap on weight exponents: inf for None; any clip but NaN is legal."""
+    c = math.inf if clip is None else float(clip)
+    if math.isnan(c):
+        raise TrainerError(f"clip must be a number or None, got {clip}")
+    return c
+
 
 def joint_weights(p: ARModel, xs: np.ndarray, temperature: float,
                   baseline: StreamingBaseline, clip: float | None = None,
@@ -268,6 +269,7 @@ def joint_weights(p: ARModel, xs: np.ndarray, temperature: float,
     """
     if temperature <= 0:
         raise TrainerError("temperature must be positive")
+    c = _exponent_cap(clip)
     xs = np.asarray(xs, dtype=np.int64)
     logps = p.per_token_log_probs_matrix(xs).sum(axis=1)
     bad = ~np.isfinite(logps)
@@ -278,7 +280,6 @@ def joint_weights(p: ARModel, xs: np.ndarray, temperature: float,
     exponents = factor * (logps - baseline.joint_mean())
     if update_baseline:
         baseline.update_joint(logps, data_weights)
-    c = math.inf if clip is None else float(clip)
     weights = np.exp(np.minimum(exponents, c))
     return WeightBatch(weights, exponents, c, temperature)
 
@@ -309,10 +310,10 @@ def ar_weights(v_horizon: np.ndarray, temperature: float,
     mean suffix log-likelihood at index i."""
     if temperature <= 0:
         raise TrainerError("temperature must be positive")
+    c = _exponent_cap(clip)
     v = np.asarray(v_horizon, dtype=np.float64)
     factor = (1.0 - temperature) / temperature
     exponents = factor * (v - np.asarray(baseline_means, dtype=np.float64))
-    c = math.inf if clip is None else float(clip)
     weights = np.exp(np.minimum(exponents, c))
     return WeightBatch(weights, exponents, c, temperature)
 
@@ -452,8 +453,7 @@ def train(base: ARModel, xs: np.ndarray, data_weights: np.ndarray | None,
     xs = np.asarray(xs, dtype=np.int64)
     n = xs.shape[0]
     dnorm = _norm_weights(n, data_weights)
-    state = make_train_state(base, settings, embedding_width=embedding_width,
-                             length=xs.shape[1])
+    state = TrainState(base, settings, embedding_width=embedding_width, length=xs.shape[1])
     temp_gen = rng.stream("temperatures")
     batch_gen = rng.stream("batches")
     records: list[StepRecord] = []
@@ -491,9 +491,7 @@ def joint_loss_exact(p_table: CategoricalTable, q_table: CategoricalTable,
     mass = lp > -np.inf
     pw = np.exp(lp[mass])
     b = factor * float(pw @ lp[mass])
-    expo = factor * lp[mass] - b
-    if clip is not None:
-        expo = np.minimum(expo, clip)
+    expo = np.minimum(factor * lp[mass] - b, _exponent_cap(clip))
     return float(np.sum(pw * np.exp(expo) * (-lq[mass]))), b
 
 

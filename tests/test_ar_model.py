@@ -104,7 +104,7 @@ def test_sequence_log_prob_hand_value(counterexample_model):
 def test_sequence_log_prob_agrees_with_enumeration():
     model = random_linear(5)
     table = enumerate_joint(model)
-    for seq in table.space:
+    for seq in table.space.all_sequences():
         assert model.sequence_log_prob(seq) == pytest.approx(
             table.log_prob(seq), abs=1e-10
         )

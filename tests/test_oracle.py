@@ -1,4 +1,6 @@
 import math
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from lhts.ar_model import LinearAR, TabularAR, tabular_from_table
 from lhts.data import shared_prefix_scenario
 from lhts.numerics import log_softmax
 from lhts.oracle import (
+    _BLOCK,
     CategoricalTable,
     OracleError,
     SequenceSpace,
@@ -33,14 +36,14 @@ def random_table(seed, V=3, L=2) -> CategoricalTable:
 
 def test_space_roundtrip_lexicographic():
     space = SequenceSpace(3, 4)
-    seqs = list(space)
-    assert len(seqs) == 81
-    assert seqs[0] == (0, 0, 0, 0)
-    assert seqs[1] == (0, 0, 0, 1)
-    assert seqs[-1] == (2, 2, 2, 2)
+    seqs = space.all_sequences()
+    assert seqs.shape == (81, 4)
+    assert tuple(seqs[0]) == (0, 0, 0, 0)
+    assert tuple(seqs[1]) == (0, 0, 0, 1)
+    assert tuple(seqs[-1]) == (2, 2, 2, 2)
     for i, s in enumerate(seqs):
         assert space.index_of(s) == i
-    assert np.array_equal(space.all_sequences(), np.array(seqs))
+        assert space.sequence_at(i) == tuple(s)
 
 
 def test_space_cap_error_reports_sizes():
@@ -180,6 +183,26 @@ def test_scale_rejects_nonpositive():
         temperature_scale_exact(t, -1.0)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_scaling_rejects_non_finite_temperature(bad, counterexample_model):
+    t = random_table(2)
+    before = t.log_probs.copy()
+    with pytest.raises(OracleError, match="temperature"):
+        temperature_scale_exact(t, bad)
+    assert np.array_equal(t.log_probs, before)
+    with pytest.raises(OracleError, match="temperature"):
+        myopic_scale_joint(counterexample_model, bad)
+
+
+def test_scale_rejects_overflow_of_unnormalized_entries():
+    t = CategoricalTable(SequenceSpace(2, 1), np.array([1e308, 0.0]), normalize=False)
+    with pytest.raises(OracleError, match="finite or -inf"), np.errstate(over="ignore"):
+        temperature_scale_exact(t, 0.5)
+    empty = CategoricalTable(SequenceSpace(2, 1), np.full(2, -np.inf), normalize=False)
+    with pytest.raises(OracleError, match="empty support"):
+        temperature_scale_exact(empty, 0.5)
+
+
 def test_scale_composition():
     t = random_table(3)
     for t1, t2 in [(0.5, 0.4), (2.0, 0.25), (1.3, 1.7)]:
@@ -256,7 +279,7 @@ def test_figure1_scenario_myopic_emphasizes_shared_prefix():
     shared_token = choices[0][0]
     mass = sum(
         math.exp(lp)
-        for seq, lp in zip(myopic.space, myopic.log_probs)
+        for seq, lp in zip(myopic.space.all_sequences(), myopic.log_probs)
         if seq[0] == shared_token
     )
     assert mass > 0.99
@@ -343,6 +366,143 @@ def test_total_variation():
     p = CategoricalTable(space, np.log([0.8, 0.2]))
     q = CategoricalTable(space, np.log([0.5, 0.5]))
     assert total_variation(p, q) == pytest.approx(0.3, abs=1e-12)
+
+
+# ------------------------------------------------------- block reductions
+# One-shot references: each whole-table sum as a single numpy expression.
+
+def ref_log_z(lw):
+    m = lw.max()
+    return m + math.log(np.exp(lw - m).sum())
+
+
+def ref_kl(lp, lq):
+    with np.errstate(invalid="ignore"):
+        kl = float(np.exp(lp) @ (lp - lq))
+    if math.isfinite(kl):
+        return kl
+    keep = lp > -np.inf
+    lp, lq = lp[keep], lq[keep]
+    return float(np.sum(np.exp(lp) * (lp - lq)))
+
+
+def ref_entropy(lp):
+    lp = lp[lp > -np.inf]
+    return float(-np.sum(np.exp(lp) * lp))
+
+
+def ref_tv(lp, lq):
+    return 0.5 * float(np.abs(np.exp(lp) - np.exp(lq)).sum())
+
+
+def block_pair(V, L, seed, holes=()):
+    """Two random tables on (V, L) with -inf at the ``holes`` of both."""
+    rng = np.random.default_rng(seed)
+    space = SequenceSpace(V, L)
+    lws = rng.normal(scale=2.0, size=(2, space.size))
+    lws[:, list(holes)] = -np.inf
+    return CategoricalTable(space, lws[0]), CategoricalTable(space, lws[1])
+
+
+def reductions(p, q):
+    scaled = temperature_scale_exact(p, 0.6)
+    raw = p.log_probs * 1.7 + 3.0
+    return {
+        "log_z": CategoricalTable(p.space, raw).log_z,
+        "kl": kl_divergence(p, q),
+        "entropy": entropy(p),
+        "tv": total_variation(p, q),
+        "scaled_log_z": scaled.log_z,
+        "scaled": scaled.log_probs,
+    }
+
+
+def references(p, q):
+    s = p.log_probs / 0.6
+    return {
+        "log_z": ref_log_z(p.log_probs * 1.7 + 3.0),
+        "kl": ref_kl(p.log_probs, q.log_probs),
+        "entropy": ref_entropy(p.log_probs),
+        "tv": ref_tv(p.log_probs, q.log_probs),
+        "scaled_log_z": ref_log_z(s),
+        "scaled": s - ref_log_z(s),
+    }
+
+
+@pytest.mark.parametrize("V, L", [(5, 7), (3, 11)])
+@pytest.mark.parametrize("holes", [(), (_BLOCK - 1, _BLOCK, 2 * _BLOCK + 3)])
+def test_block_reductions_match_one_shot_across_blocks(V, L, holes):
+    # at least three blocks, the last one partial
+    assert V**L > 2 * _BLOCK and V**L % _BLOCK != 0
+    p, q = block_pair(V, L, V + L, holes)
+    got, want = reductions(p, q), references(p, q)
+    for key in got:
+        np.testing.assert_allclose(got[key], want[key], rtol=1e-13, atol=0, err_msg=key)
+    assert np.array_equal(np.isneginf(got["scaled"]), np.isneginf(want["scaled"]))
+
+
+@pytest.mark.parametrize("V, L", [(3, 5), (2, 15)])
+@pytest.mark.parametrize("with_holes", [False, True])
+def test_block_reductions_of_one_block_are_one_shot(V, L, with_holes):
+    # up to one block (2^15 entries is exactly one) the arithmetic is unchanged
+    assert V**L <= _BLOCK
+    holes = (0, V**L // 2, V**L - 1) if with_holes else ()
+    p, q = block_pair(V, L, V + L, holes)
+    got, want = reductions(p, q), references(p, q)
+    for key in got:
+        assert np.array_equal(got[key], want[key]), key
+
+
+def test_kl_support_violation_in_a_later_block_is_named():
+    space = SequenceSpace(5, 7)
+    rng = np.random.default_rng(3)
+    lp, lq = rng.normal(size=(2, space.size))
+    lp[[0, _BLOCK]] = -np.inf            # zero mass in p: the masked path
+    lq[[0, _BLOCK]] = -np.inf            # no violation where p has no mass
+    first = 2 * _BLOCK + 5
+    lq[[first, first + 1]] = -np.inf     # the violations, all in the last block
+    p, q = CategoricalTable(space, lp), CategoricalTable(space, lq)
+    with pytest.warns(SupportWarning, match=re.escape(str(space.sequence_at(first)))):
+        assert kl_divergence(p, q) == math.inf
+
+
+@pytest.mark.parametrize("V, L", [(3, 4), (5, 7)])
+def test_normalizing_leaves_the_caller_array_unchanged(V, L):
+    lw = np.random.default_rng(1).normal(size=V**L) + 5.0
+    before = lw.copy()
+    t = CategoricalTable(SequenceSpace(V, L), lw)
+    assert np.array_equal(lw, before) and lw.flags.writeable
+    assert not np.shares_memory(t.log_probs, lw)
+
+
+def test_scale_at_one_shares_the_source_entries():
+    p, _ = block_pair(3, 4, 0, holes=(5,))
+    before = p.log_probs.copy()
+    out = temperature_scale_exact(p, 1.0)
+    assert np.shares_memory(out.log_probs, p.log_probs)
+    assert not out.log_probs.flags.writeable
+    assert out.log_z == 0.0
+    assert np.array_equal(p.log_probs, before)
+
+
+def _peak_bytes(fn, *args) -> int:
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_reductions_build_no_table_sized_temporaries():
+    space = SequenceSpace(2, 21)
+    rng = np.random.default_rng(0)
+    p = CategoricalTable(space, rng.normal(size=space.size))
+    q = CategoricalTable(space, rng.normal(size=space.size))
+    table_bytes = p.log_probs.nbytes
+    assert table_bytes == 16 * 2**20
+    assert _peak_bytes(kl_divergence, p, q) < 2 * 2**20
+    assert _peak_bytes(temperature_scale_exact, p, 0.5) < table_bytes + 2 * 2**20
 
 
 # --------------------------------------------------------- table validation

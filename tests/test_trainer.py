@@ -18,6 +18,7 @@ from lhts.trainer import (
     NumericalAbort,
     StreamingBaseline,
     TrainSettings,
+    TrainState,
     TrainerError,
     apply_horizon,
     ar_loss_exact,
@@ -25,7 +26,6 @@ from lhts.trainer import (
     joint_loss_exact,
     joint_weights,
     lhts_step,
-    make_train_state,
     suffix_log_liks_matrix,
     train,
     weighted_nll_loss_node,
@@ -120,6 +120,18 @@ def test_clip_semantics():
     assert wb.weights[0, 0] == pytest.approx(math.exp(3.0), rel=1e-15)
     assert wb.exponents[0, 0] == 5.0
     assert wb.clip_rate == 1.0
+
+
+def test_weights_reject_nan_clip(counterexample_model):
+    # a NaN clip would make every weight NaN with a clip rate of 0
+    nan = float("nan")
+    with pytest.raises(TrainerError, match="clip"):
+        ar_weights(np.array([[1.0, -2.0]]), 0.5, np.zeros(2), clip=nan)
+    with pytest.raises(TrainerError, match="clip"):
+        joint_weights(TabularAR(2, 2), np.array([[0, 1]]), 0.5, StreamingBaseline(), clip=nan)
+    table = enumerate_joint(counterexample_model)
+    with pytest.raises(TrainerError, match="clip"):
+        joint_loss_exact(table, table, 0.5, clip=nan)
 
 
 def test_ar_weights_unit_temperature_exact_ones():
@@ -296,7 +308,7 @@ def _full_dataset(model):
 def test_unit_temperature_step_is_plain_mle_gradient(counterexample_model):
     xs, dw = _full_dataset(counterexample_model)
     settings = TrainSettings(steps=1, learning_rate=0.5, temperatures=(1.0,))
-    state = make_train_state(counterexample_model, settings)
+    state = TrainState(counterexample_model, settings)
     q0 = state.q.copy()
     lhts_step(state, xs, 1.0, data_weights=dw)
 
@@ -310,7 +322,7 @@ def test_baseline_shift_leaves_gradient_direction(counterexample_model):
     grads = []
     for shift in (0.0, 2.5):
         settings = TrainSettings(steps=1, learning_rate=0.5, temperatures=(0.5,))
-        state = make_train_state(counterexample_model, settings)
+        state = TrainState(counterexample_model, settings)
         v = suffix_log_liks_matrix(counterexample_model, xs)
         state.baseline.update_suffix(v, dw)
         state.baseline.suffix_sums = state.baseline.suffix_sums + shift * state.baseline.n
@@ -339,7 +351,7 @@ def test_large_kl_beta_anchors_to_base(counterexample_model):
 def test_abort_on_nonfinite_loss(counterexample_model):
     xs, dw = _full_dataset(counterexample_model)
     settings = TrainSettings(steps=1, temperatures=(1.0,))
-    state = make_train_state(counterexample_model, settings)
+    state = TrainState(counterexample_model, settings)
     broken = state.q.param_array()
     broken[0] = -np.inf
     state.q.set_param_array(broken)
@@ -351,7 +363,7 @@ def test_abort_on_nonfinite_loss(counterexample_model):
 
 def test_embedding_requires_linear(counterexample_model):
     with pytest.raises(TrainerError, match="linear"):
-        make_train_state(counterexample_model, TrainSettings(), embedding_width=4)
+        TrainState(counterexample_model, TrainSettings(), embedding_width=4)
 
 
 # ---------------------------------------------------------------------- train
@@ -436,7 +448,7 @@ def test_weight_stats_report_ess_and_log_weight_range(counterexample_model):
     assert stats["log_w_min"] == pytest.approx(math.log(0.04), rel=1e-12)
     assert stats["log_w_max"] == pytest.approx(math.log(0.36), rel=1e-12)
 
-    state = make_train_state(counterexample_model, TrainSettings(steps=1))
+    state = TrainState(counterexample_model, TrainSettings(steps=1))
     d = lhts_step(state, xs, 0.5).metrics_dict()
     assert set(d) == {"step", "T", "loss", "weight_stats", "clip_rate"}
     assert set(d["weight_stats"]) == {"mean", "var", "max", "ess", "log_w_min", "log_w_max"}
