@@ -20,6 +20,7 @@ evaluate each position's conditionals once per distinct context
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -137,6 +138,8 @@ class ARModel:
             raise ModelError("this model conditions on a temperature: pass t_cond")
         if not self.has_embedding and t_cond is not None:
             raise ModelError("t_cond given but the model has no temperature embedding")
+        if t_cond is not None and not math.isfinite(t_cond):
+            raise ModelError(f"t_cond must be finite, got {t_cond}")
 
     def _check_tokens(self, x) -> np.ndarray:
         arr = np.asarray(x, dtype=np.int64)
@@ -188,7 +191,7 @@ class ARModel:
         for i in range(length):
             reps, inverse = self.distinct_contexts(xs, i)
             rows = self.conditional_log_probs_batch(reps, i, t_cond=t_cond)
-            u[:, i] = rows[inverse, xs[:, i]]
+            u[:, i] = rows.ravel()[inverse * self.vocab_size + xs[:, i]]
         return u
 
     def sequence_log_prob(self, x, t_cond: float | None = None) -> float:
@@ -200,15 +203,21 @@ class ARModel:
         """Ancestral sampling, left to right.
 
         myopic_t rescales each conditional before drawing (0 means exact
-        per-position argmax, ties to the smallest token). Recorded log-probs
-        are the model's own joint, not the myopically rescaled one.
+        per-position argmax, ties to the smallest token). Otherwise each row
+        draws one u = rng.random() per position, and its token is the number
+        of entries of its context's CDF that are below u, capped at V-1:
+        exact ties u == CDF[k] go to the smaller token, a zero-probability
+        token is never drawn, and a u above a CDF whose last entry rounds
+        below 1 draws the last token. Recorded log-probs are the model's own
+        joint, not the myopically rescaled one.
         """
         if n < 1:
             raise ModelError("need n >= 1 samples")
-        if myopic_t < 0:
-            raise ModelError("myopic_t must be >= 0")
+        if not 0 <= myopic_t < math.inf:
+            raise ModelError(f"myopic_t must be finite and >= 0, got {myopic_t}")
         if rng is None:
             raise ModelError("pass an explicit numpy Generator for reproducibility")
+        V = self.vocab_size
         length = int(length if length is not None else self.max_length)
         seqs = np.zeros((n, length), dtype=np.int64)
         logp = np.zeros(n)
@@ -221,11 +230,16 @@ class ARModel:
                 scaled = log_softmax(rows / myopic_t) if myopic_t != 1.0 else rows
                 probs = np.exp(scaled)
                 probs /= probs.sum(axis=1, keepdims=True)
-                cum = np.cumsum(probs, axis=1)
-                u = rng.random((n, 1))
-                toks = np.minimum((cum[inverse] < u).sum(axis=1), self.vocab_size - 1)
+                # cum[k] is every context's CDF at token k, for k < V-1; the
+                # last entry could only add what the cap at V-1 takes away
+                cum = np.empty((V - 1, reps.shape[0]))
+                np.cumsum(probs[:, :-1], axis=1, out=cum.T)
+                u = rng.random((n, 1))[:, 0]
+                toks = np.zeros(n, dtype=np.int64)
+                for col in cum:
+                    toks += col[inverse] < u
             seqs[:, i] = toks
-            logp += rows[inverse, toks]
+            logp += rows.ravel()[inverse * V + toks]
         return SampleBatch(seqs, logp, myopic_t=float(myopic_t), t_cond=t_cond)
 
     @property

@@ -58,12 +58,18 @@ class SupportWarning(UserWarning):
     """Emitted when a KL query hits a support violation (result is +inf)."""
 
 
+def _blocks(*tables: np.ndarray):
+    """(start, views) for each block of ``_BLOCK`` entries of the tables."""
+    for start in range(0, tables[0].size, _BLOCK):
+        block = slice(start, start + _BLOCK)
+        yield start, [t[block] for t in tables]
+
+
 def _block_sum(fn, *tables: np.ndarray) -> float:
     """sum_b fn(*(t[b] for t in tables)) over blocks b of ``_BLOCK`` entries."""
     total = 0.0
-    for start in range(0, tables[0].size, _BLOCK):
-        block = slice(start, start + _BLOCK)
-        total += fn(*[t[block] for t in tables])
+    for _, views in _blocks(*tables):
+        total += fn(*views)
     return total
 
 
@@ -283,9 +289,10 @@ def kl_divergence(p: CategoricalTable, q: CategoricalTable) -> float:
     """KL(p || q) = sum_x p(x) (log p(x) - log q(x)), exact.
 
     Summed over blocks b as exp(lp_b) @ (lp_b - lq_b), with no temporary
-    larger than a block. If q lacks support somewhere p has mass, the
-    divergence is +inf and a SupportWarning names the first offending
-    sequence.
+    larger than a block. Entries where p has no mass add nothing; the
+    support check and that masked sum run block by block too. If q lacks
+    support somewhere p has mass, the divergence is +inf and a
+    SupportWarning names the first offending sequence.
     """
     _check_same_space(p, q)
     lp, lq = p.log_probs, q.log_probs
@@ -295,18 +302,22 @@ def kl_divergence(p: CategoricalTable, q: CategoricalTable) -> float:
         kl = _block_sum(lambda a, b: float(np.exp(a) @ (a - b)), lp, lq)
     if math.isfinite(kl):
         return kl
-    mass = lp > -np.inf
-    bad = mass & (lq == -np.inf)
-    if np.any(bad):
-        first = int(np.flatnonzero(bad)[0])
-        warnings.warn(
-            f"support violation: q has zero probability on sequence "
-            f"{p.space.sequence_at(first)} where p has mass; KL is +inf",
-            SupportWarning,
-        )
-        return math.inf
-    lp, lq = lp[mass], lq[mass]
-    return float(np.sum(np.exp(lp) * (lp - lq)))
+    for start, (a, b) in _blocks(lp, lq):
+        bad = np.flatnonzero((a > -np.inf) & (b == -np.inf))
+        if bad.size:
+            warnings.warn(
+                f"support violation: q has zero probability on sequence "
+                f"{p.space.sequence_at(start + int(bad[0]))} where p has mass; KL is +inf",
+                SupportWarning,
+            )
+            return math.inf
+
+    def masked(a, b):
+        mass = a > -np.inf
+        a, b = a[mass], b[mass]
+        return float(np.sum(np.exp(a) * (a - b)))
+
+    return _block_sum(masked, lp, lq)
 
 
 def total_variation(p: CategoricalTable, q: CategoricalTable) -> float:

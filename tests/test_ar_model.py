@@ -164,6 +164,78 @@ def test_sample_validates_args(counterexample_model):
         counterexample_model.sample(1, myopic_t=-1.0, rng=Rng(0).stream("s"))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_sample_rejects_non_finite_myopic_t(bad):
+    with pytest.raises(ModelError, match="myopic_t must be finite"):
+        LinearAR(3, 4, 2).sample(6, myopic_t=bad, rng=np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_t_cond_is_rejected(bad):
+    model = random_linear(0, embedding=True)
+    with pytest.raises(ModelError, match="t_cond must be finite"):
+        model.sample(6, t_cond=bad, rng=np.random.default_rng(0))
+    with pytest.raises(ModelError, match="t_cond must be finite"):
+        model.per_token_log_probs_matrix(np.zeros((2, 4), dtype=np.int64), t_cond=bad)
+    with pytest.raises(ModelError, match="t_cond must be finite"):
+        model.conditional_log_probs(np.array([], dtype=np.int64), t_cond=bad)
+
+
+class _StubUniforms:
+    """Stands in for a numpy Generator: each ``random((n, 1))`` call
+    returns the next given row of u's."""
+
+    def __init__(self, *draws):
+        self.draws = list(draws)
+
+    def random(self, size):
+        return np.asarray(self.draws.pop(0), dtype=np.float64).reshape(size)
+
+
+def _first_cdf(model, myopic_t):
+    """The CDF that ``sample`` draws the first token from."""
+    rows = model.conditional_log_probs_batch(np.zeros((1, 0), dtype=np.int64), 0)
+    scaled = log_softmax(rows / myopic_t) if myopic_t != 1.0 else rows
+    probs = np.exp(scaled)
+    probs /= probs.sum(axis=1, keepdims=True)
+    return np.cumsum(probs, axis=1)[0]
+
+
+def _draw_first(model, myopic_t, u):
+    return model.sample(len(u), myopic_t=myopic_t, rng=_StubUniforms(u)).sequences[:, 0]
+
+
+@pytest.mark.parametrize("myopic_t", [0.6, 1.0])
+def test_draw_ties_go_to_the_smaller_token(myopic_t):
+    model = TabularAR.from_conditionals(4, 1, {(): [0.125, 0.375, 0.25, 0.25]})
+    cdf = _first_cdf(model, myopic_t)
+    u = [0.0, cdf[0], np.nextafter(cdf[0], 1.0), cdf[1], cdf[2], np.nextafter(cdf[2], 1.0)]
+    assert _draw_first(model, myopic_t, u).tolist() == [0, 0, 1, 1, 2, 3]
+
+
+@pytest.mark.parametrize("myopic_t", [0.6, 1.0])
+def test_draw_never_picks_a_zero_probability_token(myopic_t):
+    model = TabularAR.from_conditionals(3, 1, {(): [0.5, 0.0, 0.5]})
+    assert model.exact_rows and model.logits[0, 1] == -np.inf
+    cdf = _first_cdf(model, myopic_t)
+    assert cdf[0] == cdf[1]
+    u = np.concatenate([np.linspace(0.0, 1.0, 101)[:-1],
+                        [np.nextafter(cdf[0], 0.0), cdf[0], np.nextafter(cdf[0], 1.0),
+                         np.nextafter(1.0, 0.0)]])
+    batch = model.sample(len(u), myopic_t=myopic_t, rng=_StubUniforms(u))
+    toks = batch.sequences[:, 0]
+    assert not np.any(toks == 1)
+    assert toks[-4:].tolist() == [0, 0, 2, 2]
+    assert np.all(np.isfinite(batch.log_probs))
+
+
+def test_draw_above_a_cdf_that_rounds_below_one_takes_the_last_token():
+    model = TabularAR(7, 1)  # uniform over 7 tokens: the CDF ends below 1
+    u = np.nextafter(1.0, 0.0)  # the largest value rng.random() returns
+    assert _first_cdf(model, 1.0)[-1] < u
+    assert _draw_first(model, 1.0, [u]).tolist() == [6]
+
+
 # ------------------------------------------------------------ kl per position
 
 def test_kl_to_base_zero_for_self(counterexample_model):
@@ -363,7 +435,7 @@ def per_row_sample(model, n, myopic_t, t_cond, rng):
 
 @given(
     kind=st.sampled_from(["tabular", "tabular_exact", "linear"]),
-    V=st.sampled_from([2, 3]),
+    V=st.sampled_from([2, 3, 8]),
     L=st.integers(min_value=1, max_value=5),
     window_frac=st.floats(min_value=0.0, max_value=1.0),
     embedding=st.booleans(),

@@ -1,6 +1,7 @@
 import math
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -464,6 +465,45 @@ def test_kl_support_violation_in_a_later_block_is_named():
     p, q = CategoricalTable(space, lp), CategoricalTable(space, lq)
     with pytest.warns(SupportWarning, match=re.escape(str(space.sequence_at(first)))):
         assert kl_divergence(p, q) == math.inf
+
+
+def test_kl_zero_mass_on_both_sides_of_a_block_boundary_matches_one_shot():
+    space = SequenceSpace(5, 7)
+    rng = np.random.default_rng(4)
+    lp, lq = rng.normal(size=(2, space.size))
+    lp[[_BLOCK - 1, _BLOCK, 2 * _BLOCK, space.size - 1]] = -np.inf  # zero mass in p
+    lq[[_BLOCK - 1, 2 * _BLOCK]] = -np.inf  # and in q at some of those entries
+    p, q = CategoricalTable(space, lp), CategoricalTable(space, lq)
+    got = kl_divergence(p, q)
+    assert math.isfinite(got)
+    np.testing.assert_allclose(got, ref_kl(p.log_probs, q.log_probs), rtol=1e-13, atol=0)
+
+
+@pytest.mark.parametrize("violations", [(_BLOCK - 1, _BLOCK), (5**7 - 1,)])
+def test_kl_names_the_first_violation_across_blocks(violations):
+    space = SequenceSpace(5, 7)
+    rng = np.random.default_rng(5)
+    lp, lq = rng.normal(size=(2, space.size))
+    lp[[3, _BLOCK + 1]] = -np.inf  # zero mass in p before the violations
+    lq[list(violations)] = -np.inf
+    p, q = CategoricalTable(space, lp), CategoricalTable(space, lq)
+    first = min(violations)
+    with pytest.warns(SupportWarning, match=re.escape(str(space.sequence_at(first)))):
+        assert kl_divergence(p, q) == math.inf
+
+
+@pytest.mark.parametrize("violation", [False, True])
+def test_kl_with_zero_mass_builds_no_table_sized_temporaries(violation):
+    space = SequenceSpace(2, 21)
+    rng = np.random.default_rng(6)
+    lp, lq = rng.normal(size=(2, space.size))
+    lp[2**20 + 11] = -np.inf  # one zero-mass entry in p: the masked path
+    if violation:
+        lq[2**21 - 3] = -np.inf
+    p, q = CategoricalTable(space, lp), CategoricalTable(space, lq)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", SupportWarning)
+        assert _peak_bytes(kl_divergence, p, q) < 2 * 2**20
 
 
 @pytest.mark.parametrize("V, L", [(3, 4), (5, 7)])

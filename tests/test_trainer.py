@@ -231,6 +231,15 @@ def test_loss_validates_inputs(counterexample_model):
         weighted_nll_loss_node(counterexample_model, xs, np.ones(2), kl_beta=0.1)
 
 
+@pytest.mark.parametrize("bad", [[np.nan, 1.0], [np.inf, 1.0], [-1.0, 2.0], [0.0, 0.0]])
+def test_data_weights_must_be_nonnegative_with_positive_finite_sum(counterexample_model, bad):
+    xs = np.array([[0, 1], [1, 0]])
+    with pytest.raises(TrainerError, match="data weights"):
+        weighted_nll_loss_node(counterexample_model, xs, np.ones(2), data_weights=np.array(bad))
+    with pytest.raises(TrainerError, match="data weights"):
+        StreamingBaseline().update_joint(np.zeros(2), data_weights=np.array(bad))
+
+
 def per_row_loss(q, xs, importance, d, t_cond, kl_beta, base):
     """Reference loss and gradient: q's logits, the base's conditionals and
     the weight matrix W taken on every row, one param_grad per row set."""
