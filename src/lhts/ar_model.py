@@ -9,6 +9,9 @@ embedding.
 Both evaluate with numpy. Each model exposes its raw logits
 (``logits_batch``) and maps a gradient wrt those logits back onto its flat
 parameter vector in closed form (``param_grad``); the trainer owns the loss.
+The vector's layout is declared once per model: ``TabularAR``'s is its logit
+table, row-major, and ``LinearAR``'s is ``LinearAR.split``. Parameters,
+gradients and checkpoints all use it.
 
 A model's ``window`` declares which prefix tokens its conditionals read: the
 last ``window`` of them, or the whole prefix when it is None. Pricing,
@@ -21,7 +24,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,7 +33,6 @@ from .oracle import CategoricalTable, _context_ids, _context_prefixes
 
 __all__ = [
     "ModelError",
-    "TemperatureEmbedding",
     "SampleBatch",
     "ARModel",
     "TabularAR",
@@ -46,33 +48,6 @@ __all__ = [
 
 class ModelError(ValueError):
     pass
-
-
-@dataclass
-class TemperatureEmbedding:
-    """Affine map from a scalar temperature to a small feature vector.
-
-    features(T) = scale * T + bias, appended to the conditioning features.
-    Zero-initialized with width 4 by default, so a fresh embedding is a no-op.
-    """
-
-    width: int = 4
-    scale: np.ndarray = field(default=None)
-    bias: np.ndarray = field(default=None)
-
-    def __post_init__(self):
-        if self.scale is None:
-            self.scale = np.zeros(self.width)
-        if self.bias is None:
-            self.bias = np.zeros(self.width)
-        self.scale = np.asarray(self.scale, dtype=np.float64)
-        self.bias = np.asarray(self.bias, dtype=np.float64)
-
-    def features(self, temperature: float) -> np.ndarray:
-        return self.scale * float(temperature) + self.bias
-
-    def copy(self) -> "TemperatureEmbedding":
-        return TemperatureEmbedding(self.width, self.scale.copy(), self.bias.copy())
 
 
 @dataclass
@@ -100,6 +75,9 @@ class ARModel:
     # whole prefix. Pricing, sampling, the loss and enumeration evaluate one
     # row per distinct context and share it between the prefixes that end in it
     window: int | None = None
+    # width of the temperature embedding; None when the model does not
+    # condition on a temperature
+    embedding_width: int | None = None
 
     # -- to implement ------------------------------------------------------
 
@@ -124,6 +102,10 @@ class ARModel:
     def set_param_array(self, flat: np.ndarray) -> None:
         raise NotImplementedError
 
+    @property
+    def n_params(self) -> int:
+        raise NotImplementedError
+
     def copy(self) -> "ARModel":
         raise NotImplementedError
 
@@ -131,7 +113,7 @@ class ARModel:
 
     @property
     def has_embedding(self) -> bool:
-        return getattr(self, "embedding", None) is not None
+        return self.embedding_width is not None
 
     def _check_t_cond(self, t_cond):
         if self.has_embedding and t_cond is None:
@@ -227,7 +209,12 @@ class ARModel:
             if myopic_t == 0.0:
                 toks = np.argmax(rows, axis=1)[inverse]
             else:
-                scaled = log_softmax(rows / myopic_t) if myopic_t != 1.0 else rows
+                scaled = rows
+                if myopic_t != 1.0:
+                    # each row's max is shifted to 0 before dividing, so a
+                    # tiny myopic_t sends the other entries to -inf, not all
+                    with np.errstate(over="ignore"):
+                        scaled = log_softmax((rows - rows.max(axis=1, keepdims=True)) / myopic_t)
                 probs = np.exp(scaled)
                 probs /= probs.sum(axis=1, keepdims=True)
                 # cum[k] is every context's CDF at token k, for k < V-1; the
@@ -241,10 +228,6 @@ class ARModel:
             seqs[:, i] = toks
             logp += rows.ravel()[inverse * V + toks]
         return SampleBatch(seqs, logp, myopic_t=float(myopic_t), t_cond=t_cond)
-
-    @property
-    def n_params(self) -> int:
-        return self.param_array().size
 
 
 class TabularAR(ARModel):
@@ -328,14 +311,17 @@ class TabularAR(ARModel):
         np.add.at(grad, rows, g_logits)
         return grad.ravel()
 
+    @property
+    def n_params(self) -> int:
+        return self.n_rows * self.vocab_size
+
     def param_array(self) -> np.ndarray:
         return self.logits.ravel().copy()
 
     def set_param_array(self, flat) -> None:
         flat = np.asarray(flat, dtype=np.float64)
-        expected = self.n_rows * self.vocab_size
-        if flat.ndim != 1 or flat.size != expected:
-            raise ModelError(f"parameter vector has shape {flat.shape}, expected ({expected},)")
+        if flat.shape != (self.n_params,):
+            raise ModelError(f"parameter vector has shape {flat.shape}, expected ({self.n_params},)")
         self.logits = flat.reshape(self.n_rows, self.vocab_size).copy()
         self.exact_rows = False
 
@@ -346,38 +332,68 @@ class TabularAR(ARModel):
 
 class LinearAR(ARModel):
     """Position-wise logits from windowed one-hot context features plus a
-    position one-hot, optionally extended by a temperature embedding:
+    position one-hot, optionally extended by an affine temperature embedding
+    e(T) = emb_scale * T + emb_bias of width ``embedding_width``:
 
-        logits = bias + W_pos[:, i] + sum_j W_ctx[:, j, x_{i-1-j}] + W_emb @ e(T)
+        logits = bias + w_pos[:, i] + sum_j w_ctx[:, j, x_{i-1-j}] + w_emb @ e(T)
 
-    Zero weights give uniform conditionals.
+    The parameters are one flat vector laid out by ``split``. The fields are
+    plain attributes: ``set_param_array`` binds them to views of a copy of
+    the vector, and ``param_array`` reads whatever they hold. Zero weights
+    give uniform conditionals, and a zero embedding adds nothing.
     """
 
     def __init__(self, vocab_size: int, max_length: int, window: int = 3,
-                 embedding: TemperatureEmbedding | None = None):
+                 embedding_width: int | None = None):
         if vocab_size < 2:
             raise ModelError("need vocab_size >= 2")
         if max_length < 1:
             raise ModelError("need max_length >= 1")
         if window < 0:
             raise ModelError("window must be >= 0")
+        if embedding_width is not None and embedding_width < 1:
+            raise ModelError("embedding_width must be >= 1")
         self.vocab_size = vocab_size
         self.max_length = max_length
         self.window = window
-        self.w_ctx = np.zeros((vocab_size, window, vocab_size))
-        self.w_pos = np.zeros((vocab_size, max_length))
-        self.bias = np.zeros(vocab_size)
-        self.embedding = embedding
-        self.w_emb = np.zeros((vocab_size, embedding.width)) if embedding else None
+        self.embedding_width = embedding_width
+        self.set_param_array(np.zeros(self.n_params))
+
+    def _layout(self) -> list[tuple[str, tuple[int, ...]]]:
+        """Each field's attribute name and shape, in ``split`` order."""
+        V, E = self.vocab_size, self.embedding_width
+        layout = [("w_ctx", (V, self.window, V)), ("w_pos", (V, self.max_length)), ("bias", (V,))]
+        if E is not None:
+            layout += [("w_emb", (V, E)), ("emb_scale", (E,)), ("emb_bias", (E,))]
+        return layout
+
+    def split(self, flat: np.ndarray) -> tuple[np.ndarray, ...]:
+        """Views (w_ctx, w_pos, bias[, w_emb, emb_scale, emb_bias]) of a
+        parameter-sized vector, back to back in this order: w_ctx is
+        (V, window, V), w_pos (V, L), bias (V,), and with an embedding of
+        width E, w_emb is (V, E) and emb_scale and emb_bias are (E,). The
+        parameters, ``param_grad`` and checkpoints share this layout."""
+        views, end = [], 0
+        for _, shape in self._layout():
+            start, end = end, end + math.prod(shape)
+            views.append(flat[start:end].reshape(shape))
+        return tuple(views)
+
+    @property
+    def n_params(self) -> int:
+        return sum(math.prod(shape) for _, shape in self._layout())
 
     def with_embedding(self, width: int = 4) -> "LinearAR":
         """Copy of this model with a fresh zero-initialized temperature knob."""
-        out = LinearAR(self.vocab_size, self.max_length, self.window,
-                       embedding=TemperatureEmbedding(width))
-        out.w_ctx = self.w_ctx.copy()
-        out.w_pos = self.w_pos.copy()
-        out.bias = self.bias.copy()
+        out = LinearAR(self.vocab_size, self.max_length, self.window, embedding_width=width)
+        flat = np.zeros(out.n_params)
+        for view, part in zip(out.split(flat), (self.w_ctx, self.w_pos, self.bias)):
+            view[...] = part
+        out.set_param_array(flat)
         return out
+
+    def _features(self, t_cond: float) -> np.ndarray:
+        return self.emb_scale * float(t_cond) + self.emb_bias
 
     def logits_batch(self, prefixes, position, t_cond=None):
         self._check_t_cond(t_cond)
@@ -389,8 +405,8 @@ class LinearAR(ARModel):
         for j in range(min(self.window, position)):
             toks = prefixes[:, position - 1 - j]
             logits += self.w_ctx[:, j, toks].T
-        if self.embedding is not None:
-            logits += self.w_emb @ self.embedding.features(t_cond)
+        if self.has_embedding:
+            logits += self.w_emb @ self._features(t_cond)
         return logits
 
     def conditional_log_probs_batch(self, prefixes, position, t_cond=None):
@@ -398,48 +414,35 @@ class LinearAR(ARModel):
 
     def param_grad(self, prefixes, position, g_logits, t_cond=None):
         prefixes = np.asarray(prefixes, dtype=np.int64)
-        g_row = g_logits.sum(axis=0)
-        g_ctx = np.zeros_like(self.w_ctx)
+        grad = np.zeros(self.n_params)
+        g_ctx, g_pos, g_bias, *g_emb = self.split(grad)
         for j in range(min(self.window, position)):
             np.add.at(g_ctx, (slice(None), j, prefixes[:, position - 1 - j]), g_logits.T)
-        g_pos = np.zeros_like(self.w_pos)
-        g_pos[:, position] = g_row
-        parts = [g_ctx.ravel(), g_pos.ravel(), g_row]
-        if self.embedding is not None:
-            # logits += w_emb @ e with e = scale * T + bias
-            g_e = self.w_emb.T @ g_row
-            parts += [np.outer(g_row, self.embedding.features(t_cond)).ravel(),
-                      g_e * float(t_cond), g_e]
-        return np.concatenate(parts)
+        g_logits.sum(axis=0, out=g_bias)
+        g_pos[:, position] = g_bias
+        if g_emb:
+            # logits += w_emb @ e with e = emb_scale * T + emb_bias
+            g_w_emb, g_scale, g_e = g_emb
+            np.outer(g_bias, self._features(t_cond), out=g_w_emb)
+            np.matmul(self.w_emb.T, g_bias, out=g_e)
+            np.multiply(g_e, float(t_cond), out=g_scale)
+        return grad
 
-    # parameter layout: [w_ctx, w_pos, bias, w_emb, emb.scale, emb.bias]
     def param_array(self) -> np.ndarray:
-        parts = [self.w_ctx.ravel(), self.w_pos.ravel(), self.bias.ravel()]
-        if self.embedding is not None:
-            parts += [self.w_emb.ravel(), self.embedding.scale, self.embedding.bias]
-        return np.concatenate(parts)
+        flat = np.empty(self.n_params)
+        for (name, _), view in zip(self._layout(), self.split(flat)):
+            view[...] = getattr(self, name)
+        return flat
 
     def set_param_array(self, flat) -> None:
         flat = np.asarray(flat, dtype=np.float64)
-        V, w, L = self.vocab_size, self.window, self.max_length
-        expected = V * w * V + V * L + V
-        if self.embedding is not None:
-            expected += (V + 2) * self.embedding.width
-        if flat.ndim != 1 or flat.size != expected:
-            raise ModelError(f"parameter vector has shape {flat.shape}, expected ({expected},)")
-        i = 0
-        self.w_ctx = flat[i:i + V * w * V].reshape(V, w, V).copy(); i += V * w * V
-        self.w_pos = flat[i:i + V * L].reshape(V, L).copy(); i += V * L
-        self.bias = flat[i:i + V].copy(); i += V
-        if self.embedding is not None:
-            E = self.embedding.width
-            self.w_emb = flat[i:i + V * E].reshape(V, E).copy(); i += V * E
-            self.embedding.scale = flat[i:i + E].copy(); i += E
-            self.embedding.bias = flat[i:i + E].copy(); i += E
+        if flat.shape != (self.n_params,):
+            raise ModelError(f"parameter vector has shape {flat.shape}, expected ({self.n_params},)")
+        for (name, _), view in zip(self._layout(), self.split(flat.copy())):
+            setattr(self, name, view)
 
     def copy(self) -> "LinearAR":
-        out = LinearAR(self.vocab_size, self.max_length, self.window,
-                       embedding=self.embedding.copy() if self.embedding else None)
+        out = LinearAR(self.vocab_size, self.max_length, self.window, self.embedding_width)
         out.set_param_array(self.param_array())
         return out
 
@@ -490,72 +493,52 @@ def kl_to_base_per_position(base: ARModel, model: ARModel, x,
 # -- checkpoints -----------------------------------------------------------
 
 def checkpoint_dict(model: ARModel, rng_seed: int | None = None) -> dict:
+    """A JSON-ready document: the shape header that rebuilds the model, plus
+    its flat ``param_array`` as "parameters"."""
     if isinstance(model, TabularAR):
-        return {
-            "parameterization": "tabular",
-            "vocab_size": model.vocab_size,
-            "max_length": model.max_length,
-            "window": None,
-            "parameters": {"logits": model.logits.ravel().tolist()},
-            "embedding": None,
-            "exact_rows": model.exact_rows,
-            "rng_seed": rng_seed,
-        }
-    if isinstance(model, LinearAR):
-        emb = None
-        params = {
-            "w_ctx": model.w_ctx.ravel().tolist(),
-            "w_pos": model.w_pos.ravel().tolist(),
-            "bias": model.bias.ravel().tolist(),
-        }
-        if model.embedding is not None:
-            emb = {
-                "width": model.embedding.width,
-                "scale": model.embedding.scale.tolist(),
-                "bias": model.embedding.bias.tolist(),
-            }
-            params["w_emb"] = model.w_emb.ravel().tolist()
-        return {
-            "parameterization": "linear",
-            "vocab_size": model.vocab_size,
-            "max_length": model.max_length,
-            "window": model.window,
-            "parameters": params,
-            "embedding": emb,
-            "rng_seed": rng_seed,
-        }
-    raise ModelError(f"cannot checkpoint {type(model).__name__}")
+        header = {"parameterization": "tabular", "exact_rows": model.exact_rows}
+    elif isinstance(model, LinearAR):
+        header = {"parameterization": "linear", "window": model.window,
+                  "embedding_width": model.embedding_width}
+    else:
+        raise ModelError(f"cannot checkpoint {type(model).__name__}")
+    return {**header, "vocab_size": model.vocab_size, "max_length": model.max_length,
+            "parameters": model.param_array().tolist(), "rng_seed": rng_seed}
 
 
-def _checkpoint_array(values, shape: tuple, name: str) -> np.ndarray:
-    """A checkpoint's flat parameter list as a float64 array of ``shape``."""
-    arr = np.array(values, dtype=np.float64)
-    if arr.shape != (np.prod(shape),):
-        raise ModelError(f"checkpoint field {name!r} has shape {arr.shape}, "
-                         f"expected ({np.prod(shape)},)")
-    return arr.reshape(shape)
+def _doc_field(doc: dict, key: str, kind: type, optional: bool = False):
+    """``doc[key]``, checked to be a ``kind`` (or None when ``optional``)."""
+    if key not in doc:
+        raise ModelError(f"checkpoint has no {key!r}")
+    value = doc[key]
+    if optional and value is None:
+        return None
+    # True is an int to Python, but no size
+    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+        raise ModelError(f"checkpoint {key!r} must be {kind.__name__}, got {value!r}")
+    return value
 
 
 def model_from_checkpoint(doc: dict) -> ARModel:
+    if not isinstance(doc, dict):
+        raise ModelError("a checkpoint must be a JSON object")
     kind = doc.get("parameterization")
-    V, L = doc["vocab_size"], doc["max_length"]
+    if kind not in ("tabular", "linear"):
+        raise ModelError(f"unknown parameterization {kind!r}")
+    V, L = _doc_field(doc, "vocab_size", int), _doc_field(doc, "max_length", int)
     if kind == "tabular":
-        model = TabularAR(V, L, exact_rows=bool(doc.get("exact_rows", False)))
-        model.logits = _checkpoint_array(doc["parameters"]["logits"], model.logits.shape, "logits")
-        return model
-    if kind == "linear":
-        emb = None
-        if doc.get("embedding"):
-            e = doc["embedding"]
-            emb = TemperatureEmbedding(
-                e["width"], _checkpoint_array(e["scale"], (e["width"],), "embedding.scale"),
-                _checkpoint_array(e["bias"], (e["width"],), "embedding.bias"))
-        model = LinearAR(V, L, doc["window"], embedding=emb)
-        p = doc["parameters"]
-        for name in ("w_ctx", "w_pos", "bias") + (("w_emb",) if emb else ()):
-            setattr(model, name, _checkpoint_array(p[name], getattr(model, name).shape, name))
-        return model
-    raise ModelError(f"unknown parameterization {kind!r}")
+        model = TabularAR(V, L)
+    else:
+        model = LinearAR(V, L, _doc_field(doc, "window", int),
+                         embedding_width=_doc_field(doc, "embedding_width", int, optional=True))
+    params = _doc_field(doc, "parameters", list)
+    if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in params):
+        raise ModelError("checkpoint 'parameters' must be a list of numbers")
+    model.set_param_array(np.array(params, dtype=np.float64))
+    if kind == "tabular":
+        # after set_param_array, which clears it
+        model.exact_rows = _doc_field(doc, "exact_rows", bool)
+    return model
 
 
 def save_checkpoint(model: ARModel, path, rng_seed: int | None = None) -> None:

@@ -106,10 +106,13 @@ def _norm_weights(n: int, data_weights: np.ndarray | None) -> np.ndarray:
     if data_weights is None:
         return np.full(n, 1.0 / n)
     w = np.asarray(data_weights, dtype=np.float64)
-    # a NaN or +inf weight makes the sum NaN or +inf
-    if w.shape != (n,) or np.any(w < 0) or not 0 < w.sum() < np.inf:
+    # a NaN or +inf weight makes the sum NaN or +inf, and so do finite
+    # weights whose sum overflows
+    with np.errstate(over="ignore"):
+        total = w.sum()
+    if w.shape != (n,) or np.any(w < 0) or not 0 < total < np.inf:
         raise TrainerError("data weights must be a nonnegative vector with positive finite sum")
-    return w / w.sum()
+    return w / total
 
 
 class LossNormalizer:

@@ -10,7 +10,6 @@ from lhts.ar_model import (
     LinearAR,
     ModelError,
     TabularAR,
-    TemperatureEmbedding,
     checkpoint_dict,
     kl_to_base_per_position,
     load_checkpoint,
@@ -25,10 +24,18 @@ from lhts.trainer import suffix_log_liks_matrix
 
 def random_linear(seed, V=3, L=4, window=2, embedding=False) -> LinearAR:
     rng = np.random.default_rng(seed)
-    model = LinearAR(V, L, window,
-                     embedding=TemperatureEmbedding(4) if embedding else None)
+    model = LinearAR(V, L, window, embedding_width=4 if embedding else None)
     model.set_param_array(rng.normal(scale=0.7, size=model.n_params))
     return model
+
+
+def myopic_rescale(rows, myopic_t):
+    """The rows ``sample`` draws from at a positive myopic_t: each row's max
+    shifted to 0, then divided by myopic_t and renormalized."""
+    if myopic_t == 1.0:
+        return rows
+    with np.errstate(over="ignore"):
+        return log_softmax((rows - rows.max(axis=1, keepdims=True)) / myopic_t)
 
 
 # --------------------------------------------------------------- conditionals
@@ -170,6 +177,18 @@ def test_sample_rejects_non_finite_myopic_t(bad):
         LinearAR(3, 4, 2).sample(6, myopic_t=bad, rng=np.random.default_rng(0))
 
 
+def test_tiny_myopic_t_follows_the_greedy_path():
+    # 1e-310 overflows every logit / myopic_t unless each row's max is
+    # shifted to 0 first
+    model = LinearAR(3, 2, 1)
+    model.set_param_array(np.random.default_rng(0).normal(size=model.n_params))
+    greedy = model.sample(5, myopic_t=0.0, rng=np.random.default_rng(0))
+    assert greedy.sequences[0].tolist() == [1, 2]
+    batch = model.sample(5, myopic_t=1e-310, rng=np.random.default_rng(0))
+    assert np.array_equal(batch.sequences, greedy.sequences)
+    assert np.array_equal(batch.log_probs, greedy.log_probs)
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_non_finite_t_cond_is_rejected(bad):
     model = random_linear(0, embedding=True)
@@ -195,7 +214,7 @@ class _StubUniforms:
 def _first_cdf(model, myopic_t):
     """The CDF that ``sample`` draws the first token from."""
     rows = model.conditional_log_probs_batch(np.zeros((1, 0), dtype=np.int64), 0)
-    scaled = log_softmax(rows / myopic_t) if myopic_t != 1.0 else rows
+    scaled = myopic_rescale(rows, myopic_t)
     probs = np.exp(scaled)
     probs /= probs.sum(axis=1, keepdims=True)
     return np.cumsum(probs, axis=1)[0]
@@ -260,9 +279,11 @@ def test_kl_to_base_strictly_increases_off_base(counterexample_model):
 # ------------------------------------------------------------------ embedding
 
 def test_embedding_affine_in_temperature():
-    emb = TemperatureEmbedding(4, scale=np.arange(4.0), bias=np.ones(4))
-    f1, f2, f3 = emb.features(1.0), emb.features(2.0), emb.features(3.0)
-    assert np.allclose(f3 - f2, f2 - f1)
+    model = random_linear(7, embedding=True)
+    prefixes = np.array([[0, 2], [1, 1]], dtype=np.int64)
+    l1, l2, l3 = (model.logits_batch(prefixes, 2, t_cond=t) for t in (0.5, 1.0, 1.5))
+    assert np.allclose(l3 - 2.0 * l2 + l1, 0.0, rtol=0, atol=1e-12)
+    assert not np.allclose(l2, l1)
 
 
 def test_embedding_conditionals_continuous_in_t():
@@ -282,6 +303,45 @@ def test_with_embedding_is_noop_until_trained():
         assert np.array_equal(a, b)
 
 
+# ------------------------------------------------------- parameter layout
+
+LAYOUT = ["w_ctx", "w_pos", "bias", "w_emb", "emb_scale", "emb_bias"]
+
+
+@pytest.mark.parametrize("embedding", [False, True])
+def test_param_array_is_the_fields_in_split_order(embedding):
+    # V=3, L=4, window 2, width-4 embedding
+    model = random_linear(3, embedding=embedding)
+    names = LAYOUT if embedding else LAYOUT[:3]
+    shapes = [(3, 2, 3), (3, 4), (3,), (3, 4), (4,), (4,)][:len(names)]
+    assert [getattr(model, name).shape for name in names] == shapes
+    flat = model.param_array()
+    assert model.n_params == flat.size == sum(math.prod(shape) for shape in shapes)
+    assert np.array_equal(flat, np.concatenate([getattr(model, name).ravel() for name in names]))
+    views = model.split(flat)
+    assert [v.shape for v in views] == shapes
+    assert all(np.shares_memory(v, flat) for v in views)
+
+
+def test_param_array_reads_rebound_fields():
+    model = random_linear(4, embedding=True)
+    model.bias = np.arange(3.0)
+    model.emb_scale = np.full(4, 2.0)
+    _, _, bias, _, scale, _ = model.split(model.param_array())
+    assert np.array_equal(bias, np.arange(3.0)) and np.array_equal(scale, np.full(4, 2.0))
+    flat = model.param_array()
+    model.set_param_array(flat)
+    flat[:] = 0.0
+    assert np.array_equal(model.bias, np.arange(3.0))
+
+
+def test_zero_embedding_width_is_rejected():
+    with pytest.raises(ModelError, match="embedding_width must be >= 1"):
+        LinearAR(3, 4, 2, embedding_width=0)
+    with pytest.raises(ModelError, match="embedding_width must be >= 1"):
+        LinearAR(3, 4, 2).with_embedding(0)
+
+
 # ---------------------------------------------------------------- checkpoints
 
 def test_checkpoint_roundtrip_tabular(tmp_path, counterexample_model):
@@ -295,9 +355,30 @@ def test_checkpoint_roundtrip_tabular(tmp_path, counterexample_model):
 
 def test_checkpoint_roundtrip_linear_with_embedding(tmp_path):
     model = random_linear(9, embedding=True)
-    back = model_from_checkpoint(checkpoint_dict(model))
+    path = tmp_path / "model.json"
+    save_checkpoint(model, path)
+    back = load_checkpoint(path)
     assert np.array_equal(back.param_array(), model.param_array())
-    assert back.embedding.width == model.embedding.width
+    assert back.embedding_width == model.embedding_width == 4
+
+
+def test_checkpoint_roundtrip_linear_without_embedding(tmp_path):
+    model = random_linear(9, window=3)
+    path = tmp_path / "model.json"
+    save_checkpoint(model, path)
+    back = load_checkpoint(path)
+    assert isinstance(back, LinearAR) and back.window == 3 and not back.has_embedding
+    assert np.array_equal(back.param_array(), model.param_array())
+
+
+def test_checkpoint_stores_the_flat_parameter_vector(counterexample_model):
+    model = random_linear(9, embedding=True)
+    doc = checkpoint_dict(model)
+    assert doc["parameters"] == model.param_array().tolist()
+    assert (doc["window"], doc["embedding_width"]) == (2, 4)
+    doc = checkpoint_dict(counterexample_model)
+    assert doc["parameters"] == counterexample_model.param_array().tolist()
+    assert doc["exact_rows"] is True
 
 
 def test_tabular_set_param_array_rejects_wrong_size(counterexample_model):
@@ -322,22 +403,73 @@ def test_linear_set_param_array_rejects_wrong_size(embedding):
                                    "w_pos", "w_emb"])
 @pytest.mark.parametrize("extra", [-1, 1])
 def test_linear_checkpoint_rejects_wrong_sizes(field, extra):
-    # V=3, L=4, window 2, width-2 embedding; one entry short or one too many
-    doc = checkpoint_dict(random_linear(13).with_embedding(width=2))
-    section, _, name = field.rpartition(".")
-    values = doc[section or "parameters"][name]
+    # V=3, L=4, window 2, width-2 embedding; the flat parameter list one
+    # entry short or one too long inside the named field's segment
+    model = random_linear(13).with_embedding(width=2)
+    doc = checkpoint_dict(model)
+    segment = ["w_ctx", "w_pos", "bias", "w_emb", "embedding.scale", "embedding.bias"].index(field)
+    end = sum(v.size for v in model.split(model.param_array())[:segment + 1])
     if extra < 0:
-        values.pop()
+        del doc["parameters"][end - 1]
     else:
-        values.append(0.0)
-    with pytest.raises(ModelError, match=rf"'{field}'"):
+        doc["parameters"].insert(end, 0.0)
+    with pytest.raises(ModelError, match=rf"expected \({model.n_params},\)"):
         model_from_checkpoint(doc)
 
 
 def test_tabular_checkpoint_rejects_wrong_size(counterexample_model):
+    n = counterexample_model.n_params
+    for extra in (-1, 1):
+        doc = checkpoint_dict(counterexample_model)
+        if extra < 0:
+            doc["parameters"].pop()
+        else:
+            doc["parameters"].append(0.0)
+        with pytest.raises(ModelError, match=rf"expected \({n},\)"):
+            model_from_checkpoint(doc)
+
+
+@pytest.mark.parametrize("kind, key", [
+    ("tabular", "vocab_size"), ("tabular", "max_length"), ("tabular", "parameters"),
+    ("tabular", "exact_rows"), ("linear", "vocab_size"), ("linear", "max_length"),
+    ("linear", "window"), ("linear", "embedding_width"), ("linear", "parameters")])
+def test_checkpoint_missing_key_is_named(kind, key, counterexample_model):
+    model = counterexample_model if kind == "tabular" else random_linear(5, embedding=True)
+    doc = checkpoint_dict(model)
+    del doc[key]
+    with pytest.raises(ModelError, match=f"checkpoint has no '{key}'"):
+        model_from_checkpoint(doc)
+
+
+@pytest.mark.parametrize("params", ["0.5", None, 1.0, {"w_ctx": [0.0]}, [0.0, "x"], [[0.0]],
+                                    [True]])
+def test_checkpoint_parameters_must_be_a_list_of_numbers(params):
+    doc = checkpoint_dict(random_linear(5))
+    doc["parameters"] = params
+    with pytest.raises(ModelError, match="'parameters' must be"):
+        model_from_checkpoint(doc)
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("vocab_size", 3.0, "'vocab_size' must be int"),
+    ("max_length", None, "'max_length' must be int"),
+    ("window", "2", "'window' must be int"),
+    ("embedding_width", True, "'embedding_width' must be int"),
+    ("embedding_width", 0, "embedding_width must be >= 1"),
+    ("parameterization", "mlp", "unknown parameterization 'mlp'")])
+def test_checkpoint_header_is_checked(key, value, message):
+    doc = checkpoint_dict(random_linear(5, embedding=True))
+    doc[key] = value
+    with pytest.raises(ModelError, match=message):
+        model_from_checkpoint(doc)
+
+
+def test_checkpoint_rejects_non_object_and_non_bool_exact_rows(counterexample_model):
+    with pytest.raises(ModelError, match="JSON object"):
+        model_from_checkpoint([])
     doc = checkpoint_dict(counterexample_model)
-    doc["parameters"]["logits"].pop()
-    with pytest.raises(ModelError, match="'logits'"):
+    doc["exact_rows"] = "false"
+    with pytest.raises(ModelError, match="'exact_rows' must be bool"):
         model_from_checkpoint(doc)
 
 
@@ -422,7 +554,7 @@ def per_row_sample(model, n, myopic_t, t_cond, rng):
         if myopic_t == 0.0:
             toks = np.argmax(rows, axis=1)
         else:
-            scaled = log_softmax(rows / myopic_t) if myopic_t != 1.0 else rows
+            scaled = myopic_rescale(rows, myopic_t)
             probs = np.exp(scaled)
             probs /= probs.sum(axis=1, keepdims=True)
             cum = np.cumsum(probs, axis=1)

@@ -7,7 +7,6 @@ from lhts.ar_model import (
     LinearAR,
     ModelError,
     TabularAR,
-    TemperatureEmbedding,
     kl_to_base_per_position,
     tabular_from_table,
 )
@@ -178,7 +177,7 @@ def _loss_grad_case(kind: str):
     if kind == "linear":
         q = LinearAR(3, 3, window=2)
     elif kind == "linear_emb":
-        q = LinearAR(3, 3, window=2, embedding=TemperatureEmbedding(2))
+        q = LinearAR(3, 3, window=2, embedding_width=2)
     else:
         q = make_skewed_ground_truth(3, 3, rng)
         if kind == "tabular_exact":
@@ -231,7 +230,9 @@ def test_loss_validates_inputs(counterexample_model):
         weighted_nll_loss_node(counterexample_model, xs, np.ones(2), kl_beta=0.1)
 
 
-@pytest.mark.parametrize("bad", [[np.nan, 1.0], [np.inf, 1.0], [-1.0, 2.0], [0.0, 0.0]])
+# [1e308, 1e308] is finite, but its sum overflows
+@pytest.mark.parametrize("bad", [[np.nan, 1.0], [np.inf, 1.0], [-1.0, 2.0], [0.0, 0.0],
+                                 [1e308, 1e308]])
 def test_data_weights_must_be_nonnegative_with_positive_finite_sum(counterexample_model, bad):
     xs = np.array([[0, 1], [1, 0]])
     with pytest.raises(TrainerError, match="data weights"):
@@ -262,7 +263,7 @@ def per_row_loss(q, xs, importance, d, t_cond, kl_beta, base):
 
 
 def _linear(V, L, window, seed, embedding=False):
-    model = LinearAR(V, L, window, embedding=TemperatureEmbedding(2) if embedding else None)
+    model = LinearAR(V, L, window, embedding_width=2 if embedding else None)
     model.set_param_array(np.random.default_rng(seed).normal(scale=0.6, size=model.n_params))
     return model
 
