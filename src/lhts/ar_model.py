@@ -534,7 +534,11 @@ def model_from_checkpoint(doc: dict) -> ARModel:
     params = _doc_field(doc, "parameters", list)
     if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in params):
         raise ModelError("checkpoint 'parameters' must be a list of numbers")
-    model.set_param_array(np.array(params, dtype=np.float64))
+    params = np.array(params, dtype=np.float64)
+    # -inf is a zero-probability entry of a TabularAR's exact rows
+    if np.any(np.isnan(params) | (params == np.inf)):
+        raise ModelError("checkpoint 'parameters' must be finite or -inf")
+    model.set_param_array(params)
     if kind == "tabular":
         # after set_param_array, which clears it
         model.exact_rows = _doc_field(doc, "exact_rows", bool)

@@ -16,10 +16,21 @@ prefix, V^i rows. A context of c tokens has one id in [0, V^c), its
 lexicographic index with the first token most significant; the models'
 pricing, sampling and loss (``ARModel.distinct_contexts``) use the same
 encoding.
+
+A table comes in two representations. A *raw* table holds only its V^L
+entries. A *chain* table, which enumeration returns for a model with an int
+``window``, also keeps each position's (V^c, V) block of conditional
+log-probs. The joint of such a model, and its temperature-scaled joint, are
+order-``window`` Markov chains over those contexts, so a chain table is
+scaled by backward messages and compared by a forward pass over its rows:
+O(L V^(window+1)) work instead of V^L. ``enumerate_joint`` and
+``myopic_scale_joint`` build their entries at once; ``temperature_scale_exact``
+of a chain table builds them only when ``log_probs`` is first read.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import warnings
@@ -141,8 +152,20 @@ class CategoricalTable:
 
     The constructor normalizes; ``log_z`` records the log partition function
     that was divided out (for tables produced by temperature scaling this is
-    log Z of the scaled distribution).
+    log Z of the scaled distribution). It makes a raw table, whose ``rows``
+    and ``window`` are None.
+
+    A chain table, made by ``enumerate_joint``, ``myopic_scale_joint`` or
+    ``temperature_scale_exact`` from a model with an int ``window``, also
+    has ``window`` and ``rows``: for each position i one read-only
+    (V^c, V) array of conditional log-probs, c = min(i, window), whose row
+    s is the conditional after the context of id s. Chaining the rows gives
+    the entries, and a chain table without entries builds ``log_probs``
+    that way when it is first read.
     """
+
+    rows: tuple[np.ndarray, ...] | None = None
+    window: int | None = None
 
     def __init__(self, space: SequenceSpace, log_weights: np.ndarray, normalize: bool = True):
         lw = np.asarray(log_weights, dtype=np.float64)
@@ -161,6 +184,14 @@ class CategoricalTable:
         self.space = space
         self.log_probs = lw
         self.log_z = float(log_z)
+
+    @functools.cached_property
+    def log_probs(self) -> np.ndarray:
+        # only read on a chain table made without entries: a raw table
+        # stores its entries under this name on construction
+        log_probs = functools.reduce(_extend, self.rows, np.zeros(1))
+        log_probs.flags.writeable = False
+        return log_probs
 
     @property
     def vocab_size(self) -> int:
@@ -194,15 +225,31 @@ class CategoricalTable:
         return CategoricalTable(space, np.array(d["log_probs"], dtype=np.float64), normalize=False)
 
 
+def _extend(log_joint: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Entries of every prefix one token longer: the (V^c, V) conditionals
+    ``rows`` added to the lexicographic prefix entries ``log_joint``, whose
+    last c tokens pick the row.
+
+    Repeating each prefix entry V times and adding the rows' V^(c+1)
+    entries to every block of that many gives the same sums as
+    ``log_joint.reshape(-1, V^c, 1) + rows``, in less time.
+    """
+    out = np.repeat(log_joint, rows.shape[1]).reshape(-1, rows.size)
+    out += rows.ravel()
+    return out.reshape(-1)
+
+
 def _chain_joint(model, length: int | None, t_cond: float | None, cap: int,
                  temperature: float = 1.0) -> CategoricalTable:
     """Chain the model's conditionals over every prefix, breadth first.
 
     Position i evaluates the conditionals once on the V^c distinct contexts,
-    c = min(i, window) (c = i when the model has no window), and broadcasts
-    them over the lexicographic prefixes that share those last c tokens.
+    c = min(i, window) (c = i when the model has no window), and adds them
+    to the lexicographic prefixes that share those last c tokens (``_extend``).
     Off T = 1 each conditional is rescaled as log p(.|prefix)/T and
-    renormalized before chaining; at T = 1 the rows are used untouched.
+    renormalized before chaining; at T = 1 the rows are used untouched. A
+    model with an int window gives a chain table, which keeps a copy of the
+    rows.
     """
     length = int(length if length is not None else model.max_length)
     space = SequenceSpace(model.vocab_size, length, cap=cap)
@@ -210,14 +257,23 @@ def _chain_joint(model, length: int | None, t_cond: float | None, cap: int,
     window = getattr(model, "window", None)
 
     log_joint = np.zeros(1, dtype=np.float64)
+    kept = []
     for pos in range(length):
         c = pos if window is None else min(pos, window)
         contexts = _context_prefixes(np.arange(V**c), V, c, pos)
         rows = model.conditional_log_probs_batch(contexts, pos, t_cond=t_cond)
         if temperature != 1.0:
             rows = log_softmax(rows / temperature)
-        log_joint = (log_joint.reshape(-1, V**c, 1) + rows).reshape(-1)
-    return CategoricalTable(space, log_joint, normalize=False)
+        log_joint = _extend(log_joint, rows)
+        if window is not None:
+            # a copy: the model may hand out rows it keeps
+            rows = np.array(rows, dtype=np.float64)
+            rows.flags.writeable = False
+            kept.append(rows)
+    table = CategoricalTable(space, log_joint, normalize=False)
+    if window is not None:
+        table.rows, table.window = tuple(kept), window
+    return table
 
 
 def enumerate_joint(model, length: int | None = None, t_cond: float | None = None,
@@ -231,8 +287,10 @@ def enumerate_joint(model, length: int | None = None, t_cond: float | None = Non
 
     If the model sets ``window`` to an int, its conditional at position i
     must depend only on the last min(i, window) prefix tokens: it is called
-    once per distinct context, with zeros in the earlier columns. ``window``
-    None, or no such attribute, means the whole prefix.
+    once per distinct context, with zeros in the earlier columns, and the
+    result is a chain table that keeps those rows beside its entries.
+    ``window`` None, or no such attribute, means the whole prefix and gives a
+    raw table. Either way the entries are built here.
     """
     return _chain_joint(model, length, t_cond, cap)
 
@@ -241,26 +299,68 @@ def temperature_scale_exact(table: CategoricalTable, temperature: float) -> Cate
     """The temperature-scaled joint: log of p^(1/T), renormalized exactly.
 
     T must be positive and finite; the T -> 0 limit object is argmax_joint.
-    T = 1 returns a table that shares the source's read-only entries. Any
-    other T allocates p/T once, reduces its log Z block by block and
-    subtracts it in place.
+    T = 1 returns a table that shares the source's read-only entries and
+    rows. Off T = 1:
+
+    - a chain table gives a chain table, and touches no entry. Backward
+      log-messages over the window states,
+      log b_i(s) = logsumexp_x [log p(x|s)/T + log b_(i+1)(s')], with s'
+      the last c_(i+1) tokens of s followed by x and log b_L = 0, give
+      log Z = log b_0 and the target's rows log p(x|s)/T + log b_(i+1)(s')
+      - log b_i(s). Its entries are chained from those rows when
+      ``log_probs`` is first read.
+    - a raw table allocates p/T once, reduces its log Z block by block and
+      subtracts it in place.
     """
     if not 0 < temperature < math.inf:
         raise OracleError(f"temperature must be positive and finite, got {temperature} "
                           "(the T -> 0 limit is served by argmax_joint)")
     if temperature == 1.0:
-        return _derived_table(table.space, table.log_probs, 0.0)
+        # the source's entries if they are built (a raw table's always are)
+        entries = vars(table).get("log_probs")
+        return _derived_table(table.space, entries, 0.0, table.rows, table.window)
+    if table.rows is not None:
+        rows, log_z = _scale_rows(table.rows, temperature)
+        return _derived_table(table.space, None, log_z, rows, table.window)
     scaled = table.log_probs / temperature
     log_z = _log_z(scaled, float(scaled.max()))
     scaled -= log_z
     return _derived_table(table.space, scaled, log_z)
 
 
-def _derived_table(space: SequenceSpace, log_probs: np.ndarray, log_z: float) -> CategoricalTable:
-    """Freeze entries derived from a checked table, skipping the checks."""
+def _scale_rows(rows: tuple[np.ndarray, ...], temperature: float
+                ) -> tuple[tuple[np.ndarray, ...], float]:
+    """The rows of p^(1/T)/Z and its log Z, by backward log-messages.
+
+    Row s of position i leads, on token x, to the state of id
+    (s V + x) mod V^(c_(i+1)), so ``np.resize`` of the next position's
+    messages to the rows' shape lines each message up with its (s, x).
+    """
+    log_beta = np.zeros(1)
+    scaled = []
+    for r in reversed(rows):
+        a = r / temperature
+        a += np.resize(log_beta, r.shape)
+        m = a.max(axis=1, keepdims=True)
+        a -= m
+        lse = np.log(np.exp(a).sum(axis=1, keepdims=True))
+        a -= lse
+        a.flags.writeable = False
+        scaled.append(a)
+        log_beta = (m + lse)[:, 0]
+    return tuple(reversed(scaled)), float(log_beta[0])
+
+
+def _derived_table(space: SequenceSpace, log_probs: np.ndarray | None, log_z: float,
+                   rows: tuple[np.ndarray, ...] | None = None,
+                   window: int | None = None) -> CategoricalTable:
+    """Freeze entries derived from a checked table, skipping the checks.
+    ``log_probs`` None leaves a chain table's entries to its first read."""
     out = object.__new__(CategoricalTable)
-    log_probs.flags.writeable = False
-    out.space, out.log_probs, out.log_z = space, log_probs, log_z
+    out.space, out.log_z, out.rows, out.window = space, log_z, rows, window
+    if log_probs is not None:
+        log_probs.flags.writeable = False
+        out.log_probs = log_probs
     return out
 
 
@@ -271,6 +371,8 @@ def myopic_scale_joint(model, temperature: float, length: int | None = None,
     Every conditional is rescaled as log p(.|prefix)/T and renormalized per
     position before chaining. At T = 1 this reproduces enumerate_joint
     entry-for-entry (the rescale is skipped so the arithmetic is identical).
+    Like enumerate_joint it builds the entries, and a windowed model gives a
+    chain table of the rescaled rows.
     """
     if not 0 < temperature < math.inf:
         raise OracleError(f"temperature must be positive and finite, got {temperature}")
@@ -288,13 +390,22 @@ def _check_same_space(p: CategoricalTable, q: CategoricalTable) -> None:
 def kl_divergence(p: CategoricalTable, q: CategoricalTable) -> float:
     """KL(p || q) = sum_x p(x) (log p(x) - log q(x)), exact.
 
-    Summed over blocks b as exp(lp_b) @ (lp_b - lq_b), with no temporary
-    larger than a block. Entries where p has no mass add nothing; the
+    When both are chain tables, one forward pass over p's state marginals
+    sums the conditional KLs, reading only rows (``_chain_kl``). Otherwise,
+    or when that sum is not finite (a -inf row entry in p or q), the
+    entries are compared: summed over blocks b as exp(lp_b) @ (lp_b - lq_b),
+    with no temporary larger than a block, building a chain table's entries
+    if they are not built yet. Entries where p has no mass add nothing; the
     support check and that masked sum run block by block too. If q lacks
     support somewhere p has mass, the divergence is +inf and a
     SupportWarning names the first offending sequence.
     """
     _check_same_space(p, q)
+    if p.rows is not None and q.rows is not None:
+        with np.errstate(invalid="ignore"):
+            kl = _chain_kl(p.rows, q.rows)
+        if math.isfinite(kl):
+            return kl
     lp, lq = p.log_probs, q.log_probs
     # one pass when both tables have full support; -inf entries make it
     # non-finite and take the masked path below
@@ -318,6 +429,25 @@ def kl_divergence(p: CategoricalTable, q: CategoricalTable) -> float:
         return float(np.sum(np.exp(a) * (a - b)))
 
     return _block_sum(masked, lp, lq)
+
+
+def _chain_kl(p_rows: tuple[np.ndarray, ...], q_rows: tuple[np.ndarray, ...]) -> float:
+    """sum_i sum_s mu_i(s) KL(p(.|s) || q(.|s)), mu_i the law of p's state.
+
+    The state is the wider window's context, so position i has
+    n = max(V^c_p, V^c_q) states, and the narrower table's row for state s
+    is its row s mod V^c (``np.resize``). The mass mu_i(s) p(x|s) of each
+    (s, x) is carried to the next state, of id (s V + x) mod n_(i+1).
+    """
+    kl, mu = 0.0, np.ones(1)
+    for lp, lq in zip(p_rows, q_rows):
+        shape = (max(lp.shape[0], lq.shape[0]), lp.shape[1])
+        lp, lq = np.resize(lp, shape), np.resize(lq, shape)
+        mu = mu.reshape(-1, shape[0]).sum(axis=0)
+        joint = mu[:, None] * np.exp(lp)
+        kl += float(joint.ravel() @ (lp - lq).ravel())
+        mu = joint.ravel()
+    return kl
 
 
 def total_variation(p: CategoricalTable, q: CategoricalTable) -> float:

@@ -23,7 +23,7 @@ import numpy as np
 
 from .ar_model import ARModel, LinearAR
 from .numerics import Rng, log_softmax
-from .oracle import CategoricalTable
+from .oracle import CategoricalTable, enumerate_joint
 
 __all__ = [
     "TrainerError",
@@ -507,8 +507,6 @@ def ar_loss_exact(p: ARModel, q: ARModel, temperature: float,
 
     loss = sum_x p(x) sum_i exp((1-T)/T (v_i - b(i))) (-log q(x_i|x_<i))
     """
-    from .oracle import enumerate_joint  # local import avoids cycle at import time
-
     if temperature <= 0:
         raise TrainerError("temperature must be positive")
     table = enumerate_joint(p, length)

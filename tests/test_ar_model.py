@@ -450,6 +450,26 @@ def test_checkpoint_parameters_must_be_a_list_of_numbers(params):
         model_from_checkpoint(doc)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_checkpoint_rejects_nan_and_pos_inf_parameters(bad):
+    model = LinearAR(3, 3, 1)
+    model.set_param_array(np.random.default_rng(0).normal(size=model.n_params))
+    doc = checkpoint_dict(model)
+    doc["parameters"][-1] = bad
+    with pytest.raises(ModelError, match="'parameters' must be finite or -inf"):
+        model_from_checkpoint(doc)
+
+
+def test_checkpoint_keeps_neg_inf_exact_rows(tmp_path):
+    model = TabularAR.from_conditionals(2, 2, {(): [1.0, 0.0], (0,): [0.5, 0.5],
+                                               (1,): [0.25, 0.75]})
+    path = tmp_path / "model.json"
+    save_checkpoint(model, path)
+    back = load_checkpoint(path)
+    assert back.exact_rows and back.logits[0, 1] == -np.inf
+    assert np.array_equal(back.logits, model.logits)
+
+
 @pytest.mark.parametrize("key, value, message", [
     ("vocab_size", 3.0, "'vocab_size' must be int"),
     ("max_length", None, "'max_length' must be int"),

@@ -13,6 +13,7 @@ from lhts.data import shared_prefix_scenario
 from lhts.numerics import log_softmax
 from lhts.oracle import (
     _BLOCK,
+    _context_prefixes,
     CategoricalTable,
     OracleError,
     SequenceSpace,
@@ -543,6 +544,137 @@ def test_reductions_build_no_table_sized_temporaries():
     assert table_bytes == 16 * 2**20
     assert _peak_bytes(kl_divergence, p, q) < 2 * 2**20
     assert _peak_bytes(temperature_scale_exact, p, 0.5) < table_bytes + 2 * 2**20
+
+
+# ------------------------------------------------------------ chain tables
+# A windowed model's tables keep their per-position rows; scaling and KL run
+# on the rows. Rebuilding the entries as a raw table forces the table path.
+
+def raw(table: CategoricalTable) -> CategoricalTable:
+    return CategoricalTable(table.space, table.log_probs, normalize=False)
+
+
+def broadcast_joint(model, L, t_cond, temperature=1.0):
+    """Reference enumeration that chains each position's distinct-context
+    rows by broadcasting: log_joint.reshape(-1, V^c, 1) + rows."""
+    V, log_joint = model.vocab_size, np.zeros(1)
+    for pos in range(L):
+        c = min(pos, model.window)
+        contexts = _context_prefixes(np.arange(V**c), V, c, pos)
+        rows = model.conditional_log_probs_batch(contexts, pos, t_cond=t_cond)
+        if temperature != 1.0:
+            rows = log_softmax(rows / temperature)
+        log_joint = (log_joint.reshape(-1, V**c, 1) + rows).reshape(-1)
+    return log_joint
+
+
+def assert_close(got, want, tol=1e-12):
+    assert abs(got - want) <= tol * max(1.0, abs(want)), (got, want)
+
+
+@given(
+    V=st.sampled_from([2, 3]),
+    L=st.integers(min_value=1, max_value=6),
+    window_fracs=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+    embedding=st.booleans(),
+    T=st.sampled_from([0.3, 0.7, 1.0, 2.0]),
+    seed=st.integers(min_value=0, max_value=2**16),
+)
+@settings(max_examples=80, deadline=None)
+def test_chain_tables_match_the_table_path(V, L, window_fracs, embedding, T, seed):
+    # windows 0..L+1, p's and q's drawn apart
+    wp, wq = (round(f * (L + 1)) for f in window_fracs)
+    p_model, tp = random_ar("linear", V, L, wp, embedding, seed)
+    q_model, tq = random_ar("linear", V, L, wq, embedding, seed + 1)
+    p = enumerate_joint(p_model, t_cond=tp)
+    q = myopic_scale_joint(q_model, T, t_cond=tq)
+    assert (p.window, q.window) == (wp, wq)
+    assert np.array_equal(p.log_probs, broadcast_joint(p_model, L, tp))
+    assert np.array_equal(q.log_probs, broadcast_joint(q_model, L, tq, T))
+
+    scaled = temperature_scale_exact(p, T)
+    want = temperature_scale_exact(raw(p), T)
+    assert scaled.rows is not None and want.rows is None
+    assert_close(scaled.log_z, want.log_z)
+    pairs = [(scaled, q), (q, scaled), (p, q), (scaled, p), (p, scaled)]
+    for a, b in pairs:
+        a_raw = want if a is scaled else raw(a)
+        b_raw = want if b is scaled else raw(b)
+        assert_close(kl_divergence(a, b), kl_divergence(a_raw, b_raw))
+    # off T = 1 the entries are built only when read: the KLs read rows only
+    assert ("log_probs" in vars(scaled)) == (T == 1.0)
+    np.testing.assert_allclose(scaled.log_probs, want.log_probs, rtol=0, atol=1e-12)
+    assert not scaled.log_probs.flags.writeable
+
+
+def test_scale_at_one_shares_a_chain_tables_rows_and_entries():
+    model, _ = random_ar("linear", 3, 4, 2, False, 0)
+    p = enumerate_joint(model)
+    out = temperature_scale_exact(p, 1.0)
+    assert out.rows is p.rows and out.window == 2 and out.log_z == 0.0
+    assert np.shares_memory(out.log_probs, p.log_probs)
+    lazy = temperature_scale_exact(p, 0.5)
+    again = temperature_scale_exact(lazy, 1.0)
+    assert again.rows is lazy.rows and "log_probs" not in vars(again)
+
+
+def test_whole_prefix_models_and_raw_tables_keep_the_table_path():
+    model, _ = random_ar("tabular", 3, 3, None, False, 0)
+    table = enumerate_joint(model)
+    assert table.rows is None and table.window is None
+    assert temperature_scale_exact(table, 0.5).rows is None
+
+
+def _with_neg_inf_bias(seed, V=3, L=4, window=2):
+    model, _ = random_ar("linear", V, L, window, False, seed)
+    model.bias[1] = -np.inf
+    return model
+
+
+@pytest.mark.parametrize("T", [0.3, 2.0])
+def test_chain_scaling_of_neg_inf_rows_matches_the_table_path(T):
+    p = enumerate_joint(_with_neg_inf_bias(0))
+    assert np.isneginf(p.log_probs).any()
+    scaled = temperature_scale_exact(p, T)
+    assert not any(np.isnan(r).any() for r in scaled.rows)
+    want = temperature_scale_exact(raw(p), T)
+    assert_close(scaled.log_z, want.log_z)
+    holes = np.isneginf(want.log_probs)
+    assert np.array_equal(np.isneginf(scaled.log_probs), holes)
+    np.testing.assert_allclose(scaled.log_probs[~holes], want.log_probs[~holes],
+                               rtol=0, atol=1e-12)
+    # zero mass in p: the chain sum is not finite, and the masked sum runs
+    assert_close(kl_divergence(scaled, p), kl_divergence(want, raw(p)))
+
+
+def test_chain_kl_support_violation_names_the_table_paths_sequence():
+    model, _ = random_ar("linear", 3, 4, 2, False, 1)
+    p = temperature_scale_exact(enumerate_joint(model), 0.5)
+    q = enumerate_joint(_with_neg_inf_bias(2))
+    messages = []
+    for a, b in ((p, q), (temperature_scale_exact(raw(enumerate_joint(model)), 0.5), raw(q))):
+        with pytest.warns(SupportWarning) as record:
+            assert kl_divergence(a, b) == math.inf
+        messages.append(str(record[0].message))
+    assert messages[0] == messages[1]
+    assert str(q.space.sequence_at(int(np.argmax(np.isneginf(q.log_probs))))) in messages[0]
+
+
+def test_chain_scale_and_kl_read_only_rows(monkeypatch):
+    model, _ = random_ar("linear", 8, 7, 3, False, 0)
+    q_model, _ = random_ar("linear", 8, 7, 3, False, 1)
+    p, q = enumerate_joint(model), enumerate_joint(q_model)
+    counts = _count_rows(model, monkeypatch) + _count_rows(q_model, monkeypatch)
+
+    def score():
+        for T in (0.5, 0.8, 1.0):
+            kl_divergence(temperature_scale_exact(p, T), q)
+
+    assert _peak_bytes(score) < 2**20
+    assert counts == []
+    p_raw, q_raw = raw(p), raw(q)
+    assert _peak_bytes(lambda: kl_divergence(temperature_scale_exact(p_raw, 0.5), q_raw)) \
+        >= 16 * 2**20
 
 
 # --------------------------------------------------------- table validation
