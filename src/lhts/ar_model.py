@@ -181,7 +181,7 @@ class ARModel:
         return float(self.per_token_log_probs(x, t_cond=t_cond).sum())
 
     def sample(self, n: int, myopic_t: float = 1.0, t_cond: float | None = None,
-               rng: np.random.Generator | None = None, length: int | None = None) -> SampleBatch:
+               rng: np.random.Generator | None = None) -> SampleBatch:
         """Ancestral sampling, left to right.
 
         myopic_t rescales each conditional before drawing (0 means exact
@@ -200,10 +200,9 @@ class ARModel:
         if rng is None:
             raise ModelError("pass an explicit numpy Generator for reproducibility")
         V = self.vocab_size
-        length = int(length if length is not None else self.max_length)
-        seqs = np.zeros((n, length), dtype=np.int64)
+        seqs = np.zeros((n, self.max_length), dtype=np.int64)
         logp = np.zeros(n)
-        for i in range(length):
+        for i in range(self.max_length):
             reps, inverse = self.distinct_contexts(seqs, i)
             rows = self.conditional_log_probs_batch(reps, i, t_cond=t_cond)
             if myopic_t == 0.0:
@@ -506,17 +505,27 @@ def checkpoint_dict(model: ARModel, rng_seed: int | None = None) -> dict:
             "parameters": model.param_array().tolist(), "rng_seed": rng_seed}
 
 
-def _doc_field(doc: dict, key: str, kind: type, optional: bool = False):
-    """``doc[key]``, checked to be a ``kind`` (or None when ``optional``)."""
+def _doc_field(doc: dict, key: str, kind: type, optional: bool = False,
+               error: type[Exception] = ModelError):
+    """``doc[key]``, checked to be a ``kind`` (or None when ``optional``);
+    a missing or mistyped value raises ``error``."""
     if key not in doc:
-        raise ModelError(f"checkpoint has no {key!r}")
+        raise error(f"checkpoint has no {key!r}")
     value = doc[key]
     if optional and value is None:
         return None
     # True is an int to Python, but no size
     if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
-        raise ModelError(f"checkpoint {key!r} must be {kind.__name__}, got {value!r}")
+        raise error(f"checkpoint {key!r} must be {kind.__name__}, got {value!r}")
     return value
+
+
+def _doc_numbers(doc: dict, key: str, error: type[Exception] = ModelError) -> np.ndarray:
+    """``doc[key]``, checked to be a list of numbers, as a float64 vector."""
+    values = _doc_field(doc, key, list, error=error)
+    if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in values):
+        raise error(f"checkpoint {key!r} must be a list of numbers")
+    return np.array(values, dtype=np.float64)
 
 
 def model_from_checkpoint(doc: dict) -> ARModel:
@@ -531,10 +540,7 @@ def model_from_checkpoint(doc: dict) -> ARModel:
     else:
         model = LinearAR(V, L, _doc_field(doc, "window", int),
                          embedding_width=_doc_field(doc, "embedding_width", int, optional=True))
-    params = _doc_field(doc, "parameters", list)
-    if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in params):
-        raise ModelError("checkpoint 'parameters' must be a list of numbers")
-    params = np.array(params, dtype=np.float64)
+    params = _doc_numbers(doc, "parameters")
     # -inf is a zero-probability entry of a TabularAR's exact rows
     if np.any(np.isnan(params) | (params == np.inf)):
         raise ModelError("checkpoint 'parameters' must be finite or -inf")

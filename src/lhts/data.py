@@ -33,11 +33,11 @@ def sample_sequences(model: ARModel, n: int, rng: np.random.Generator) -> np.nda
     return model.sample(n, myopic_t=1.0, rng=rng).sequences
 
 
-def enumerated_dataset(model: ARModel, length: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+def enumerated_dataset(model: ARModel) -> tuple[np.ndarray, np.ndarray]:
     """All sequences of the space, weighted by their probability under the
     model: the exact-expectation stand-in for sampling training data from
     the model itself."""
-    table = enumerate_joint(model, length)
+    table = enumerate_joint(model)
     return table.space.all_sequences(), table.probs()
 
 

@@ -27,7 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .trainer import WeightBatch
+from .ar_model import _doc_field, _doc_numbers
+from .trainer import WeightBatch, _importance_weights
 
 __all__ = [
     "DiffusionError",
@@ -66,7 +67,7 @@ class NoiseSchedule:
         betas = np.asarray(betas, dtype=np.float64)
         if betas.ndim != 1 or betas.size < 1:
             raise DiffusionError("betas must be a non-empty vector")
-        if np.any(betas <= 0) or np.any(betas >= 1):
+        if not np.all((betas > 0) & (betas < 1)):  # NaN lies nowhere
             raise DiffusionError("every beta must lie in (0, 1)")
         self.betas = betas
         self.steps = betas.size
@@ -339,9 +340,9 @@ def elbo_batch(model: DiffusionModel, x0: np.ndarray, rng: np.random.Generator,
 def lhts_diffusion_weights(model: DiffusionModel, dataset: np.ndarray, temperature: float,
                            clip: float | None = None, rng: np.random.Generator | None = None,
                            n_mc: int = 16, elbos: np.ndarray | None = None) -> WeightBatch:
-    """Per-point weights exp(min((1-T)/T elbo_i - b, c)) with b the mean of
-    (1-T)/T elbo over the dataset; the frozen base model prices every point
-    once, before finetuning."""
+    """Per-point weights exp(min((1-T)/T (elbo_i - b), c)) with b the mean
+    elbo over the dataset; the frozen base model prices every point once,
+    before finetuning."""
     if not (math.isfinite(temperature) and temperature > 0):
         raise DiffusionError("temperature must be positive and finite")
     if clip is not None and not math.isfinite(clip):
@@ -355,11 +356,7 @@ def lhts_diffusion_weights(model: DiffusionModel, dataset: np.ndarray, temperatu
     if elbos.shape != (n,) or not np.all(np.isfinite(elbos)):
         raise DiffusionError(f"need one finite elbo per point: got shape {elbos.shape} "
                              f"for {n} points")
-    factor = (1.0 - temperature) / temperature
-    exponents = factor * elbos - np.mean(factor * elbos)
-    c = math.inf if clip is None else float(clip)
-    weights = np.exp(np.minimum(exponents, c))
-    return WeightBatch(weights, exponents, c, temperature)
+    return _importance_weights(elbos, np.mean(elbos), temperature, clip)
 
 
 # ------------------------------------------------------------------- training
@@ -489,10 +486,22 @@ def diffusion_checkpoint_dict(model: DiffusionModel) -> dict:
 
 
 def diffusion_from_checkpoint(doc: dict) -> DiffusionModel:
-    sch = NoiseSchedule(np.array(doc["betas"]))
-    net = DenoiserMLP(doc["dim"], doc["hidden"], n_freqs=doc["n_freqs"])
-    net.set_param_array(np.array(doc["parameters"]))
-    return DiffusionModel(sch, dim=doc["dim"], net=net)
+    if not isinstance(doc, dict):
+        raise DiffusionError("a checkpoint must be a JSON object")
+    if doc.get("kind") != "diffusion":
+        raise DiffusionError(f"checkpoint 'kind' must be 'diffusion', got {doc.get('kind')!r}")
+    dim, hidden, n_freqs = (_doc_field(doc, key, int, error=DiffusionError)
+                            for key in ("dim", "hidden", "n_freqs"))
+    if dim < 1 or hidden < 1 or n_freqs < 0:
+        raise DiffusionError(f"checkpoint sizes out of range: 'dim' {dim} and 'hidden' "
+                             f"{hidden} must be >= 1, 'n_freqs' {n_freqs} >= 0")
+    sch = NoiseSchedule(_doc_numbers(doc, "betas", error=DiffusionError))
+    params = _doc_numbers(doc, "parameters", error=DiffusionError)
+    if not np.all(np.isfinite(params)):
+        raise DiffusionError("checkpoint 'parameters' must be finite")
+    net = DenoiserMLP(dim, hidden, n_freqs=n_freqs)
+    net.set_param_array(params)
+    return DiffusionModel(sch, dim=dim, net=net)
 
 
 def save_diffusion_checkpoint(model: DiffusionModel, path) -> None:

@@ -19,11 +19,11 @@ encoding.
 
 A table comes in two representations. A *raw* table holds only its V^L
 entries. A *chain* table, which enumeration returns for a model with an int
-``window``, also keeps each position's (V^c, V) block of conditional
-log-probs. The joint of such a model, and its temperature-scaled joint, are
-order-``window`` Markov chains over those contexts, so a chain table is
-scaled by backward messages and compared by a forward pass over its rows:
-O(L V^(window+1)) work instead of V^L. ``enumerate_joint`` and
+``window`` shorter than L - 1, also keeps each position's (V^c, V) block of
+conditional log-probs. The joint of such a model, and its temperature-scaled
+joint, are order-``window`` Markov chains over those contexts, so a chain
+table is scaled by backward messages and compared by a forward pass over its
+rows: O(L V^(window+1)) work instead of V^L. ``enumerate_joint`` and
 ``myopic_scale_joint`` build their entries at once; ``temperature_scale_exact``
 of a chain table builds them only when ``log_probs`` is first read.
 """
@@ -114,14 +114,14 @@ def _context_prefixes(ids: np.ndarray, vocab_size: int, c: int, width: int) -> n
 class SequenceSpace:
     """All length-L sequences over a vocab of size V, in lexicographic order."""
 
-    def __init__(self, vocab_size: int, length: int, cap: int = ENUMERATION_CAP):
+    def __init__(self, vocab_size: int, length: int):
         if vocab_size < 1 or length < 1:
             raise OracleError("vocab_size and length must be positive")
         size = vocab_size**length
-        if size > cap:
+        if size > ENUMERATION_CAP:
             raise OracleError(
                 f"sequence space needs {size} entries but the enumeration cap "
-                f"allows {cap}; reduce vocab_size={vocab_size} or length={length}"
+                f"allows {ENUMERATION_CAP}; reduce vocab_size={vocab_size} or length={length}"
             )
         self.vocab_size = vocab_size
         self.length = length
@@ -156,12 +156,12 @@ class CategoricalTable:
     and ``window`` are None.
 
     A chain table, made by ``enumerate_joint``, ``myopic_scale_joint`` or
-    ``temperature_scale_exact`` from a model with an int ``window``, also
-    has ``window`` and ``rows``: for each position i one read-only
-    (V^c, V) array of conditional log-probs, c = min(i, window), whose row
-    s is the conditional after the context of id s. Chaining the rows gives
-    the entries, and a chain table without entries builds ``log_probs``
-    that way when it is first read.
+    ``temperature_scale_exact`` from a model with an int ``window`` shorter
+    than L - 1, also has ``window`` and ``rows``: for each position i one
+    read-only (V^c, V) array of conditional log-probs, c = min(i, window),
+    whose row s is the conditional after the context of id s. Chaining the
+    rows gives the entries, and a chain table without entries builds
+    ``log_probs`` that way when it is first read.
     """
 
     rows: tuple[np.ndarray, ...] | None = None
@@ -239,8 +239,7 @@ def _extend(log_joint: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return out.reshape(-1)
 
 
-def _chain_joint(model, length: int | None, t_cond: float | None, cap: int,
-                 temperature: float = 1.0) -> CategoricalTable:
+def _chain_joint(model, t_cond: float | None, temperature: float = 1.0) -> CategoricalTable:
     """Chain the model's conditionals over every prefix, breadth first.
 
     Position i evaluates the conditionals once on the V^c distinct contexts,
@@ -248,13 +247,17 @@ def _chain_joint(model, length: int | None, t_cond: float | None, cap: int,
     to the lexicographic prefixes that share those last c tokens (``_extend``).
     Off T = 1 each conditional is rescaled as log p(.|prefix)/T and
     renormalized before chaining; at T = 1 the rows are used untouched. A
-    model with an int window gives a chain table, which keeps a copy of the
-    rows.
+    model with an int window shorter than L - 1 gives a chain table, which
+    keeps a copy of the rows; a window of L - 1 or more reads whole prefixes,
+    where rows as large as the entries would save no work, and gives a raw
+    table.
     """
-    length = int(length if length is not None else model.max_length)
-    space = SequenceSpace(model.vocab_size, length, cap=cap)
+    length = model.max_length
+    space = SequenceSpace(model.vocab_size, length)
     V = model.vocab_size
     window = getattr(model, "window", None)
+    if window is not None and window >= length - 1:
+        window = None
 
     log_joint = np.zeros(1, dtype=np.float64)
     kept = []
@@ -276,23 +279,23 @@ def _chain_joint(model, length: int | None, t_cond: float | None, cap: int,
     return table
 
 
-def enumerate_joint(model, length: int | None = None, t_cond: float | None = None,
-                    cap: int = ENUMERATION_CAP) -> CategoricalTable:
+def enumerate_joint(model, t_cond: float | None = None) -> CategoricalTable:
     """Chain-rule enumeration of a model's joint over all sequences.
 
-    The model must expose ``vocab_size`` and
-    ``conditional_log_probs_batch(prefixes, position, t_cond)`` returning one
-    normalized row of V log-probs per prefix (any autoregressive model here
-    does). Entry for x is sum_i log p(x_i | x_<i).
+    The model must expose ``vocab_size``, ``max_length`` (the length L of
+    the sequences) and ``conditional_log_probs_batch(prefixes, position,
+    t_cond)`` returning one normalized row of V log-probs per prefix (any
+    autoregressive model here does). Entry for x is sum_i log p(x_i | x_<i).
 
     If the model sets ``window`` to an int, its conditional at position i
     must depend only on the last min(i, window) prefix tokens: it is called
     once per distinct context, with zeros in the earlier columns, and the
-    result is a chain table that keeps those rows beside its entries.
-    ``window`` None, or no such attribute, means the whole prefix and gives a
-    raw table. Either way the entries are built here.
+    result is a chain table that keeps those rows beside its entries, when
+    the window is shorter than L - 1. ``window`` None, or no such attribute,
+    means the whole prefix and gives a raw table. Either way the entries are
+    built here.
     """
-    return _chain_joint(model, length, t_cond, cap)
+    return _chain_joint(model, t_cond)
 
 
 def temperature_scale_exact(table: CategoricalTable, temperature: float) -> CategoricalTable:
@@ -364,8 +367,7 @@ def _derived_table(space: SequenceSpace, log_probs: np.ndarray | None, log_z: fl
     return out
 
 
-def myopic_scale_joint(model, temperature: float, length: int | None = None,
-                       t_cond: float | None = None, cap: int = ENUMERATION_CAP) -> CategoricalTable:
+def myopic_scale_joint(model, temperature: float, t_cond: float | None = None) -> CategoricalTable:
     """Joint built from per-position softmax-rescaled conditionals.
 
     Every conditional is rescaled as log p(.|prefix)/T and renormalized per
@@ -376,7 +378,7 @@ def myopic_scale_joint(model, temperature: float, length: int | None = None,
     """
     if not 0 < temperature < math.inf:
         raise OracleError(f"temperature must be positive and finite, got {temperature}")
-    return _chain_joint(model, length, t_cond, cap, temperature)
+    return _chain_joint(model, t_cond, temperature)
 
 
 def _check_same_space(p: CategoricalTable, q: CategoricalTable) -> None:
@@ -396,8 +398,8 @@ def kl_divergence(p: CategoricalTable, q: CategoricalTable) -> float:
     entries are compared: summed over blocks b as exp(lp_b) @ (lp_b - lq_b),
     with no temporary larger than a block, building a chain table's entries
     if they are not built yet. Entries where p has no mass add nothing; the
-    support check and that masked sum run block by block too. If q lacks
-    support somewhere p has mass, the divergence is +inf and a
+    support check and that masked sum share one pass over the blocks. If q
+    lacks support somewhere p has mass, the divergence is +inf and a
     SupportWarning names the first offending sequence.
     """
     _check_same_space(p, q)
@@ -413,8 +415,10 @@ def kl_divergence(p: CategoricalTable, q: CategoricalTable) -> float:
         kl = _block_sum(lambda a, b: float(np.exp(a) @ (a - b)), lp, lq)
     if math.isfinite(kl):
         return kl
+    kl = 0.0
     for start, (a, b) in _blocks(lp, lq):
-        bad = np.flatnonzero((a > -np.inf) & (b == -np.inf))
+        mass = a > -np.inf
+        bad = np.flatnonzero(mass & (b == -np.inf))
         if bad.size:
             warnings.warn(
                 f"support violation: q has zero probability on sequence "
@@ -422,13 +426,9 @@ def kl_divergence(p: CategoricalTable, q: CategoricalTable) -> float:
                 SupportWarning,
             )
             return math.inf
-
-    def masked(a, b):
-        mass = a > -np.inf
         a, b = a[mass], b[mass]
-        return float(np.sum(np.exp(a) * (a - b)))
-
-    return _block_sum(masked, lp, lq)
+        kl += float(np.sum(np.exp(a) * (a - b)))
+    return kl
 
 
 def _chain_kl(p_rows: tuple[np.ndarray, ...], q_rows: tuple[np.ndarray, ...]) -> float:

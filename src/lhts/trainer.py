@@ -10,8 +10,14 @@ The loss is a weighted cross-entropy against q's softmax at every position,
 so its gradient wrt each logit row is the closed form (sum_t W_t) softmax - W;
 each model maps that row gradient onto its own parameters.
 
-The streaming baseline is prequential: weights for a batch use statistics
-accumulated from previous batches only, so the first batch runs with b = 0.
+Every objective prices a sequence with one importance weight,
+exp(min((1-T)/T (l - b), c)), where l is a log-likelihood under p (the
+joint log p(x), the suffix log-likelihoods v_i, or a diffusion ELBO), b its
+baseline and c the exponent clip; ``_importance_weights`` is that formula
+and its one temperature and clip check. Training takes b from one
+``StreamingBaseline``, a weighted running mean of l. It is prequential:
+weights for a batch use statistics accumulated from previous batches only,
+so the first batch runs with b = 0.
 """
 
 from __future__ import annotations
@@ -61,42 +67,31 @@ class NumericalAbort(RuntimeError):
 # --------------------------------------------------------------------- state
 
 class StreamingBaseline:
-    """Running means of data statistics used as weight baselines.
+    """Running mean of a data statistic, the baseline of its weights.
 
-    Tracks the raw joint log-likelihood mean and per-index means of the
-    (horizon-limited) suffix log-likelihoods; the temperature factor
-    (1-T)/T is applied at weight time, so one baseline serves every
-    temperature of a multi-temperature run. Updates are weighted by the
-    batch's data weights and add one unit of count per batch, so after a
-    single full-batch pass the mean is exactly the batch-mean definition.
+    The statistic is a vector of joint log-likelihoods, whose mean is a
+    scalar, or a matrix of (horizon-limited) suffix log-likelihoods, whose
+    mean is per index. The temperature factor (1-T)/T is applied at weight
+    time, so one baseline serves every temperature of a multi-temperature
+    run. Updates are weighted by the batch's data weights and add one unit
+    of count per batch, so after a single full-batch pass the mean is
+    exactly the batch-mean definition. The mean is 0 before the first update.
     """
 
-    def __init__(self, length: int | None = None):
+    def __init__(self):
         self.n = 0.0
-        self.joint_sum = 0.0
-        self.suffix_sums = np.zeros(length) if length is not None else None
+        self.sums = 0.0
 
-    def joint_mean(self) -> float:
-        return self.joint_sum / self.n if self.n > 0 else 0.0
+    def means(self) -> float | np.ndarray:
+        return self.sums / self.n if self.n > 0 else 0.0
 
-    def suffix_means(self) -> np.ndarray:
-        if self.suffix_sums is None:
-            raise TrainerError("baseline was not configured with a sequence length")
-        if self.n > 0:
-            return self.suffix_sums / self.n
-        return np.zeros_like(self.suffix_sums)
-
-    def update_joint(self, log_probs: np.ndarray, data_weights: np.ndarray | None = None) -> None:
-        w = _norm_weights(len(log_probs), data_weights)
-        self.joint_sum += float(w @ np.asarray(log_probs, dtype=np.float64))
-        self.n += 1.0
-
-    def update_suffix(self, suffix_matrix: np.ndarray, data_weights: np.ndarray | None = None) -> None:
-        s = np.asarray(suffix_matrix, dtype=np.float64)
-        if self.suffix_sums is None:
-            self.suffix_sums = np.zeros(s.shape[1])
+    def update(self, stats: np.ndarray, data_weights: np.ndarray | None = None) -> None:
+        s = np.asarray(stats, dtype=np.float64)
+        if self.n > 0 and np.shape(self.sums) != s.shape[1:]:
+            raise TrainerError(f"baseline statistics of shape {s.shape} do not match "
+                               "the earlier ones")
         w = _norm_weights(s.shape[0], data_weights)
-        self.suffix_sums += w @ s
+        self.sums = self.sums + w @ s
         self.n += 1.0
 
 
@@ -227,7 +222,7 @@ class TrainState:
     knobs, streaming baseline and loss normalizer."""
 
     def __init__(self, base: ARModel, settings: TrainSettings,
-                 embedding_width: int | None = None, length: int | None = None):
+                 embedding_width: int | None = None):
         self.p = base
         self._p_snapshot = base.param_array()
         if embedding_width is not None:
@@ -237,15 +232,10 @@ class TrainState:
         else:
             self.q = base.copy()
         self.settings = settings
-        self.length = int(length if length is not None else base.max_length)
-        self.baseline = StreamingBaseline(self.length)
+        self.baseline = StreamingBaseline()
         self.normalizer = LossNormalizer()
         self.step = 0
         self.last_grad: np.ndarray | None = None
-
-    @property
-    def conditions_on_temperature(self) -> bool:
-        return self.q.has_embedding
 
     def check_base_frozen(self) -> None:
         if not np.array_equal(self.p.param_array(), self._p_snapshot):
@@ -254,38 +244,47 @@ class TrainState:
 
 # ------------------------------------------------------------------- weights
 
-def _exponent_cap(clip: float | None) -> float:
-    """The cap on weight exponents: inf for None; any clip but NaN is legal."""
+def _importance_weights(log_liks: np.ndarray, baseline, temperature: float,
+                        clip: float | None) -> WeightBatch:
+    """The one importance weight, exp(min((1-T)/T (log_liks - baseline), c)).
+
+    T must be positive and finite; the clip c is None (no cap) or any
+    number but NaN.
+    """
+    if not _finite_positive(temperature):
+        raise TrainerError(f"temperature must be positive and finite, got {temperature}")
     c = math.inf if clip is None else float(clip)
     if math.isnan(c):
         raise TrainerError(f"clip must be a number or None, got {clip}")
-    return c
+    exponents = (1.0 - temperature) / temperature * (np.asarray(log_liks, dtype=np.float64)
+                                                     - baseline)
+    return WeightBatch(np.exp(np.minimum(exponents, c)), exponents, c, temperature)
+
+
+def _check_finite_log_p(log_p: np.ndarray, xs: np.ndarray) -> None:
+    """Refuse a batch with a sequence that p gives zero (or NaN) mass."""
+    bad = ~np.isfinite(log_p)
+    if np.any(bad):
+        i = int(np.flatnonzero(bad)[0])
+        raise TrainerError(f"non-finite log p for example {i}: {xs[i].tolist()}")
 
 
 def joint_weights(p: ARModel, xs: np.ndarray, temperature: float,
                   baseline: StreamingBaseline, clip: float | None = None,
                   data_weights: np.ndarray | None = None,
                   update_baseline: bool = True) -> WeightBatch:
-    """Per-example weights exp(min((1-T)/T log p(x) - b, c)).
+    """Per-example weights exp(min((1-T)/T (log p(x) - b), c)).
 
-    b is the baseline's running mean scaled by (1-T)/T, from previous
-    batches only; this batch's statistics are folded in afterwards.
+    b is the baseline's running mean of log p, from previous batches only;
+    this batch's statistics are folded in afterwards.
     """
-    if temperature <= 0:
-        raise TrainerError("temperature must be positive")
-    c = _exponent_cap(clip)
     xs = np.asarray(xs, dtype=np.int64)
     logps = p.per_token_log_probs_matrix(xs).sum(axis=1)
-    bad = ~np.isfinite(logps)
-    if np.any(bad):
-        i = int(np.flatnonzero(bad)[0])
-        raise TrainerError(f"non-finite log p for example {i}: {xs[i].tolist()}")
-    factor = (1.0 - temperature) / temperature
-    exponents = factor * (logps - baseline.joint_mean())
+    _check_finite_log_p(logps, xs)
+    wb = _importance_weights(logps, baseline.means(), temperature, clip)
     if update_baseline:
-        baseline.update_joint(logps, data_weights)
-    weights = np.exp(np.minimum(exponents, c))
-    return WeightBatch(weights, exponents, c, temperature)
+        baseline.update(logps, data_weights)
+    return wb
 
 
 def suffix_log_liks_matrix(p: ARModel, xs: np.ndarray, t_cond: float | None = None) -> np.ndarray:
@@ -312,14 +311,7 @@ def ar_weights(v_horizon: np.ndarray, temperature: float,
                baseline_means: np.ndarray, clip: float | None = None) -> WeightBatch:
     """Per-index weights exp(min((1-T)/T (v_i - b(i)), c)) where b(i) is the
     mean suffix log-likelihood at index i."""
-    if temperature <= 0:
-        raise TrainerError("temperature must be positive")
-    c = _exponent_cap(clip)
-    v = np.asarray(v_horizon, dtype=np.float64)
-    factor = (1.0 - temperature) / temperature
-    exponents = factor * (v - np.asarray(baseline_means, dtype=np.float64))
-    weights = np.exp(np.minimum(exponents, c))
-    return WeightBatch(weights, exponents, c, temperature)
+    return _importance_weights(v_horizon, baseline_means, temperature, clip)
 
 
 # ---------------------------------------------------------------------- loss
@@ -398,27 +390,23 @@ def lhts_step(state: TrainState, xs: np.ndarray, temperature: float,
     if xs.ndim != 2:
         raise TrainerError("expected a batch of sequences (n, length)")
     v = suffix_log_liks_matrix(state.p, xs)
-    bad = ~np.isfinite(v[:, 0])
-    if np.any(bad):
-        i = int(np.flatnonzero(bad)[0])
-        raise TrainerError(f"non-finite log p for example {i}: {xs[i].tolist()}")
+    _check_finite_log_p(v[:, 0], xs)
     s = apply_horizon(v, cfg.horizon) if cfg.horizon is not None else v
-    wb = ar_weights(s, temperature, state.baseline.suffix_means(), cfg.clip)
-    state.baseline.update_suffix(s, data_weights)
+    wb = ar_weights(s, temperature, state.baseline.means(), cfg.clip)
+    state.baseline.update(s, data_weights)
 
-    t_cond = temperature if state.conditions_on_temperature else None
+    t_cond = temperature if state.q.has_embedding else None
     loss, grad = weighted_nll_loss_node(
         state.q, xs, wb.weights, data_weights=data_weights,
         t_cond=t_cond, kl_beta=cfg.kl_beta, base=state.p,
     )
 
-    weight_stats = wb.stats()
-    record_stub = {
-        "step": state.step, "T": temperature, "loss": loss,
-        "weight_stats": weight_stats, "clip_rate": wb.clip_rate,
-    }
+    record = StepRecord(step=state.step, temperature=temperature, loss=loss,
+                        normalized_loss=math.nan, weight_stats=wb.stats(),
+                        clip_rate=wb.clip_rate, grad_norm=math.nan)
     if not math.isfinite(loss):
-        raise NumericalAbort(f"non-finite loss {loss} at step {state.step}", record_stub)
+        raise NumericalAbort(f"non-finite loss {loss} at step {state.step}",
+                             record.metrics_dict())
 
     state.normalizer.update(temperature, loss)
     scale = 1.0 / state.normalizer.factor(temperature)
@@ -430,16 +418,9 @@ def lhts_step(state: TrainState, xs: np.ndarray, temperature: float,
     state.last_grad = grad
     state.q.set_param_array(state.q.param_array() - cfg.learning_rate * grad)
     state.step += 1
-
-    return StepRecord(
-        step=state.step - 1,
-        temperature=temperature,
-        loss=loss,
-        normalized_loss=loss * scale,
-        weight_stats=weight_stats,
-        clip_rate=wb.clip_rate,
-        grad_norm=norm,
-    )
+    record.normalized_loss = loss * scale
+    record.grad_norm = norm
+    return record
 
 
 def train(base: ARModel, xs: np.ndarray, data_weights: np.ndarray | None,
@@ -457,7 +438,7 @@ def train(base: ARModel, xs: np.ndarray, data_weights: np.ndarray | None,
     xs = np.asarray(xs, dtype=np.int64)
     n = xs.shape[0]
     dnorm = _norm_weights(n, data_weights)
-    state = TrainState(base, settings, embedding_width=embedding_width, length=xs.shape[1])
+    state = TrainState(base, settings, embedding_width=embedding_width)
     temp_gen = rng.stream("temperatures")
     batch_gen = rng.stream("batches")
     records: list[StepRecord] = []
@@ -484,39 +465,32 @@ def joint_loss_exact(p_table: CategoricalTable, q_table: CategoricalTable,
     """The joint-form loss under exact expectation over p, with the exact
     batch-mean baseline. Returns (loss, baseline).
 
-    loss = sum_x p(x) exp(min((1-T)/T log p(x) - b, c)) (-log q(x))
-    b    = sum_x p(x) (1-T)/T log p(x)
+    loss = sum_x p(x) exp(min((1-T)/T (log p(x) - m), c)) (-log q(x))
+    m    = sum_x p(x) log p(x), and the returned baseline is (1-T)/T m
     """
-    if temperature <= 0:
-        raise TrainerError("temperature must be positive")
-    factor = (1.0 - temperature) / temperature
     lp = p_table.log_probs
     lq = q_table.log_probs
     mass = lp > -np.inf
-    pw = np.exp(lp[mass])
-    b = factor * float(pw @ lp[mass])
-    expo = np.minimum(factor * lp[mass] - b, _exponent_cap(clip))
-    return float(np.sum(pw * np.exp(expo) * (-lq[mass]))), b
+    lp = lp[mass]
+    pw = np.exp(lp)
+    m = float(pw @ lp)
+    wb = _importance_weights(lp, m, temperature, clip)
+    return float(np.sum(pw * wb.weights * (-lq[mass]))), (1.0 - temperature) / temperature * m
 
 
 def ar_loss_exact(p: ARModel, q: ARModel, temperature: float,
-                  length: int | None = None, horizon: int | None = None,
-                  t_cond: float | None = None) -> float:
+                  horizon: int | None = None, t_cond: float | None = None) -> float:
     """The variance-reduced autoregressive loss under exact expectation
     over p, with exact per-index mean baselines and no clipping:
 
     loss = sum_x p(x) sum_i exp((1-T)/T (v_i - b(i))) (-log q(x_i|x_<i))
     """
-    if temperature <= 0:
-        raise TrainerError("temperature must be positive")
-    table = enumerate_joint(p, length)
+    table = enumerate_joint(p)
     xs = table.space.all_sequences()
     pw = table.probs()
     v = suffix_log_liks_matrix(p, xs)
     if horizon is not None:
         v = apply_horizon(v, horizon)
-    means = pw @ v
-    factor = (1.0 - temperature) / temperature
-    w = np.exp(factor * (v - means))
+    w = _importance_weights(v, pw @ v, temperature, None).weights
     lq = q.per_token_log_probs_matrix(xs, t_cond=t_cond)
     return float(np.sum(pw[:, None] * w * (-lq)))

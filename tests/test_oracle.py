@@ -582,27 +582,30 @@ def assert_close(got, want, tol=1e-12):
 )
 @settings(max_examples=80, deadline=None)
 def test_chain_tables_match_the_table_path(V, L, window_fracs, embedding, T, seed):
-    # windows 0..L+1, p's and q's drawn apart
+    # windows 0..L+1, p's and q's drawn apart; a window of L - 1 or more
+    # reads whole prefixes and gives a raw table
     wp, wq = (round(f * (L + 1)) for f in window_fracs)
     p_model, tp = random_ar("linear", V, L, wp, embedding, seed)
     q_model, tq = random_ar("linear", V, L, wq, embedding, seed + 1)
     p = enumerate_joint(p_model, t_cond=tp)
     q = myopic_scale_joint(q_model, T, t_cond=tq)
-    assert (p.window, q.window) == (wp, wq)
+    p_chain, q_chain = wp < L - 1, wq < L - 1
+    assert (p.window, q.window) == (wp if p_chain else None, wq if q_chain else None)
     assert np.array_equal(p.log_probs, broadcast_joint(p_model, L, tp))
     assert np.array_equal(q.log_probs, broadcast_joint(q_model, L, tq, T))
 
     scaled = temperature_scale_exact(p, T)
     want = temperature_scale_exact(raw(p), T)
-    assert scaled.rows is not None and want.rows is None
+    assert (scaled.rows is not None) == p_chain and want.rows is None
     assert_close(scaled.log_z, want.log_z)
     pairs = [(scaled, q), (q, scaled), (p, q), (scaled, p), (p, scaled)]
     for a, b in pairs:
         a_raw = want if a is scaled else raw(a)
         b_raw = want if b is scaled else raw(b)
         assert_close(kl_divergence(a, b), kl_divergence(a_raw, b_raw))
-    # off T = 1 the entries are built only when read: the KLs read rows only
-    assert ("log_probs" in vars(scaled)) == (T == 1.0)
+    # off T = 1 a chain table's entries are built only when read: the KLs
+    # of chain tables read rows only
+    assert ("log_probs" in vars(scaled)) == (T == 1.0 or not (p_chain and q_chain))
     np.testing.assert_allclose(scaled.log_probs, want.log_probs, rtol=0, atol=1e-12)
     assert not scaled.log_probs.flags.writeable
 
@@ -623,6 +626,11 @@ def test_whole_prefix_models_and_raw_tables_keep_the_table_path():
     table = enumerate_joint(model)
     assert table.rows is None and table.window is None
     assert temperature_scale_exact(table, 0.5).rows is None
+
+
+def test_a_window_of_length_minus_one_reads_whole_prefixes():
+    table = enumerate_joint(LinearAR(3, 4, 3))
+    assert table.rows is None and table.window is None
 
 
 def _with_neg_inf_bias(seed, V=3, L=4, window=2):

@@ -94,7 +94,7 @@ def test_joint_weights_hand_example():
     stub = _StubSequenceModel([[-2.0], [-4.0]])
     xs = np.zeros((2, 1), dtype=np.int64)
     baseline = StreamingBaseline()
-    baseline.update_joint(np.array([-2.0, -4.0]))
+    baseline.update(np.array([-2.0, -4.0]))
     wb = joint_weights(stub, xs, 0.5, baseline, update_baseline=False)
     assert wb.weights == pytest.approx([math.e, 1 / math.e], rel=1e-12)
 
@@ -105,7 +105,7 @@ def test_joint_weights_prequential_first_batch_uses_zero():
     baseline = StreamingBaseline()
     wb = joint_weights(stub, xs, 0.5, baseline)
     assert wb.exponents == pytest.approx([-2.0, -4.0])  # b = 0 on first batch
-    assert baseline.joint_mean() == pytest.approx(-3.0)  # updated afterwards
+    assert baseline.means() == pytest.approx(-3.0)  # updated afterwards
 
 
 def test_joint_weights_error_names_example():
@@ -133,6 +133,33 @@ def test_weights_reject_nan_clip(counterexample_model):
         joint_loss_exact(table, table, 0.5, clip=nan)
 
 
+@pytest.mark.parametrize("T", [math.nan, math.inf, -math.inf, 0.0])
+@pytest.mark.parametrize("fn", ["ar_weights", "joint_weights", "joint_loss_exact",
+                                "ar_loss_exact", "lhts_step"])
+def test_non_finite_or_non_positive_temperature_is_refused(counterexample_model, fn, T):
+    xs, dw = _full_dataset(counterexample_model)
+    table = enumerate_joint(counterexample_model)
+    state = TrainState(counterexample_model, TrainSettings(steps=2))
+    lhts_step(state, xs, 0.5, data_weights=dw)
+    joint = StreamingBaseline()
+    joint.update(table.log_probs)
+    before = (state.q.param_array(), state.step, state.baseline.sums, state.baseline.n,
+              joint.sums, joint.n)
+    calls = {
+        "ar_weights": lambda: ar_weights(suffix_log_liks_matrix(counterexample_model, xs), T,
+                                         state.baseline.means()),
+        "joint_weights": lambda: joint_weights(counterexample_model, xs, T, joint),
+        "joint_loss_exact": lambda: joint_loss_exact(table, table, T),
+        "ar_loss_exact": lambda: ar_loss_exact(counterexample_model, state.q, T),
+        "lhts_step": lambda: lhts_step(state, xs, T, data_weights=dw),
+    }
+    with pytest.raises(TrainerError, match="temperature"):
+        calls[fn]()
+    after = (state.q.param_array(), state.step, state.baseline.sums, state.baseline.n,
+             joint.sums, joint.n)
+    assert all(np.array_equal(a, b) for a, b in zip(before, after))
+
+
 def test_ar_weights_unit_temperature_exact_ones():
     v = np.random.default_rng(0).normal(size=(4, 3))
     wb = ar_weights(v, 1.0, np.zeros(3))
@@ -141,10 +168,10 @@ def test_ar_weights_unit_temperature_exact_ones():
 
 def test_ar_weights_single_example_stream_is_unit():
     v = np.array([[-3.0, -1.5, -0.2]])
-    baseline = StreamingBaseline(3)
-    baseline.update_suffix(v)
+    baseline = StreamingBaseline()
+    baseline.update(v)
     for T in (0.3, 0.5, 2.0):
-        wb = ar_weights(v, T, baseline.suffix_means())
+        wb = ar_weights(v, T, baseline.means())
         assert np.all(wb.weights == 1.0)
 
 
@@ -153,9 +180,9 @@ def test_ar_weights_counterexample_two_sequences(counterexample_model):
     v = suffix_log_liks_matrix(counterexample_model, xs)
     assert v[0, 1] == pytest.approx(math.log(0.55), abs=1e-12)
     assert v[1, 1] == pytest.approx(math.log(0.9), abs=1e-12)
-    baseline = StreamingBaseline(2)
-    baseline.update_suffix(v)
-    wb = ar_weights(v, 0.5, baseline.suffix_means())
+    baseline = StreamingBaseline()
+    baseline.update(v)
+    wb = ar_weights(v, 0.5, baseline.means())
     m = 0.5 * (math.log(0.55) + math.log(0.9))
     assert wb.weights[0, 1] == pytest.approx(math.exp(math.log(0.55) - m), rel=1e-12)
     assert wb.weights[1, 1] == pytest.approx(math.exp(math.log(0.9) - m), rel=1e-12)
@@ -230,6 +257,14 @@ def test_loss_validates_inputs(counterexample_model):
         weighted_nll_loss_node(counterexample_model, xs, np.ones(2), kl_beta=0.1)
 
 
+def test_baseline_refuses_statistics_of_another_shape():
+    baseline = StreamingBaseline()
+    baseline.update(np.array([-2.0, -4.0]))
+    with pytest.raises(TrainerError, match="do not match"):
+        baseline.update(np.zeros((2, 3)))
+    assert baseline.means() == -3.0
+
+
 # [1e308, 1e308] is finite, but its sum overflows
 @pytest.mark.parametrize("bad", [[np.nan, 1.0], [np.inf, 1.0], [-1.0, 2.0], [0.0, 0.0],
                                  [1e308, 1e308]])
@@ -238,7 +273,7 @@ def test_data_weights_must_be_nonnegative_with_positive_finite_sum(counterexampl
     with pytest.raises(TrainerError, match="data weights"):
         weighted_nll_loss_node(counterexample_model, xs, np.ones(2), data_weights=np.array(bad))
     with pytest.raises(TrainerError, match="data weights"):
-        StreamingBaseline().update_joint(np.zeros(2), data_weights=np.array(bad))
+        StreamingBaseline().update(np.zeros(2), data_weights=np.array(bad))
 
 
 def per_row_loss(q, xs, importance, d, t_cond, kl_beta, base):
@@ -334,8 +369,8 @@ def test_baseline_shift_leaves_gradient_direction(counterexample_model):
         settings = TrainSettings(steps=1, learning_rate=0.5, temperatures=(0.5,))
         state = TrainState(counterexample_model, settings)
         v = suffix_log_liks_matrix(counterexample_model, xs)
-        state.baseline.update_suffix(v, dw)
-        state.baseline.suffix_sums = state.baseline.suffix_sums + shift * state.baseline.n
+        state.baseline.update(v, dw)
+        state.baseline.sums = state.baseline.sums + shift * state.baseline.n
         lhts_step(state, xs, 0.5, data_weights=dw)
         grads.append(state.last_grad)
     a, b = grads
@@ -368,7 +403,7 @@ def test_abort_on_nonfinite_loss(counterexample_model):
     with pytest.raises(NumericalAbort) as err:
         lhts_step(state, xs, 1.0, data_weights=dw)
     assert err.value.record["step"] == 0
-    assert "weight_stats" in err.value.record
+    assert set(err.value.record) == {"step", "T", "loss", "weight_stats", "clip_rate"}
 
 
 def test_embedding_requires_linear(counterexample_model):
