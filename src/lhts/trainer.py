@@ -244,8 +244,8 @@ class TrainState:
 
 # ------------------------------------------------------------------- weights
 
-def _importance_weights(log_liks: np.ndarray, baseline, temperature: float,
-                        clip: float | None) -> WeightBatch:
+def _importance_weights(log_liks: np.ndarray, baseline: float | np.ndarray,
+                        temperature: float, clip: float | None) -> WeightBatch:
     """The one importance weight, exp(min((1-T)/T (log_liks - baseline), c)).
 
     T must be positive and finite; the clip c is None (no cap) or any
