@@ -7,7 +7,9 @@ optionally conditions on a scalar temperature through a learned affine
 embedding.
 
 Both evaluate with numpy. Each model exposes its raw logits
-(``logits_batch``) and maps a gradient wrt those logits back onto its flat
+(``logits_batch``), and its conditional is always their log-softmax
+(``conditional_log_probs_batch``), so a -inf logit is a token of zero
+probability. Each model maps a gradient wrt those logits back onto its flat
 parameter vector in closed form (``param_grad``); the trainer owns the loss.
 The vector's layout is declared once per model: ``TabularAR``'s is its logit
 table, row-major, and ``LinearAR``'s is ``LinearAR.split``. Parameters,
@@ -28,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import log_softmax
+from .numerics import log_softmax, myopic_rescale
 from .oracle import CategoricalTable, _context_ids, _context_prefixes
 
 __all__ = [
@@ -88,6 +90,7 @@ class ARModel:
 
     def conditional_log_probs_batch(self, prefixes: np.ndarray, position: int,
                                     t_cond: float | None = None) -> np.ndarray:
+        """Next-token log-probs, the log-softmax of ``logits_batch``."""
         raise NotImplementedError
 
     def param_grad(self, prefixes: np.ndarray, position: int, g_logits: np.ndarray,
@@ -184,7 +187,8 @@ class ARModel:
                rng: np.random.Generator | None = None) -> SampleBatch:
         """Ancestral sampling, left to right.
 
-        myopic_t rescales each conditional before drawing (0 means exact
+        myopic_t rescales each conditional by ``numerics.myopic_rescale``
+        before drawing, as ``oracle.myopic_scale_joint`` does (0 means exact
         per-position argmax, ties to the smallest token). Otherwise each row
         draws one u = rng.random() per position, and its token is the number
         of entries of its context's CDF that are below u, capped at V-1:
@@ -208,13 +212,7 @@ class ARModel:
             if myopic_t == 0.0:
                 toks = np.argmax(rows, axis=1)[inverse]
             else:
-                scaled = rows
-                if myopic_t != 1.0:
-                    # each row's max is shifted to 0 before dividing, so a
-                    # tiny myopic_t sends the other entries to -inf, not all
-                    with np.errstate(over="ignore"):
-                        scaled = log_softmax((rows - rows.max(axis=1, keepdims=True)) / myopic_t)
-                probs = np.exp(scaled)
+                probs = np.exp(myopic_rescale(rows, myopic_t))
                 probs /= probs.sum(axis=1, keepdims=True)
                 # cum[k] is every context's CDF at token k, for k < V-1; the
                 # last entry could only add what the cap at V-1 takes away
@@ -233,12 +231,11 @@ class TabularAR(ARModel):
     """One logit row per prefix, for every prefix up to length L-1.
 
     Rows are stored per position: position i holds V^i rows in lexicographic
-    prefix order. Rows built from explicit conditionals are kept verbatim
-    (``exact_rows``) until the parameters are overwritten by training.
+    prefix order. A prefix's conditional is the log-softmax of its row; a
+    -inf logit stays a token of zero probability.
     """
 
-    def __init__(self, vocab_size: int, max_length: int, logits: np.ndarray | None = None,
-                 exact_rows: bool = False):
+    def __init__(self, vocab_size: int, max_length: int, logits: np.ndarray | None = None):
         if vocab_size < 2:
             raise ModelError("need vocab_size >= 2")
         if max_length < 1:
@@ -257,20 +254,22 @@ class TabularAR(ARModel):
         if logits.shape != (rows, vocab_size):
             raise ModelError(f"expected logits of shape {(rows, vocab_size)}, got {logits.shape}")
         self.logits = logits
-        self.exact_rows = exact_rows
 
     @staticmethod
     def from_conditionals(vocab_size: int, max_length: int,
                           conditionals: dict) -> "TabularAR":
         """Build from explicit per-prefix probability vectors.
 
-        Every prefix up to length L-1 must be present; the stored rows are
-        the exact log of the given numbers.
+        Every prefix up to length L-1 must be present. The stored logits are
+        the exact log of the given numbers and the conditionals their
+        log-softmax, which the sampler and ``myopic_scale_joint`` rescale
+        with one ``numerics.myopic_rescale``.
         """
         model = TabularAR(vocab_size, max_length)
         seen = 0
         for prefix, probs in conditionals.items():
-            row = model._row_index(np.asarray(prefix, dtype=np.int64))
+            toks = np.asarray(prefix, dtype=np.int64)
+            row = model.row_indices(toks[None, :], len(toks))[0]
             p = np.asarray(probs, dtype=np.float64)
             if p.shape != (vocab_size,):
                 raise ModelError(f"conditional for prefix {prefix} has wrong arity")
@@ -281,14 +280,7 @@ class TabularAR(ARModel):
             seen += 1
         if seen != model.n_rows:
             raise ModelError(f"got {seen} conditionals, need one per prefix ({model.n_rows})")
-        model.exact_rows = True
         return model
-
-    def _row_index(self, prefix: np.ndarray) -> int:
-        idx = 0
-        for tok in prefix:
-            idx = idx * self.vocab_size + int(tok)
-        return int(self.offsets[len(prefix)] + idx)
 
     def row_indices(self, prefixes: np.ndarray, position: int) -> np.ndarray:
         return self.offsets[position] + _context_ids(prefixes[:, :position], self.vocab_size)
@@ -301,8 +293,7 @@ class TabularAR(ARModel):
         return self.logits[self.row_indices(prefixes, position)]
 
     def conditional_log_probs_batch(self, prefixes, position, t_cond=None):
-        rows = self.logits_batch(prefixes, position, t_cond)
-        return rows if self.exact_rows else log_softmax(rows)
+        return log_softmax(self.logits_batch(prefixes, position, t_cond))
 
     def param_grad(self, prefixes, position, g_logits, t_cond=None):
         grad = np.zeros_like(self.logits)
@@ -322,11 +313,9 @@ class TabularAR(ARModel):
         if flat.shape != (self.n_params,):
             raise ModelError(f"parameter vector has shape {flat.shape}, expected ({self.n_params},)")
         self.logits = flat.reshape(self.n_rows, self.vocab_size).copy()
-        self.exact_rows = False
 
     def copy(self) -> "TabularAR":
-        return TabularAR(self.vocab_size, self.max_length, self.logits.copy(),
-                         exact_rows=self.exact_rows)
+        return TabularAR(self.vocab_size, self.max_length, self.logits.copy())
 
 
 class LinearAR(ARModel):
@@ -449,29 +438,20 @@ class LinearAR(ARModel):
 def tabular_from_table(table: CategoricalTable) -> TabularAR:
     """Tabular model whose chain-rule conditionals reproduce a joint table.
 
-    Conditionals come from exact marginalization; prefixes with zero mass
-    get uniform rows (they are never reached).
+    A prefix's logits are the log-masses of its one-token extensions, so its
+    conditional, their log-softmax, is exact marginalization; a prefix with
+    zero mass gets zero logits, a uniform row (it is never reached). The
+    sampler and ``myopic_scale_joint`` rescale the conditionals with one
+    ``numerics.myopic_rescale``.
     """
     V, L = table.vocab_size, table.length
     model = TabularAR(V, L)
-    lp = table.log_probs
-    # log-mass of every prefix, level by level
-    log_mass = [None] * (L + 1)
-    log_mass[L] = lp
+    log_mass = table.log_probs
     for i in range(L - 1, -1, -1):
-        block = log_mass[i + 1].reshape(-1, V)
-        m = block.max(axis=1, keepdims=True)
-        safe = np.where(m == -np.inf, 0.0, m)
-        log_mass[i] = (safe + np.log(np.exp(block - safe).sum(axis=1, keepdims=True)))[:, 0]
-        log_mass[i][m[:, 0] == -np.inf] = -np.inf
-    for i in range(L):
-        parent = log_mass[i]
-        child = log_mass[i + 1].reshape(-1, V)
-        rows = np.where(parent[:, None] == -np.inf,
-                        -np.log(V),
-                        child - np.where(parent[:, None] == -np.inf, 0.0, parent[:, None]))
-        model.logits[model.offsets[i]:model.offsets[i] + V**i] = rows
-    model.exact_rows = True
+        rows = log_mass.reshape(-1, V)
+        log_mass = np.logaddexp.reduce(rows, axis=1)
+        model.logits[model.offsets[i]:model.offsets[i] + V**i] = np.where(
+            log_mass[:, None] == -np.inf, 0.0, rows)
     return model
 
 
@@ -495,7 +475,7 @@ def checkpoint_dict(model: ARModel, rng_seed: int | None = None) -> dict:
     """A JSON-ready document: the shape header that rebuilds the model, plus
     its flat ``param_array`` as "parameters"."""
     if isinstance(model, TabularAR):
-        header = {"parameterization": "tabular", "exact_rows": model.exact_rows}
+        header = {"parameterization": "tabular"}
     elif isinstance(model, LinearAR):
         header = {"parameterization": "linear", "window": model.window,
                   "embedding_width": model.embedding_width}
@@ -541,13 +521,10 @@ def model_from_checkpoint(doc: dict) -> ARModel:
         model = LinearAR(V, L, _doc_field(doc, "window", int),
                          embedding_width=_doc_field(doc, "embedding_width", int, optional=True))
     params = _doc_numbers(doc, "parameters")
-    # -inf is a zero-probability entry of a TabularAR's exact rows
+    # -inf is a zero-probability logit of a TabularAR
     if np.any(np.isnan(params) | (params == np.inf)):
         raise ModelError("checkpoint 'parameters' must be finite or -inf")
     model.set_param_array(params)
-    if kind == "tabular":
-        # after set_param_array, which clears it
-        model.exact_rows = _doc_field(doc, "exact_rows", bool)
     return model
 
 

@@ -42,6 +42,7 @@ __all__ = [
     "elbo_draws",
     "elbo_batch",
     "lhts_diffusion_weights",
+    "weighted_noise_loss",
     "finetune_weighted",
     "train_base",
     "sample_ancestral",

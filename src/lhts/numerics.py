@@ -1,5 +1,6 @@
-"""Deterministic numerical substrate: stable log-space arithmetic,
-splittable seeded randomness, and finite-difference gradient verification.
+"""Deterministic numerical substrate: stable log-space arithmetic, the
+myopic temperature rescale of conditionals, splittable seeded randomness,
+and finite-difference gradient verification.
 
 Everything is 64-bit. Gradients are written in closed form by the modules
 that own the parameters; ``finite_difference_gradient`` is the oracle the
@@ -15,6 +16,7 @@ import numpy as np
 
 __all__ = [
     "log_softmax",
+    "myopic_rescale",
     "finite_difference_gradient",
     "Rng",
 ]
@@ -28,6 +30,19 @@ def log_softmax(z: np.ndarray) -> np.ndarray:
     z = np.asarray(z, dtype=np.float64)
     m = z.max(axis=-1, keepdims=True)
     return z - (m + np.log(np.exp(z - m).sum(axis=-1, keepdims=True)))
+
+
+def myopic_rescale(rows: np.ndarray, temperature: float) -> np.ndarray:
+    """Each row of log-probs as log p^(1/T), renormalized: the law that
+    ``ARModel.sample`` draws from and ``oracle.myopic_scale_joint`` chains.
+
+    T = 1 returns ``rows`` itself. Otherwise each row's max is shifted to 0
+    before dividing, so a tiny T sends the other entries to -inf, not all.
+    """
+    if temperature == 1.0:
+        return rows
+    with np.errstate(over="ignore"):
+        return log_softmax((rows - rows.max(axis=-1, keepdims=True)) / temperature)
 
 
 def finite_difference_gradient(

@@ -38,7 +38,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .numerics import log_softmax
+from .numerics import myopic_rescale
 
 __all__ = [
     "OracleError",
@@ -245,12 +245,12 @@ def _chain_joint(model, t_cond: float | None, temperature: float = 1.0) -> Categ
     Position i evaluates the conditionals once on the V^c distinct contexts,
     c = min(i, window) (c = i when the model has no window), and adds them
     to the lexicographic prefixes that share those last c tokens (``_extend``).
-    Off T = 1 each conditional is rescaled as log p(.|prefix)/T and
-    renormalized before chaining; at T = 1 the rows are used untouched. A
-    model with an int window shorter than L - 1 gives a chain table, which
-    keeps a copy of the rows; a window of L - 1 or more reads whole prefixes,
-    where rows as large as the entries would save no work, and gives a raw
-    table.
+    Each conditional is rescaled before chaining by
+    ``numerics.myopic_rescale``, which ``ARModel.sample`` also draws from; at
+    T = 1 it returns the rows untouched. A model with an int window shorter
+    than L - 1 gives a chain table, which keeps a copy of the rows; a window
+    of L - 1 or more reads whole prefixes, where rows as large as the entries
+    would save no work, and gives a raw table.
     """
     length = model.max_length
     space = SequenceSpace(model.vocab_size, length)
@@ -264,9 +264,8 @@ def _chain_joint(model, t_cond: float | None, temperature: float = 1.0) -> Categ
     for pos in range(length):
         c = pos if window is None else min(pos, window)
         contexts = _context_prefixes(np.arange(V**c), V, c, pos)
-        rows = model.conditional_log_probs_batch(contexts, pos, t_cond=t_cond)
-        if temperature != 1.0:
-            rows = log_softmax(rows / temperature)
+        rows = myopic_rescale(model.conditional_log_probs_batch(contexts, pos, t_cond=t_cond),
+                              temperature)
         log_joint = _extend(log_joint, rows)
         if window is not None:
             # a copy: the model may hand out rows it keeps
@@ -371,8 +370,9 @@ def myopic_scale_joint(model, temperature: float, t_cond: float | None = None) -
     """Joint built from per-position softmax-rescaled conditionals.
 
     Every conditional is rescaled as log p(.|prefix)/T and renormalized per
-    position before chaining. At T = 1 this reproduces enumerate_joint
-    entry-for-entry (the rescale is skipped so the arithmetic is identical).
+    position before chaining, by ``numerics.myopic_rescale``, which
+    ``ARModel.sample(myopic_t=T)`` shares. At T = 1 this reproduces
+    enumerate_joint entry-for-entry (the rescale returns the rows untouched).
     Like enumerate_joint it builds the entries, and a windowed model gives a
     chain table of the rescaled rows.
     """

@@ -82,14 +82,17 @@ class StreamingBaseline:
         self.n = 0.0
         self.sums = 0.0
 
-    def means(self) -> float | np.ndarray:
+    def means(self, stats: np.ndarray | None = None) -> float | np.ndarray:
+        """The running mean. Given a batch of ``stats``, first check that
+        each example's statistic has the shape of the earlier ones."""
+        if stats is not None and self.n > 0 and np.shape(self.sums) != np.shape(stats)[1:]:
+            raise TrainerError(f"baseline statistics of shape {np.shape(stats)} do not match "
+                               "the earlier ones")
         return self.sums / self.n if self.n > 0 else 0.0
 
     def update(self, stats: np.ndarray, data_weights: np.ndarray | None = None) -> None:
         s = np.asarray(stats, dtype=np.float64)
-        if self.n > 0 and np.shape(self.sums) != s.shape[1:]:
-            raise TrainerError(f"baseline statistics of shape {s.shape} do not match "
-                               "the earlier ones")
+        self.means(s)
         w = _norm_weights(s.shape[0], data_weights)
         self.sums = self.sums + w @ s
         self.n += 1.0
@@ -281,7 +284,7 @@ def joint_weights(p: ARModel, xs: np.ndarray, temperature: float,
     xs = np.asarray(xs, dtype=np.int64)
     logps = p.per_token_log_probs_matrix(xs).sum(axis=1)
     _check_finite_log_p(logps, xs)
-    wb = _importance_weights(logps, baseline.means(), temperature, clip)
+    wb = _importance_weights(logps, baseline.means(logps), temperature, clip)
     if update_baseline:
         baseline.update(logps, data_weights)
     return wb
@@ -392,7 +395,7 @@ def lhts_step(state: TrainState, xs: np.ndarray, temperature: float,
     v = suffix_log_liks_matrix(state.p, xs)
     _check_finite_log_p(v[:, 0], xs)
     s = apply_horizon(v, cfg.horizon) if cfg.horizon is not None else v
-    wb = ar_weights(s, temperature, state.baseline.means(), cfg.clip)
+    wb = ar_weights(s, temperature, state.baseline.means(s), cfg.clip)
     state.baseline.update(s, data_weights)
 
     t_cond = temperature if state.q.has_embedding else None
@@ -484,10 +487,14 @@ def ar_loss_exact(p: ARModel, q: ARModel, temperature: float,
     over p, with exact per-index mean baselines and no clipping:
 
     loss = sum_x p(x) sum_i exp((1-T)/T (v_i - b(i))) (-log q(x_i|x_<i))
+
+    Sequences that p gives no mass add nothing and are dropped, since their
+    -inf suffix log-likelihoods would make the baselines NaN.
     """
     table = enumerate_joint(p)
-    xs = table.space.all_sequences()
-    pw = table.probs()
+    mass = table.log_probs > -np.inf
+    xs = table.space.all_sequences()[mass]
+    pw = table.probs()[mass]
     v = suffix_log_liks_matrix(p, xs)
     if horizon is not None:
         v = apply_horizon(v, horizon)

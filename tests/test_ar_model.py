@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from lhts.ar_model import (
     save_checkpoint,
     tabular_from_table,
 )
-from lhts.numerics import Rng, log_softmax
+from lhts.numerics import Rng, log_softmax, myopic_rescale
 from lhts.oracle import enumerate_joint, myopic_scale_joint, total_variation
 from lhts.trainer import suffix_log_liks_matrix
 
@@ -29,15 +30,6 @@ def random_linear(seed, V=3, L=4, window=2, embedding=False) -> LinearAR:
     return model
 
 
-def myopic_rescale(rows, myopic_t):
-    """The rows ``sample`` draws from at a positive myopic_t: each row's max
-    shifted to 0, then divided by myopic_t and renormalized."""
-    if myopic_t == 1.0:
-        return rows
-    with np.errstate(over="ignore"):
-        return log_softmax((rows - rows.max(axis=1, keepdims=True)) / myopic_t)
-
-
 # --------------------------------------------------------------- conditionals
 
 def test_zero_linear_is_uniform():
@@ -47,14 +39,13 @@ def test_zero_linear_is_uniform():
 
 
 def test_tabular_from_conditionals_exact(counterexample_model):
-    assert np.array_equal(
-        counterexample_model.conditional_log_probs(np.array([], dtype=np.int64)),
-        np.log([0.6, 0.4]),
-    )
-    assert np.array_equal(
-        counterexample_model.conditional_log_probs(np.array([1], dtype=np.int64)),
-        np.log([0.9, 0.1]),
-    )
+    # the logits are the exact log of the given numbers, and the
+    # conditionals their log-softmax
+    given = {(): [0.6, 0.4], (0,): [0.55, 0.45], (1,): [0.9, 0.1]}
+    assert np.array_equal(counterexample_model.logits, np.log(list(given.values())))
+    for prefix, probs in given.items():
+        row = counterexample_model.conditional_log_probs(np.array(prefix, dtype=np.int64))
+        np.testing.assert_allclose(row, np.log(probs), rtol=1e-15, atol=0)
 
 
 def test_conditionals_normalize():
@@ -189,6 +180,20 @@ def test_tiny_myopic_t_follows_the_greedy_path():
     assert np.array_equal(batch.log_probs, greedy.log_probs)
 
 
+def test_myopic_table_at_tiny_t_is_the_greedy_path():
+    # the table and the sampler share one rescale, so at 1e-310 the table
+    # puts all its mass on the sequence that greedy sampling returns
+    model = LinearAR(3, 3, 1)
+    model.set_param_array(np.random.default_rng(0).normal(size=model.n_params))
+    greedy = tuple(model.sample(1, myopic_t=0.0, rng=np.random.default_rng(0)).sequences[0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        table = myopic_scale_joint(model, 1e-310)
+    assert greedy == (0, 1, 2)
+    probs = table.probs()
+    assert probs[table.space.index_of(greedy)] == 1.0 and np.count_nonzero(probs) == 1
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_non_finite_t_cond_is_rejected(bad):
     model = random_linear(0, embedding=True)
@@ -235,7 +240,7 @@ def test_draw_ties_go_to_the_smaller_token(myopic_t):
 @pytest.mark.parametrize("myopic_t", [0.6, 1.0])
 def test_draw_never_picks_a_zero_probability_token(myopic_t):
     model = TabularAR.from_conditionals(3, 1, {(): [0.5, 0.0, 0.5]})
-    assert model.exact_rows and model.logits[0, 1] == -np.inf
+    assert model.logits[0, 1] == -np.inf
     cdf = _first_cdf(model, myopic_t)
     assert cdf[0] == cdf[1]
     u = np.concatenate([np.linspace(0.0, 1.0, 101)[:-1],
@@ -350,7 +355,6 @@ def test_checkpoint_roundtrip_tabular(tmp_path, counterexample_model):
     back = load_checkpoint(path)
     assert isinstance(back, TabularAR)
     assert np.array_equal(back.logits, counterexample_model.logits)
-    assert back.exact_rows
 
 
 def test_checkpoint_roundtrip_linear_with_embedding(tmp_path):
@@ -378,7 +382,7 @@ def test_checkpoint_stores_the_flat_parameter_vector(counterexample_model):
     assert (doc["window"], doc["embedding_width"]) == (2, 4)
     doc = checkpoint_dict(counterexample_model)
     assert doc["parameters"] == counterexample_model.param_array().tolist()
-    assert doc["exact_rows"] is True
+    assert doc["parameterization"] == "tabular" and "window" not in doc
 
 
 def test_tabular_set_param_array_rejects_wrong_size(counterexample_model):
@@ -431,7 +435,7 @@ def test_tabular_checkpoint_rejects_wrong_size(counterexample_model):
 
 @pytest.mark.parametrize("kind, key", [
     ("tabular", "vocab_size"), ("tabular", "max_length"), ("tabular", "parameters"),
-    ("tabular", "exact_rows"), ("linear", "vocab_size"), ("linear", "max_length"),
+    ("linear", "vocab_size"), ("linear", "max_length"),
     ("linear", "window"), ("linear", "embedding_width"), ("linear", "parameters")])
 def test_checkpoint_missing_key_is_named(kind, key, counterexample_model):
     model = counterexample_model if kind == "tabular" else random_linear(5, embedding=True)
@@ -460,14 +464,22 @@ def test_checkpoint_rejects_nan_and_pos_inf_parameters(bad):
         model_from_checkpoint(doc)
 
 
-def test_checkpoint_keeps_neg_inf_exact_rows(tmp_path):
+def test_checkpoint_keeps_neg_inf_logits(tmp_path):
     model = TabularAR.from_conditionals(2, 2, {(): [1.0, 0.0], (0,): [0.5, 0.5],
                                                (1,): [0.25, 0.75]})
     path = tmp_path / "model.json"
     save_checkpoint(model, path)
     back = load_checkpoint(path)
-    assert back.exact_rows and back.logits[0, 1] == -np.inf
+    assert back.logits[0, 1] == -np.inf
     assert np.array_equal(back.logits, model.logits)
+    assert back.conditional_log_probs(np.array([], dtype=np.int64))[1] == -np.inf
+
+
+def test_checkpoint_ignores_keys_it_does_not_read(counterexample_model):
+    # older tabular checkpoints carry a bool flag beside the header
+    doc = checkpoint_dict(counterexample_model)
+    doc["flag"] = True
+    assert np.array_equal(model_from_checkpoint(doc).logits, counterexample_model.logits)
 
 
 @pytest.mark.parametrize("key, value, message", [
@@ -484,13 +496,9 @@ def test_checkpoint_header_is_checked(key, value, message):
         model_from_checkpoint(doc)
 
 
-def test_checkpoint_rejects_non_object_and_non_bool_exact_rows(counterexample_model):
+def test_checkpoint_rejects_non_object():
     with pytest.raises(ModelError, match="JSON object"):
         model_from_checkpoint([])
-    doc = checkpoint_dict(counterexample_model)
-    doc["exact_rows"] = "false"
-    with pytest.raises(ModelError, match="'exact_rows' must be bool"):
-        model_from_checkpoint(doc)
 
 
 def test_checkpoint_records_seed():
@@ -537,8 +545,8 @@ def test_distinct_contexts_whole_prefix():
 
 
 def random_model(kind, V, L, window, embedding, seed):
-    """A random TabularAR (window ignored; "tabular_exact" keeps exact rows)
-    or LinearAR, and its t_cond."""
+    """A random TabularAR (window ignored; "tabular_exact" is rebuilt from its
+    own joint by ``tabular_from_table``) or LinearAR, and its t_cond."""
     rng = np.random.default_rng(seed)
     if kind.startswith("tabular"):
         model = TabularAR(V, L)

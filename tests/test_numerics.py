@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lhts.numerics import Rng, finite_difference_gradient, log_softmax
+from lhts.numerics import Rng, finite_difference_gradient, log_softmax, myopic_rescale
 
 
 def lse_reference(vals) -> float:
@@ -29,6 +29,18 @@ def test_log_softmax_rows_and_neg_inf():
     assert np.allclose(out[0, :2], -math.log(2.0), rtol=0, atol=1e-12)
     assert out[0, 2] == -np.inf
     assert np.allclose(np.exp(out).sum(axis=1), 1.0, rtol=0, atol=1e-12)
+
+
+def test_myopic_rescale_keeps_t_one_and_the_maxima_at_tiny_t():
+    rows = np.log(np.array([[0.5, 0.3, 0.2], [0.4, 0.4, 0.2]]))
+    assert myopic_rescale(rows, 1.0) is rows
+    np.testing.assert_allclose(myopic_rescale(rows, 0.5), log_softmax(2.0 * rows),
+                               rtol=0, atol=1e-15)
+    # 1e-310 overflows every entry / T unless each row's max is shifted to 0
+    # first; a tied max splits the mass
+    tiny = myopic_rescale(rows, 1e-310)
+    assert np.array_equal(tiny, [[0.0, -np.inf, -np.inf],
+                                 [-math.log(2.0), -math.log(2.0), -np.inf]])
 
 
 @given(

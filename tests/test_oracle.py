@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from lhts.ar_model import LinearAR, TabularAR, tabular_from_table
 from lhts.data import shared_prefix_scenario
-from lhts.numerics import log_softmax
+from lhts.numerics import log_softmax, myopic_rescale
 from lhts.oracle import (
     _BLOCK,
     _context_prefixes,
@@ -556,14 +556,14 @@ def raw(table: CategoricalTable) -> CategoricalTable:
 
 def broadcast_joint(model, L, t_cond, temperature=1.0):
     """Reference enumeration that chains each position's distinct-context
-    rows by broadcasting: log_joint.reshape(-1, V^c, 1) + rows."""
+    rows, rescaled as the sampler does, by broadcasting:
+    log_joint.reshape(-1, V^c, 1) + rows."""
     V, log_joint = model.vocab_size, np.zeros(1)
     for pos in range(L):
         c = min(pos, model.window)
         contexts = _context_prefixes(np.arange(V**c), V, c, pos)
-        rows = model.conditional_log_probs_batch(contexts, pos, t_cond=t_cond)
-        if temperature != 1.0:
-            rows = log_softmax(rows / temperature)
+        rows = myopic_rescale(model.conditional_log_probs_batch(contexts, pos, t_cond=t_cond),
+                              temperature)
         log_joint = (log_joint.reshape(-1, V**c, 1) + rows).reshape(-1)
     return log_joint
 
@@ -746,6 +746,26 @@ def test_tabular_from_table_reproduces_conditionals(counterexample_model):
         b = rebuilt.conditional_log_probs(np.array(prefix, dtype=np.int64))
         assert np.allclose(a, b, atol=1e-12)
     assert np.allclose(enumerate_joint(rebuilt).log_probs, table.log_probs, atol=1e-12)
+
+
+def test_tabular_from_table_gives_zero_mass_prefixes_uniform_rows():
+    # V=3, L=3: no mass after the prefixes (1,) and (0, 2), nor on (2, 0, 1)
+    space = SequenceSpace(3, 3)
+    xs = space.all_sequences()
+    lw = np.random.default_rng(5).normal(size=space.size)
+    lw[(xs[:, 0] == 1) | ((xs[:, 0] == 0) & (xs[:, 1] == 2))] = -np.inf
+    lw[space.index_of((2, 0, 1))] = -np.inf
+    table = CategoricalTable(space, lw)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        model = tabular_from_table(table)
+        joint = enumerate_joint(model).log_probs
+    for prefix in [(1,), (1, 0), (1, 2), (0, 2)]:
+        row = model.conditional_log_probs(np.array(prefix, dtype=np.int64))
+        assert np.array_equal(row, np.full(3, -math.log(3)))
+    assert model.conditional_log_probs(np.array([2, 0], dtype=np.int64))[1] == -np.inf
+    assert np.array_equal(joint == -np.inf, table.log_probs == -np.inf)
+    np.testing.assert_allclose(joint, table.log_probs, rtol=0, atol=1e-12)
 
 
 def test_tabular_from_table_realizes_scaled_joint(counterexample_model):

@@ -265,6 +265,17 @@ def test_baseline_refuses_statistics_of_another_shape():
     assert baseline.means() == -3.0
 
 
+def test_step_refuses_a_batch_of_another_length_before_weighting():
+    state = TrainState(TabularAR(2, 3), TrainSettings(learning_rate=0.5, temperatures=(0.5,)))
+    lhts_step(state, np.array([[0, 1, 1], [1, 0, 0]]), 0.5)
+    q, step = state.q.param_array(), state.step
+    n, sums = state.baseline.n, state.baseline.sums.copy()
+    with pytest.raises(TrainerError, match="do not match"):
+        lhts_step(state, np.array([[0, 1], [1, 1]]), 0.5)
+    assert np.array_equal(state.q.param_array(), q) and state.step == step
+    assert state.baseline.n == n and np.array_equal(state.baseline.sums, sums)
+
+
 # [1e308, 1e308] is finite, but its sum overflows
 @pytest.mark.parametrize("bad", [[np.nan, 1.0], [np.inf, 1.0], [-1.0, 2.0], [0.0, 0.0],
                                  [1e308, 1e308]])
@@ -525,6 +536,15 @@ def test_strict_properness_mini(counterexample_model):
         perturbed = q_star.copy()
         perturbed.set_param_array(perturbed.param_array() + rng.normal(scale=0.1, size=perturbed.n_params))
         assert ar_loss_exact(counterexample_model, perturbed, T) > loss_star
+
+
+def test_ar_loss_exact_drops_sequences_without_mass():
+    # p never starts with 1; on the two sequences it reaches, every suffix
+    # log-likelihood equals its mean, so each weight is 1 and the loss is
+    # sum_x p(x) (-log q(x)) = log 2
+    p = TabularAR.from_conditionals(2, 2, {(): [1.0, 0.0], (0,): [0.5, 0.5],
+                                           (1,): [0.5, 0.5]})
+    assert ar_loss_exact(p, p.copy(), 0.5) == pytest.approx(math.log(2), rel=1e-15)
 
 
 def test_variance_reduction_product_model():
