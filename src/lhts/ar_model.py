@@ -141,11 +141,6 @@ class ARModel:
             raise ModelError(f"prefix of length {len(prefix)} too long for max_length {self.max_length}")
         return self.conditional_log_probs_batch(prefix[None, :], len(prefix), t_cond=t_cond)[0]
 
-    def per_token_log_probs(self, x, t_cond: float | None = None) -> np.ndarray:
-        """u_i = log p(x_i | x_<i) for one sequence."""
-        x = self._check_tokens(x)
-        return self.per_token_log_probs_matrix(x[None, :], t_cond=t_cond)[0]
-
     def distinct_contexts(self, prefixes: np.ndarray, position: int) -> tuple[np.ndarray, np.ndarray]:
         """The contexts that occur at ``position`` among the rows of
         ``prefixes``, whose first ``position`` columns hold in-vocab tokens.
@@ -178,10 +173,6 @@ class ARModel:
             rows = self.conditional_log_probs_batch(reps, i, t_cond=t_cond)
             u[:, i] = rows.ravel()[inverse * self.vocab_size + xs[:, i]]
         return u
-
-    def sequence_log_prob(self, x, t_cond: float | None = None) -> float:
-        """Chain rule: sum_i log p(x_i | x_<i)."""
-        return float(self.per_token_log_probs(x, t_cond=t_cond).sum())
 
     def sample(self, n: int, myopic_t: float = 1.0, t_cond: float | None = None,
                rng: np.random.Generator | None = None) -> SampleBatch:
@@ -260,15 +251,18 @@ class TabularAR(ARModel):
                           conditionals: dict) -> "TabularAR":
         """Build from explicit per-prefix probability vectors.
 
-        Every prefix up to length L-1 must be present. The stored logits are
-        the exact log of the given numbers and the conditionals their
-        log-softmax, which the sampler and ``myopic_scale_joint`` rescale
-        with one ``numerics.myopic_rescale``.
+        Every prefix up to length L-1 must be present, as a sequence of
+        in-vocab tokens; any other key raises ``ModelError``. The stored
+        logits are the exact log of the given numbers and the conditionals
+        their log-softmax, which the sampler and ``myopic_scale_joint``
+        rescale with one ``numerics.myopic_rescale``.
         """
         model = TabularAR(vocab_size, max_length)
         seen = 0
         for prefix, probs in conditionals.items():
-            toks = np.asarray(prefix, dtype=np.int64)
+            toks = model._check_tokens(prefix)
+            if toks.ndim != 1 or len(toks) >= max_length:
+                raise ModelError(f"prefix {prefix} is not a sequence shorter than {max_length}")
             row = model.row_indices(toks[None, :], len(toks))[0]
             p = np.asarray(probs, dtype=np.float64)
             if p.shape != (vocab_size,):
@@ -471,9 +465,10 @@ def kl_to_base_per_position(base: ARModel, model: ARModel, x,
 
 # -- checkpoints -----------------------------------------------------------
 
-def checkpoint_dict(model: ARModel, rng_seed: int | None = None) -> dict:
+def checkpoint_dict(model: ARModel) -> dict:
     """A JSON-ready document: the shape header that rebuilds the model, plus
-    its flat ``param_array`` as "parameters"."""
+    its flat ``param_array`` as "parameters", and nothing else.
+    ``model_from_checkpoint`` ignores keys it does not read."""
     if isinstance(model, TabularAR):
         header = {"parameterization": "tabular"}
     elif isinstance(model, LinearAR):
@@ -482,7 +477,7 @@ def checkpoint_dict(model: ARModel, rng_seed: int | None = None) -> dict:
     else:
         raise ModelError(f"cannot checkpoint {type(model).__name__}")
     return {**header, "vocab_size": model.vocab_size, "max_length": model.max_length,
-            "parameters": model.param_array().tolist(), "rng_seed": rng_seed}
+            "parameters": model.param_array().tolist()}
 
 
 def _doc_field(doc: dict, key: str, kind: type, optional: bool = False,
@@ -528,9 +523,9 @@ def model_from_checkpoint(doc: dict) -> ARModel:
     return model
 
 
-def save_checkpoint(model: ARModel, path, rng_seed: int | None = None) -> None:
+def save_checkpoint(model: ARModel, path) -> None:
     with open(path, "w") as fh:
-        json.dump(checkpoint_dict(model, rng_seed=rng_seed), fh)
+        json.dump(checkpoint_dict(model), fh)
 
 
 def load_checkpoint(path) -> ARModel:

@@ -14,8 +14,6 @@ __all__ = [
     "shared_prefix_scenario",
     "save_sequences_csv",
     "load_sequences_csv",
-    "save_points_csv",
-    "load_points_csv",
 ]
 
 
@@ -79,11 +77,3 @@ def save_sequences_csv(path, seqs: np.ndarray) -> None:
 def load_sequences_csv(path) -> np.ndarray:
     arr = np.loadtxt(path, dtype=np.int64, delimiter=",", ndmin=2)
     return arr
-
-
-def save_points_csv(path, points: np.ndarray) -> None:
-    np.savetxt(path, np.asarray(points, dtype=np.float64), fmt="%.17g", delimiter=",")
-
-
-def load_points_csv(path) -> np.ndarray:
-    return np.loadtxt(path, dtype=np.float64, delimiter=",", ndmin=2)

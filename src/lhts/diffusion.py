@@ -38,7 +38,6 @@ __all__ = [
     "DiffusionModel",
     "MixtureGroundTruth",
     "gaussian_kl",
-    "elbo",
     "elbo_draws",
     "elbo_batch",
     "lhts_diffusion_weights",
@@ -193,16 +192,10 @@ class DiffusionModel:
         self.dim = dim
         self.net = net if net is not None else DenoiserMLP(dim, hidden, rng=rng)
 
-    def _step_bias(self, k) -> np.ndarray:
-        """``net.step_bias`` at step k: (1, hidden) for one int step, (n, hidden)
-        for a vector of n steps."""
-        return self.net.step_bias(
-            _step_features(np.atleast_1d(k), self.schedule.steps, self.net.n_freqs))
-
-    def predict_noise(self, x: np.ndarray, k: np.ndarray) -> np.ndarray:
-        x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-        k = np.broadcast_to(np.asarray(k), (x.shape[0],))
-        return self.net.forward(x, self._step_bias(k))
+    def _step_bias(self, k: int) -> np.ndarray:
+        """``net.step_bias`` at step k, a (1, hidden) row shared by every point."""
+        return self.net.step_bias(_step_features(np.array([k]), self.schedule.steps,
+                                                 self.net.n_freqs))
 
     def posterior_mean(self, x_k: np.ndarray, k: int, x0: np.ndarray) -> np.ndarray:
         """Mean of x_{k-1} | x_k, x0, with every row at step k."""
@@ -326,11 +319,6 @@ def elbo_draws(model: DiffusionModel, x0, rng: np.random.Generator, n_mc: int) -
     return _elbo_draws_matrix(model, x0, rng, n_mc)[:, 0]
 
 
-def elbo(model: DiffusionModel, x0, rng: np.random.Generator, n_mc: int = 16) -> float:
-    """Variational lower bound on log p(x0), averaged over n_mc noise draws."""
-    return float(elbo_draws(model, x0, rng, n_mc).mean())
-
-
 def elbo_batch(model: DiffusionModel, x0: np.ndarray, rng: np.random.Generator,
                n_mc: int = 16) -> np.ndarray:
     return _elbo_draws_matrix(model, x0, rng, n_mc).mean(axis=0)
@@ -339,20 +327,15 @@ def elbo_batch(model: DiffusionModel, x0: np.ndarray, rng: np.random.Generator,
 # -------------------------------------------------------------------- weights
 
 def lhts_diffusion_weights(model: DiffusionModel, dataset: np.ndarray, temperature: float,
-                           clip: float | None = None, rng: np.random.Generator | None = None,
-                           n_mc: int = 16, elbos: np.ndarray | None = None) -> WeightBatch:
+                           clip: float | None = None, *, elbos: np.ndarray) -> WeightBatch:
     """Per-point weights exp(min((1-T)/T (elbo_i - b), c)) with b the mean
-    elbo over the dataset; the frozen base model prices every point once,
-    before finetuning."""
+    elbo over the dataset. ``elbos`` holds one ELBO per point under the
+    frozen base model, priced once before finetuning (``elbo_batch``)."""
     if not (math.isfinite(temperature) and temperature > 0):
         raise DiffusionError("temperature must be positive and finite")
     if clip is not None and not math.isfinite(clip):
         raise DiffusionError(f"clip must be finite, got {clip}")
     n = _points(dataset, model.dim).shape[0]
-    if elbos is None:
-        if rng is None:
-            raise DiffusionError("pass an rng (or precomputed elbos)")
-        elbos = elbo_batch(model, dataset, rng, n_mc)
     elbos = np.asarray(elbos, dtype=np.float64)
     if elbos.shape != (n,) or not np.all(np.isfinite(elbos)):
         raise DiffusionError(f"need one finite elbo per point: got shape {elbos.shape} "

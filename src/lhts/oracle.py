@@ -3,10 +3,10 @@
 Builds explicit joint distributions from autoregressive models, scales them
 exactly (jointly or per-position), and provides KL / entropy / argmax.
 Tables are immutable after construction and safe to share; scaling at T = 1
-shares its source's entries. Whole-table sums (normalization, KL, entropy,
-total variation) are reduced over blocks of ``_BLOCK`` entries, so their
-temporaries stay cache-sized. A table of one block is one pass with one-shot
-arithmetic; on larger tables the block sums move a result by a few ulp.
+shares its source's entries. Whole-table sums (normalization, KL, entropy)
+are reduced over blocks of ``_BLOCK`` entries, so their temporaries stay
+cache-sized. A table of one block is one pass with one-shot arithmetic; on
+larger tables the block sums move a result by a few ulp.
 
 Enumeration evaluates each position's conditionals once per distinct
 context. A model whose ``window`` attribute is an int declares that its
@@ -31,7 +31,6 @@ of a chain table builds them only when ``log_probs`` is first read.
 from __future__ import annotations
 
 import functools
-import json
 import math
 import warnings
 from typing import Sequence
@@ -49,7 +48,6 @@ __all__ = [
     "temperature_scale_exact",
     "myopic_scale_joint",
     "kl_divergence",
-    "total_variation",
     "entropy",
     "argmax_joint",
 ]
@@ -128,19 +126,19 @@ class SequenceSpace:
         self.size = size
 
     def index_of(self, seq: Sequence[int]) -> int:
-        idx = 0
-        for tok in seq:
-            if not 0 <= tok < self.vocab_size:
-                raise OracleError(f"token {tok} out of vocab of size {self.vocab_size}")
-            idx = idx * self.vocab_size + int(tok)
-        return idx
+        toks = np.asarray(seq, dtype=np.int64)
+        if toks.shape != (self.length,):
+            raise OracleError(f"expected {self.length} tokens, got shape {toks.shape}")
+        bad = toks[(toks < 0) | (toks >= self.vocab_size)]
+        if bad.size:
+            raise OracleError(f"token {bad[0]} out of vocab of size {self.vocab_size}")
+        return int(_context_ids(toks[None, :], self.vocab_size)[0])
 
     def sequence_at(self, index: int) -> tuple[int, ...]:
-        toks = []
-        for _ in range(self.length):
-            toks.append(index % self.vocab_size)
-            index //= self.vocab_size
-        return tuple(reversed(toks))
+        if not 0 <= index < self.size:
+            raise OracleError(f"index {index} out of range for {self.size} sequences")
+        return tuple(_context_prefixes(np.array([index]), self.vocab_size, self.length,
+                                       self.length)[0].tolist())
 
     def all_sequences(self) -> np.ndarray:
         """(V^L, L) int array, row i = sequence_at(i)."""
@@ -203,26 +201,6 @@ class CategoricalTable:
 
     def probs(self) -> np.ndarray:
         return np.exp(self.log_probs)
-
-    def log_prob(self, seq: Sequence[int]) -> float:
-        return float(self.log_probs[self.space.index_of(seq)])
-
-    # -- serialization (golden-file format) --------------------------------
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "vocab_size": self.vocab_size,
-                "length": self.length,
-                "log_probs": self.log_probs.tolist(),
-            }
-        )
-
-    @staticmethod
-    def from_json(doc: str) -> "CategoricalTable":
-        d = json.loads(doc)
-        space = SequenceSpace(d["vocab_size"], d["length"])
-        return CategoricalTable(space, np.array(d["log_probs"], dtype=np.float64), normalize=False)
 
 
 def _extend(log_joint: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -395,12 +373,13 @@ def kl_divergence(p: CategoricalTable, q: CategoricalTable) -> float:
     When both are chain tables, one forward pass over p's state marginals
     sums the conditional KLs, reading only rows (``_chain_kl``). Otherwise,
     or when that sum is not finite (a -inf row entry in p or q), the
-    entries are compared: summed over blocks b as exp(lp_b) @ (lp_b - lq_b),
-    with no temporary larger than a block, building a chain table's entries
-    if they are not built yet. Entries where p has no mass add nothing; the
-    support check and that masked sum share one pass over the blocks. If q
-    lacks support somewhere p has mass, the divergence is +inf and a
-    SupportWarning names the first offending sequence.
+    entries are compared in one pass over blocks b, each summed as
+    exp(lp_b) @ (lp_b - lq_b), with no temporary larger than a block,
+    building a chain table's entries if they are not built yet. A block
+    whose sum is not finite has a -inf entry: it is summed again over the
+    entries where p has mass, so the others add nothing. If q lacks support
+    somewhere p has mass, the divergence is +inf and a SupportWarning names
+    the first offending sequence.
     """
     _check_same_space(p, q)
     if p.rows is not None and q.rows is not None:
@@ -408,26 +387,23 @@ def kl_divergence(p: CategoricalTable, q: CategoricalTable) -> float:
             kl = _chain_kl(p.rows, q.rows)
         if math.isfinite(kl):
             return kl
-    lp, lq = p.log_probs, q.log_probs
-    # one pass when both tables have full support; -inf entries make it
-    # non-finite and take the masked path below
-    with np.errstate(invalid="ignore"):
-        kl = _block_sum(lambda a, b: float(np.exp(a) @ (a - b)), lp, lq)
-    if math.isfinite(kl):
-        return kl
     kl = 0.0
-    for start, (a, b) in _blocks(lp, lq):
-        mass = a > -np.inf
-        bad = np.flatnonzero(mass & (b == -np.inf))
-        if bad.size:
-            warnings.warn(
-                f"support violation: q has zero probability on sequence "
-                f"{p.space.sequence_at(start + int(bad[0]))} where p has mass; KL is +inf",
-                SupportWarning,
-            )
-            return math.inf
-        a, b = a[mass], b[mass]
-        kl += float(np.sum(np.exp(a) * (a - b)))
+    for start, (a, b) in _blocks(p.log_probs, q.log_probs):
+        with np.errstate(invalid="ignore"):
+            part = float(np.exp(a) @ (a - b))
+        if not math.isfinite(part):
+            mass = a > -np.inf
+            bad = np.flatnonzero(mass & (b == -np.inf))
+            if bad.size:
+                warnings.warn(
+                    f"support violation: q has zero probability on sequence "
+                    f"{p.space.sequence_at(start + int(bad[0]))} where p has mass; KL is +inf",
+                    SupportWarning,
+                )
+                return math.inf
+            a, b = a[mass], b[mass]
+            part = float(np.sum(np.exp(a) * (a - b)))
+        kl += part
     return kl
 
 
@@ -448,12 +424,6 @@ def _chain_kl(p_rows: tuple[np.ndarray, ...], q_rows: tuple[np.ndarray, ...]) ->
         kl += float(joint.ravel() @ (lp - lq).ravel())
         mu = joint.ravel()
     return kl
-
-
-def total_variation(p: CategoricalTable, q: CategoricalTable) -> float:
-    _check_same_space(p, q)
-    return 0.5 * _block_sum(lambda a, b: float(np.abs(np.exp(a) - np.exp(b)).sum()),
-                            p.log_probs, q.log_probs)
 
 
 def entropy(table: CategoricalTable) -> float:

@@ -274,8 +274,7 @@ def _check_finite_log_p(log_p: np.ndarray, xs: np.ndarray) -> None:
 
 def joint_weights(p: ARModel, xs: np.ndarray, temperature: float,
                   baseline: StreamingBaseline, clip: float | None = None,
-                  data_weights: np.ndarray | None = None,
-                  update_baseline: bool = True) -> WeightBatch:
+                  data_weights: np.ndarray | None = None) -> WeightBatch:
     """Per-example weights exp(min((1-T)/T (log p(x) - b), c)).
 
     b is the baseline's running mean of log p, from previous batches only;
@@ -285,8 +284,7 @@ def joint_weights(p: ARModel, xs: np.ndarray, temperature: float,
     logps = p.per_token_log_probs_matrix(xs).sum(axis=1)
     _check_finite_log_p(logps, xs)
     wb = _importance_weights(logps, baseline.means(logps), temperature, clip)
-    if update_baseline:
-        baseline.update(logps, data_weights)
+    baseline.update(logps, data_weights)
     return wb
 
 

@@ -19,7 +19,7 @@ from lhts.ar_model import (
     tabular_from_table,
 )
 from lhts.numerics import Rng, log_softmax, myopic_rescale
-from lhts.oracle import enumerate_joint, myopic_scale_joint, total_variation
+from lhts.oracle import enumerate_joint, myopic_scale_joint
 from lhts.trainer import suffix_log_liks_matrix
 
 
@@ -48,6 +48,18 @@ def test_tabular_from_conditionals_exact(counterexample_model):
         np.testing.assert_allclose(row, np.log(probs), rtol=1e-15, atol=0)
 
 
+def test_from_conditionals_checks_its_prefixes():
+    half = [0.5, 0.5]
+    rows = {(): half, (0,): half, (0, 0): half, (0, 1): half, (1, 0): half, (1, 1): half}
+    # (2,) in place of (1,) would land on the row of (0, 0)
+    with pytest.raises(ModelError, match="out of vocab"):
+        TabularAR.from_conditionals(2, 3, {**rows, (2,): [0.9, 0.1]})
+    with pytest.raises(ModelError, match="shorter than 1"):
+        TabularAR.from_conditionals(2, 1, {(): half, (0,): half})
+    with pytest.raises(ModelError, match="shorter than 2"):
+        TabularAR.from_conditionals(2, 2, {(): half, ((0,),): half, (1,): half})
+
+
 def test_conditionals_normalize():
     for seed in range(3):
         model = random_linear(seed)
@@ -74,7 +86,7 @@ def test_prefix_too_long_errors(counterexample_model):
 
 def test_token_out_of_vocab_errors(counterexample_model):
     with pytest.raises(ModelError, match="out of vocab"):
-        counterexample_model.sequence_log_prob([0, 5])
+        counterexample_model.per_token_log_probs_matrix(np.array([[0, 5]]))
 
 
 def test_t_cond_strictness():
@@ -89,27 +101,24 @@ def test_t_cond_strictness():
 # ----------------------------------------------------------- sequence logprob
 
 def test_sequence_log_prob_uniform(uniform_model):
-    for x in [(0, 0, 0), (1, 0, 1)]:
-        assert uniform_model.sequence_log_prob(x) == pytest.approx(math.log(1 / 8), abs=1e-12)
+    u = uniform_model.per_token_log_probs_matrix(np.array([(0, 0, 0), (1, 0, 1)]))
+    assert u.sum(axis=1) == pytest.approx([math.log(1 / 8)] * 2, abs=1e-12)
 
 
 def test_sequence_log_prob_hand_value(counterexample_model):
-    assert counterexample_model.sequence_log_prob([1, 0]) == pytest.approx(
-        math.log(0.36), abs=1e-12
-    )
+    u = counterexample_model.per_token_log_probs_matrix(np.array([[1, 0]]))
+    assert u.sum() == pytest.approx(math.log(0.36), abs=1e-12)
 
 
 def test_sequence_log_prob_agrees_with_enumeration():
     model = random_linear(5)
     table = enumerate_joint(model)
-    for seq in table.space.all_sequences():
-        assert model.sequence_log_prob(seq) == pytest.approx(
-            table.log_prob(seq), abs=1e-10
-        )
+    u = model.per_token_log_probs_matrix(table.space.all_sequences())
+    np.testing.assert_allclose(u.sum(axis=1), table.log_probs, rtol=0, atol=1e-10)
 
 
 def test_per_token_log_probs(counterexample_model):
-    u = counterexample_model.per_token_log_probs([1, 0])
+    u = counterexample_model.per_token_log_probs_matrix(np.array([[1, 0]]))[0]
     assert u == pytest.approx([math.log(0.4), math.log(0.9)], abs=1e-12)
 
 
@@ -151,8 +160,8 @@ def test_sample_replay_determinism(counterexample_model):
     b = counterexample_model.sample(64, myopic_t=0.7, rng=Rng(4).stream("s"))
     assert np.array_equal(a.sequences, b.sequences)
     assert np.array_equal(a.log_probs, b.log_probs)
-    for seq, lp in zip(a.sequences, a.log_probs):
-        assert counterexample_model.sequence_log_prob(seq) == lp
+    u = counterexample_model.per_token_log_probs_matrix(a.sequences)
+    assert np.array_equal(u.sum(axis=1), a.log_probs)
 
 
 def test_sample_validates_args(counterexample_model):
@@ -351,7 +360,7 @@ def test_zero_embedding_width_is_rejected():
 
 def test_checkpoint_roundtrip_tabular(tmp_path, counterexample_model):
     path = tmp_path / "model.json"
-    save_checkpoint(counterexample_model, path, rng_seed=11)
+    save_checkpoint(counterexample_model, path)
     back = load_checkpoint(path)
     assert isinstance(back, TabularAR)
     assert np.array_equal(back.logits, counterexample_model.logits)
@@ -499,11 +508,6 @@ def test_checkpoint_header_is_checked(key, value, message):
 def test_checkpoint_rejects_non_object():
     with pytest.raises(ModelError, match="JSON object"):
         model_from_checkpoint([])
-
-
-def test_checkpoint_records_seed():
-    doc = checkpoint_dict(random_linear(1), rng_seed=42)
-    assert doc["rng_seed"] == 42
 
 
 # ------------------------------------------------------------------ logits

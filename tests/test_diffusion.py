@@ -10,7 +10,6 @@ from lhts.diffusion import (
     MixtureGroundTruth,
     diffusion_checkpoint_dict,
     diffusion_from_checkpoint,
-    elbo,
     elbo_batch,
     elbo_draws,
     finetune_weighted,
@@ -105,8 +104,6 @@ def test_elbo_matches_reference_loop():
     draws = elbo_draws(model, x0[3], np.random.default_rng(3), n_mc=300)
     assert np.max(np.abs(draws - _reference_elbo(model, x0[3:4], np.random.default_rng(3),
                                                  300)[:, 0])) <= 1e-12
-    assert elbo(model, x0[3], np.random.default_rng(3), n_mc=300) == pytest.approx(
-        draws.mean(), abs=1e-12)
 
 
 @pytest.mark.parametrize("pseudo_temperature", [1.0, 0.6])
@@ -118,12 +115,11 @@ def test_sampler_matches_reference_loop(pseudo_temperature):
 
 
 def test_predict_noise_matches_concat_formula():
+    # every row at one step; rows at their own steps are checked against
+    # the concatenated input by the weighted noise loss's reference
     model = _model(steps=7)
-    rng = np.random.default_rng(5)
-    x = rng.normal(size=(50, 2))
-    k = rng.integers(1, 8, size=50)
-    assert np.max(np.abs(model.predict_noise(x, k) - _reference_noise(model, x, k))) <= 1e-12
-    one_step = model.predict_noise(x, 3)
+    x = np.random.default_rng(5).normal(size=(50, 2))
+    one_step = model.net.forward(x, model._step_bias(3))
     assert np.max(np.abs(one_step - _reference_noise(model, x, np.full(50, 3)))) <= 1e-12
 
 
@@ -149,8 +145,8 @@ def test_single_step_elbo_closed_form():
     eps = np.random.default_rng(8).standard_normal((4, 2))
     ab, var = sch.alphas_bar[1], sch.posterior_var[0]
     x1 = math.sqrt(ab) * x0[0] + math.sqrt(1.0 - ab) * eps
-    mu = (x1 - sch.betas[0] / math.sqrt(1.0 - ab) * model.predict_noise(x1, 1)) / math.sqrt(
-        sch.alphas[0])
+    eps_hat = model.net.forward(x1, model._step_bias(1))
+    mu = (x1 - sch.betas[0] / math.sqrt(1.0 - ab) * eps_hat) / math.sqrt(sch.alphas[0])
     recon = -math.log(2 * math.pi * var) - ((x0[0] - mu) ** 2).sum(axis=1) / (2 * var)
     prior = 0.5 * np.sum(ab * x0[0] ** 2 - ab - math.log(1.0 - ab))
     assert np.max(np.abs(got - (recon - prior))) <= 1e-12
@@ -255,8 +251,8 @@ def test_set_param_array_reaches_forward_and_param_array_is_a_copy():
     model = _model()
     net = model.net
     x = np.random.default_rng(22).normal(size=(5, 2))
-    k = np.array([1, 2, 3, 4, 6])
-    before = model.predict_noise(x, k)
+    k = np.full(5, 4)
+    before = net.forward(x, model._step_bias(4))
     theta = np.random.default_rng(23).normal(size=net.param_array().size)
     net.set_param_array(theta)
     # w1 (16, 10), b1, w2 (2, 16), b2 in that order
@@ -265,7 +261,7 @@ def test_set_param_array_reaches_forward_and_param_array_is_a_copy():
     ang = 2 * math.pi * (k[:, None] / 6) * 2.0 ** np.arange(4)
     x_in = np.concatenate([x, np.sin(ang), np.cos(ang)], axis=1)
     want = np.tanh(x_in @ w1.T + b1) @ w2.T + b2
-    assert np.max(np.abs(model.predict_noise(x, k) - want)) <= 1e-12
+    assert np.max(np.abs(net.forward(x, model._step_bias(4)) - want)) <= 1e-12
 
     out = net.param_array()
     out += 1.0
@@ -275,8 +271,8 @@ def test_set_param_array_reaches_forward_and_param_array_is_a_copy():
     assert np.array_equal(net.param_array(), theta)
     assert np.array_equal(clone.param_array(), out)
     clone.set_param_array(_model().param_array())
-    assert np.array_equal(clone.predict_noise(x, k), before)
-    assert np.max(np.abs(model.predict_noise(x, k) - want)) <= 1e-12
+    assert np.array_equal(clone.net.forward(x, clone._step_bias(4)), before)
+    assert np.max(np.abs(net.forward(x, model._step_bias(4)) - want)) <= 1e-12
 
 
 def _data(n=48):
@@ -320,8 +316,8 @@ def test_lhts_weights_formula_and_clip_rate(temperature, clip):
 
 def test_lhts_weights_are_ones_at_unit_temperature():
     model, data = _model(), _data(40)
-    wb = lhts_diffusion_weights(model, data, 1.0, clip=0.0, rng=np.random.default_rng(25),
-                                n_mc=2)
+    elbos = elbo_batch(model, data, np.random.default_rng(25), n_mc=2)
+    wb = lhts_diffusion_weights(model, data, 1.0, clip=0.0, elbos=elbos)
     assert np.array_equal(wb.weights, np.ones(40))
     assert wb.clip_rate == 0.0
 
@@ -334,12 +330,11 @@ def test_lhts_weights_are_ones_at_unit_temperature():
     (0.5, "short", "one finite elbo per point"),
     (0.5, "long", "one finite elbo per point"),
     (0.5, "column", "one finite elbo per point"),
-    (0.5, None, "rng"),
 ])
 def test_lhts_weights_reject_bad_arguments(temperature, elbos, message):
     model, data = _model(), _data(8)
     e = {"ok": np.zeros(8), "nan": np.array([0.0] * 7 + [np.nan]), "short": np.zeros(7),
-         "long": np.zeros(9), "column": np.zeros((8, 1)), None: None}[elbos]
+         "long": np.zeros(9), "column": np.zeros((8, 1))}[elbos]
     with pytest.raises(DiffusionError, match=message):
         lhts_diffusion_weights(model, data, temperature, elbos=e)
 
@@ -374,7 +369,7 @@ def test_elbo_rejects_points_of_wrong_shape(x0):
     model = _model()
     rng = np.random.default_rng(15)
     state = rng.bit_generator.state
-    for fn in (elbo, elbo_draws, elbo_batch):
+    for fn in (elbo_draws, elbo_batch):
         with pytest.raises(DiffusionError, match=r"shape \(n, 2\)"):
             fn(model, x0, rng, 2)
     assert rng.bit_generator.state == state
@@ -383,7 +378,7 @@ def test_elbo_rejects_points_of_wrong_shape(x0):
 def test_elbo_rejects_non_positive_draw_count():
     rng = np.random.default_rng(15)
     state = rng.bit_generator.state
-    for fn in (elbo, elbo_draws, elbo_batch):
+    for fn in (elbo_draws, elbo_batch):
         with pytest.raises(DiffusionError, match="n_mc"):
             fn(_model(), np.zeros((1, 2)), rng, 0)
     assert rng.bit_generator.state == state
@@ -392,9 +387,8 @@ def test_elbo_rejects_non_positive_draw_count():
 def test_single_point_elbo_rejects_several_points():
     rng = np.random.default_rng(15)
     state = rng.bit_generator.state
-    for fn in (elbo, elbo_draws):
-        with pytest.raises(DiffusionError, match="one point"):
-            fn(_model(), np.zeros((3, 2)), rng, 2)
+    with pytest.raises(DiffusionError, match="one point"):
+        elbo_draws(_model(), np.zeros((3, 2)), rng, 2)
     assert rng.bit_generator.state == state
 
 
@@ -437,9 +431,9 @@ def test_checkpoint_roundtrip_non_default_n_freqs(tmp_path):
     save_diffusion_checkpoint(model, path)
     back = load_diffusion_checkpoint(path)
     x = rng.normal(size=(6, 2))
-    k = np.arange(1, 7) % 5 + 1
     assert back.net.n_freqs == 2
-    assert np.array_equal(back.predict_noise(x, k), model.predict_noise(x, k))
+    assert np.array_equal(back.net.forward(x, back._step_bias(3)),
+                          model.net.forward(x, model._step_bias(3)))
 
 
 def _checkpoint() -> dict:
@@ -517,7 +511,8 @@ def _share_gaps(seed: int, temperature: float = 0.5) -> tuple[float, float]:
     base, _ = train_base(model, points, 2000, rng.stream("base"))
     target = truth.scaled_weights(temperature)[0]
     pseudo = sample_ancestral(base, 10_000, temperature, rng.stream("pseudo"))
-    wb = lhts_diffusion_weights(base, points, temperature, rng=rng.stream("price"), n_mc=4)
+    elbos = elbo_batch(base, points, rng.stream("price"), n_mc=4)
+    wb = lhts_diffusion_weights(base, points, temperature, elbos=elbos)
     tuned, _ = finetune_weighted(base, points, wb.weights, 1000, rng.stream("finetune"))
     lhts = sample_ancestral(tuned, 10_000, rng=rng.stream("sample"))
     return (abs(np.mean(truth.assign(lhts) == 0) - target),

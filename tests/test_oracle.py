@@ -24,7 +24,6 @@ from lhts.oracle import (
     kl_divergence,
     myopic_scale_joint,
     temperature_scale_exact,
-    total_variation,
 )
 
 
@@ -48,6 +47,19 @@ def test_space_roundtrip_lexicographic():
         assert space.sequence_at(i) == tuple(s)
 
 
+@pytest.mark.parametrize("index", [-1, 4])
+def test_sequence_at_checks_its_range(index):
+    with pytest.raises(OracleError, match="out of range"):
+        SequenceSpace(2, 2).sequence_at(index)
+
+
+@pytest.mark.parametrize("seq, message", [((0, 2), "out of vocab"), ((-1, 0), "out of vocab"),
+                                          ((0,), "expected 2 tokens")])
+def test_index_of_checks_its_tokens(seq, message):
+    with pytest.raises(OracleError, match=message):
+        SequenceSpace(2, 2).index_of(seq)
+
+
 def test_space_cap_error_reports_sizes():
     with pytest.raises(OracleError, match=r"100000000.*10000000"):
         SequenceSpace(10, 8)
@@ -64,7 +76,7 @@ def test_enumerate_counterexample_hand_values(counterexample_model):
     table = enumerate_joint(counterexample_model)
     expected = {(0, 0): 0.33, (0, 1): 0.27, (1, 0): 0.36, (1, 1): 0.04}
     for seq, p in expected.items():
-        assert table.log_prob(seq) == pytest.approx(math.log(p), abs=1e-12)
+        assert table.log_probs[table.space.index_of(seq)] == pytest.approx(math.log(p), abs=1e-12)
 
 
 def test_enumerate_normalizes():
@@ -243,7 +255,7 @@ def test_figure1_scenario_exact_scaling_splits_evenly():
     model, choices, table = shared_prefix_scenario()
     sharp = temperature_scale_exact(table, 0.01)
     for c in choices:
-        assert math.exp(sharp.log_prob(c)) == pytest.approx(1 / 3, abs=1e-2)
+        assert math.exp(sharp.log_probs[sharp.space.index_of(c)]) == pytest.approx(1 / 3, abs=1e-2)
 
 
 # --------------------------------------------------------- myopic_scale_joint
@@ -270,9 +282,9 @@ def test_myopic_equals_exact_at_length_one(logits, temperature):
 def test_myopic_vs_exact_argmax_divergence(counterexample_model):
     # greedy subtree wins myopically, joint argmax wins exactly
     myopic = myopic_scale_joint(counterexample_model, 0.01)
-    assert math.exp(myopic.log_prob((0, 0))) > 0.99
+    assert math.exp(myopic.log_probs[myopic.space.index_of((0, 0))]) > 0.99
     exact = temperature_scale_exact(enumerate_joint(counterexample_model), 0.01)
-    assert math.exp(exact.log_prob((1, 0))) > 0.99
+    assert math.exp(exact.log_probs[exact.space.index_of((1, 0))]) > 0.99
 
 
 def test_figure1_scenario_myopic_emphasizes_shared_prefix():
@@ -363,13 +375,6 @@ def test_argmax_tie_breaks_lexicographically():
     assert argmax_joint(t) == (0, 0)
 
 
-def test_total_variation():
-    space = SequenceSpace(2, 1)
-    p = CategoricalTable(space, np.log([0.8, 0.2]))
-    q = CategoricalTable(space, np.log([0.5, 0.5]))
-    assert total_variation(p, q) == pytest.approx(0.3, abs=1e-12)
-
-
 # ------------------------------------------------------- block reductions
 # One-shot references: each whole-table sum as a single numpy expression.
 
@@ -393,10 +398,6 @@ def ref_entropy(lp):
     return float(-np.sum(np.exp(lp) * lp))
 
 
-def ref_tv(lp, lq):
-    return 0.5 * float(np.abs(np.exp(lp) - np.exp(lq)).sum())
-
-
 def block_pair(V, L, seed, holes=()):
     """Two random tables on (V, L) with -inf at the ``holes`` of both."""
     rng = np.random.default_rng(seed)
@@ -413,7 +414,6 @@ def reductions(p, q):
         "log_z": CategoricalTable(p.space, raw).log_z,
         "kl": kl_divergence(p, q),
         "entropy": entropy(p),
-        "tv": total_variation(p, q),
         "scaled_log_z": scaled.log_z,
         "scaled": scaled.log_probs,
     }
@@ -425,7 +425,6 @@ def references(p, q):
         "log_z": ref_log_z(p.log_probs * 1.7 + 3.0),
         "kl": ref_kl(p.log_probs, q.log_probs),
         "entropy": ref_entropy(p.log_probs),
-        "tv": ref_tv(p.log_probs, q.log_probs),
         "scaled_log_z": ref_log_z(s),
         "scaled": s - ref_log_z(s),
     }
@@ -714,26 +713,6 @@ def test_unnormalized_table_leaves_caller_array_writeable():
     assert not t.log_probs.flags.writeable
     with pytest.raises(ValueError):
         t.log_probs[0] = 0.0
-
-
-# -------------------------------------------------------------- serialization
-
-def test_table_json_roundtrip():
-    t = random_table(8)
-    back = CategoricalTable.from_json(t.to_json())
-    assert back.vocab_size == t.vocab_size
-    assert back.length == t.length
-    assert np.array_equal(back.log_probs, t.log_probs)
-
-
-def test_table_json_golden_shape():
-    space = SequenceSpace(2, 1)
-    t = CategoricalTable(space, np.log([0.75, 0.25]))
-    doc = t.to_json()
-    assert doc == (
-        '{"vocab_size": 2, "length": 1, "log_probs": '
-        '[-0.287682072451781, -1.3862943611198908]}'
-    )
 
 
 # ----------------------------------------------------------- table -> tabular

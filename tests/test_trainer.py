@@ -51,7 +51,8 @@ def test_suffix_log_liks_definition(counterexample_model):
 
 def test_suffix_head_equals_sequence_log_prob(counterexample_model):
     v = suffix_log_liks_matrix(counterexample_model, [[1, 0]])[0]
-    assert v[0] == pytest.approx(counterexample_model.sequence_log_prob([1, 0]), abs=1e-14)
+    u = counterexample_model.per_token_log_probs_matrix(np.array([[1, 0]]))
+    assert v[0] == pytest.approx(u.sum(), abs=1e-14)
 
 
 def test_suffix_counterexample_hand_values(counterexample_model):
@@ -95,7 +96,7 @@ def test_joint_weights_hand_example():
     xs = np.zeros((2, 1), dtype=np.int64)
     baseline = StreamingBaseline()
     baseline.update(np.array([-2.0, -4.0]))
-    wb = joint_weights(stub, xs, 0.5, baseline, update_baseline=False)
+    wb = joint_weights(stub, xs, 0.5, baseline)
     assert wb.weights == pytest.approx([math.e, 1 / math.e], rel=1e-12)
 
 
