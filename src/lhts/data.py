@@ -12,18 +12,16 @@ __all__ = [
     "sample_sequences",
     "enumerated_dataset",
     "shared_prefix_scenario",
-    "save_sequences_csv",
-    "load_sequences_csv",
 ]
 
 
 def make_skewed_ground_truth(vocab_size: int, length: int,
-                             rng: np.random.Generator,
-                             logit_scale: float = 1.5) -> TabularAR:
-    """Random tabular model with nonuniform conditionals; the data source
-    for the synthetic sequence experiments."""
+                             rng: np.random.Generator) -> TabularAR:
+    """Random tabular model with nonuniform conditionals, its logits drawn
+    from N(0, 1.5^2); the data source for the synthetic sequence
+    experiments."""
     model = TabularAR(vocab_size, length)
-    model.logits = rng.normal(scale=logit_scale, size=model.logits.shape)
+    model.logits = rng.normal(scale=1.5, size=model.logits.shape)
     return model
 
 
@@ -67,13 +65,3 @@ def shared_prefix_scenario(vocab_size: int = 4, length: int = 2,
     table = CategoricalTable(space, np.log(probs))
     return tabular_from_table(table), choices, table
 
-
-# -- file formats ------------------------------------------------------------
-
-def save_sequences_csv(path, seqs: np.ndarray) -> None:
-    np.savetxt(path, np.asarray(seqs, dtype=np.int64), fmt="%d", delimiter=",")
-
-
-def load_sequences_csv(path) -> np.ndarray:
-    arr = np.loadtxt(path, dtype=np.int64, delimiter=",", ndmin=2)
-    return arr

@@ -21,13 +21,11 @@ parameter vector in place.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .ar_model import _doc_field, _doc_numbers
 from .trainer import WeightBatch, _importance_weights
 
 __all__ = [
@@ -45,10 +43,6 @@ __all__ = [
     "finetune_weighted",
     "train_base",
     "sample_ancestral",
-    "diffusion_checkpoint_dict",
-    "diffusion_from_checkpoint",
-    "save_diffusion_checkpoint",
-    "load_diffusion_checkpoint",
 ]
 
 
@@ -83,8 +77,9 @@ class NoiseSchedule:
             )
 
 
-def linear_schedule(steps: int, beta_start: float = 1e-3, beta_end: float = 0.25) -> NoiseSchedule:
-    return NoiseSchedule(np.linspace(beta_start, beta_end, steps))
+def linear_schedule(steps: int) -> NoiseSchedule:
+    """``steps`` betas evenly spaced from 1e-3 to 0.25."""
+    return NoiseSchedule(np.linspace(1e-3, 0.25, steps))
 
 
 def _step_features(k: np.ndarray, steps: int, n_freqs: int = 4) -> np.ndarray:
@@ -234,6 +229,13 @@ class MixtureGroundTruth:
         self.means = np.atleast_2d(np.asarray(self.means, dtype=np.float64))
         self.stds = np.asarray(self.stds, dtype=np.float64)
         self.weights = np.asarray(self.weights, dtype=np.float64)
+        m = self.means.shape[0]
+        if self.means.ndim != 2 or self.means.size == 0:
+            raise DiffusionError(f"means must be (M, d) with M, d >= 1, got {self.means.shape}")
+        if self.stds.shape != (m,) or not np.all(self.stds > 0):  # NaN is not > 0
+            raise DiffusionError(f"stds must be {m} positive numbers, one per mean")
+        if self.weights.shape != (m,):
+            raise DiffusionError(f"weights must be {m} numbers, one per mean")
         if abs(self.weights.sum() - 1.0) > 1e-9 or np.any(self.weights < 0):
             raise DiffusionError("mixture weights must form a distribution")
 
@@ -254,6 +256,8 @@ class MixtureGroundTruth:
     def scaled_weights(self, temperature: float) -> np.ndarray:
         """Component proportions of the temperature-scaled density, exact up
         to overlap corrections for well-separated equal-shape components."""
+        if not (math.isfinite(temperature) and temperature > 0):
+            raise DiffusionError(f"temperature must be positive and finite, got {temperature}")
         w = self.weights ** (1.0 / temperature)
         return w / w.sum()
 
@@ -455,44 +459,3 @@ def sample_ancestral(model: DiffusionModel, n: int, pseudo_temperature: float = 
             x = mu
     return x
 
-
-# ---------------------------------------------------------------- checkpoints
-
-def diffusion_checkpoint_dict(model: DiffusionModel) -> dict:
-    return {
-        "kind": "diffusion",
-        "dim": model.dim,
-        "hidden": model.net.hidden,
-        "n_freqs": model.net.n_freqs,
-        "betas": model.schedule.betas.tolist(),
-        "parameters": model.param_array().tolist(),
-    }
-
-
-def diffusion_from_checkpoint(doc: dict) -> DiffusionModel:
-    if not isinstance(doc, dict):
-        raise DiffusionError("a checkpoint must be a JSON object")
-    if doc.get("kind") != "diffusion":
-        raise DiffusionError(f"checkpoint 'kind' must be 'diffusion', got {doc.get('kind')!r}")
-    dim, hidden, n_freqs = (_doc_field(doc, key, int, error=DiffusionError)
-                            for key in ("dim", "hidden", "n_freqs"))
-    if dim < 1 or hidden < 1 or n_freqs < 0:
-        raise DiffusionError(f"checkpoint sizes out of range: 'dim' {dim} and 'hidden' "
-                             f"{hidden} must be >= 1, 'n_freqs' {n_freqs} >= 0")
-    sch = NoiseSchedule(_doc_numbers(doc, "betas", error=DiffusionError))
-    params = _doc_numbers(doc, "parameters", error=DiffusionError)
-    if not np.all(np.isfinite(params)):
-        raise DiffusionError("checkpoint 'parameters' must be finite")
-    net = DenoiserMLP(dim, hidden, n_freqs=n_freqs)
-    net.set_param_array(params)
-    return DiffusionModel(sch, dim=dim, net=net)
-
-
-def save_diffusion_checkpoint(model: DiffusionModel, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(diffusion_checkpoint_dict(model), fh)
-
-
-def load_diffusion_checkpoint(path) -> DiffusionModel:
-    with open(path) as fh:
-        return diffusion_from_checkpoint(json.load(fh))

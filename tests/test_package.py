@@ -3,6 +3,7 @@
 import ast
 import importlib
 import inspect
+import sys
 from pathlib import Path
 
 import pytest
@@ -11,6 +12,11 @@ import lhts
 
 SRC = Path(lhts.__file__).parent
 EXPORTING = ["numerics", "oracle", "ar_model", "trainer", "diffusion", "data"]
+
+
+def test_every_module_is_checked():
+    modules = {path.stem for path in SRC.glob("*.py")} - {"__init__"}
+    assert sorted(EXPORTING) == sorted(modules)
 
 
 @pytest.mark.parametrize("name", EXPORTING)
@@ -45,3 +51,15 @@ def test_no_module_level_import_is_unused(path):
 
 def test_the_import_check_sees_an_unused_import():
     assert _unused_imports("import json\nimport math\nx = math.pi\n") == ["json"]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_imports_only_the_standard_library_and_numpy(path):
+    # pyproject.toml's numpy is then the whole runtime dependency list
+    roots = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            roots |= {a.name.split(".")[0] for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            roots.add(node.module.split(".")[0])
+    assert roots - set(sys.stdlib_module_names) <= {"numpy", "lhts"}

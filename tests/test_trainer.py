@@ -431,6 +431,21 @@ def test_train_rejects_empty_dataset(counterexample_model):
         train(counterexample_model, xs, None, TrainSettings(steps=3), Rng(1))
 
 
+def test_temperature_embedding_trains():
+    # from zero embedding fields every embedding gradient would be zero;
+    # with_embedding starts emb_scale at 1 so that w_emb moves
+    base = LinearAR(3, 4, 2)
+    base.set_param_array(np.random.default_rng(0).normal(size=base.n_params))
+    xs, dw = enumerated_dataset(base)
+    settings = TrainSettings(steps=5, learning_rate=0.5, temperatures=(0.5, 1.0))
+    q, records = train(base, xs, dw, settings, Rng(5), embedding_width=2)
+    assert {r.temperature for r in records} == {0.5, 1.0}
+    assert np.any(q.w_emb != 0)
+    prefixes = np.array([[0, 2], [1, 1]], dtype=np.int64)
+    assert not np.array_equal(q.logits_batch(prefixes, 2, t_cond=0.5),
+                              q.logits_batch(prefixes, 2, t_cond=1.0))
+
+
 def test_zero_steps_returns_copy_of_base(counterexample_model):
     xs, dw = _full_dataset(counterexample_model)
     q, records = train(counterexample_model, xs, dw, TrainSettings(steps=0), Rng(1))
@@ -573,7 +588,7 @@ def test_base_model_never_modified(counterexample_model):
 
 @pytest.mark.parametrize("field, value", [
     ("learning_rate", math.nan), ("learning_rate", math.inf),
-    ("grad_clip", -1.0), ("grad_clip", 0.0), ("grad_clip", math.nan), ("grad_clip", math.inf),
+    ("batch_size", 0), ("batch_size", -1), ("eval_every", 0), ("eval_every", -1),
     ("clip", math.nan), ("clip", math.inf), ("clip", -1.0),
     ("kl_beta", math.nan), ("kl_beta", math.inf),
     ("temperatures", (0.5, math.nan)), ("temperatures", (math.inf,)),
