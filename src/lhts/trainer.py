@@ -190,6 +190,7 @@ class StepRecord:
 class TrainSettings:
     steps: int = 1000
     learning_rate: float = 1.0
+    grad_clip: float | None = None
     temperatures: tuple = (1.0,)
     horizon: int | None = None          # None = full suffix
     clip: float | None = None           # None = no exponent clipping
@@ -203,6 +204,8 @@ class TrainSettings:
             raise TrainerError("steps must be >= 0")
         if not _finite_positive(self.learning_rate):
             raise TrainerError("learning_rate must be positive and finite")
+        if self.grad_clip is not None and not _finite_positive(self.grad_clip):
+            raise TrainerError("grad_clip must be positive and finite")
         if not self.temperatures or not all(map(_finite_positive, self.temperatures)):
             raise TrainerError("temperatures must be a non-empty set of positive finite values")
         if self.horizon is not None and self.horizon < 1:
@@ -415,6 +418,8 @@ def lhts_step(state: TrainState, xs: np.ndarray, temperature: float,
 
     grad = grad * scale
     norm = float(np.sqrt(np.sum(grad * grad)))
+    if cfg.grad_clip is not None and norm > cfg.grad_clip:
+        grad *= cfg.grad_clip / norm
     state.last_grad = grad
     state.q.set_param_array(state.q.param_array() - cfg.learning_rate * grad)
     state.step += 1

@@ -588,10 +588,11 @@ def test_base_model_never_modified(counterexample_model):
 
 @pytest.mark.parametrize("field, value", [
     ("learning_rate", math.nan), ("learning_rate", math.inf),
-    ("batch_size", 0), ("batch_size", -1), ("eval_every", 0), ("eval_every", -1),
+    ("grad_clip", -1.0), ("grad_clip", 0.0), ("grad_clip", math.nan), ("grad_clip", math.inf),
     ("clip", math.nan), ("clip", math.inf), ("clip", -1.0),
     ("kl_beta", math.nan), ("kl_beta", math.inf),
     ("temperatures", (0.5, math.nan)), ("temperatures", (math.inf,)),
+    ("batch_size", 0), ("batch_size", -1), ("eval_every", 0), ("eval_every", -1),
 ])
 def test_settings_reject_non_finite_or_non_positive_knobs(field, value):
     with pytest.raises(TrainerError, match=field):
