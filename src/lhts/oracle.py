@@ -3,10 +3,10 @@
 Builds explicit joint distributions from autoregressive models, scales them
 exactly (jointly or per-position), and provides KL / entropy / argmax.
 Tables are immutable after construction and safe to share; scaling at T = 1
-shares its source's entries. Whole-table sums (normalization, KL, entropy)
-are reduced over blocks of ``_BLOCK`` entries, so their temporaries stay
-cache-sized. A table of one block is one pass with one-shot arithmetic; on
-larger tables the block sums move a result by a few ulp.
+shares its source's entries and rows. Whole-table sums (normalization, KL,
+entropy) are reduced over blocks of ``_BLOCK`` entries, so their temporaries
+stay cache-sized. A table of one block is one pass with one-shot arithmetic;
+on larger tables the block sums move a result by a few ulp.
 
 Enumeration evaluates each position's conditionals once per distinct
 context. A model whose ``window`` attribute is an int declares that its
@@ -19,13 +19,16 @@ encoding.
 
 A table comes in two representations. A *raw* table holds only its V^L
 entries. A *chain* table, which enumeration returns for a model with an int
-``window`` shorter than L - 1, also keeps each position's (V^c, V) block of
-conditional log-probs. The joint of such a model, and its temperature-scaled
-joint, are order-``window`` Markov chains over those contexts, so a chain
-table is scaled by backward messages and compared by a forward pass over its
-rows: O(L V^(window+1)) work instead of V^L. ``enumerate_joint`` and
-``myopic_scale_joint`` build their entries at once; ``temperature_scale_exact``
-of a chain table builds them only when ``log_probs`` is first read.
+``window`` shorter than L - 1, keeps each position's (V^c, V) block of
+conditional log-probs instead, and chains them into its entries only when
+``log_probs`` is first read. The joint of such a model, and its
+temperature-scaled joint, are order-``window`` Markov chains over those
+contexts, so a chain table is scaled by backward messages, and its KL and
+entropy are summed by a forward pass over its rows: O(L V^(window+1)) work
+instead of V^L. ``ENUMERATION_CAP`` bounds the entries that are built, not
+the space: a chain table past it can be scaled and scored, but reading its
+``log_probs`` raises, as do ``SequenceSpace.all_sequences``, the raw
+constructor and enumerating a whole-prefix model.
 """
 
 from __future__ import annotations
@@ -82,6 +85,23 @@ def _block_sum(fn, *tables: np.ndarray) -> float:
     return total
 
 
+def _checked_max(lw: np.ndarray) -> float:
+    """max(lw), refusing a NaN or +inf entry."""
+    m = lw.max()
+    if np.isnan(m) or m == np.inf:
+        raise OracleError("table entries must be finite or -inf")
+    return m
+
+
+def _check_cap(space: SequenceSpace) -> None:
+    """Refuse to build the entries of a space larger than ENUMERATION_CAP."""
+    if space.size > ENUMERATION_CAP:
+        raise OracleError(
+            f"sequence space needs {space.size} entries but the enumeration cap allows "
+            f"{ENUMERATION_CAP}; reduce vocab_size={space.vocab_size} or length={space.length}"
+        )
+
+
 def _log_z(lw: np.ndarray, m: float) -> float:
     """log sum(exp(lw)) given m = max(lw), as m + log sum(exp(lw - m))."""
     if m == -np.inf:
@@ -110,20 +130,16 @@ def _context_prefixes(ids: np.ndarray, vocab_size: int, c: int, width: int) -> n
 
 
 class SequenceSpace:
-    """All length-L sequences over a vocab of size V, in lexicographic order."""
+    """All length-L sequences over a vocab of size V, in lexicographic order.
+    A space of any size can be made, and its indices are exact Python ints;
+    ``all_sequences`` refuses one larger than ENUMERATION_CAP."""
 
     def __init__(self, vocab_size: int, length: int):
         if vocab_size < 1 or length < 1:
             raise OracleError("vocab_size and length must be positive")
-        size = vocab_size**length
-        if size > ENUMERATION_CAP:
-            raise OracleError(
-                f"sequence space needs {size} entries but the enumeration cap "
-                f"allows {ENUMERATION_CAP}; reduce vocab_size={vocab_size} or length={length}"
-            )
         self.vocab_size = vocab_size
         self.length = length
-        self.size = size
+        self.size = vocab_size**length
 
     def index_of(self, seq: Sequence[int]) -> int:
         toks = np.asarray(seq, dtype=np.int64)
@@ -132,16 +148,20 @@ class SequenceSpace:
         bad = toks[(toks < 0) | (toks >= self.vocab_size)]
         if bad.size:
             raise OracleError(f"token {bad[0]} out of vocab of size {self.vocab_size}")
-        return int(_context_ids(toks[None, :], self.vocab_size)[0])
+        return functools.reduce(lambda i, tok: i * self.vocab_size + tok, toks.tolist(), 0)
 
     def sequence_at(self, index: int) -> tuple[int, ...]:
         if not 0 <= index < self.size:
             raise OracleError(f"index {index} out of range for {self.size} sequences")
-        return tuple(_context_prefixes(np.array([index]), self.vocab_size, self.length,
-                                       self.length)[0].tolist())
+        seq = []
+        for _ in range(self.length):
+            index, tok = divmod(index, self.vocab_size)
+            seq.append(tok)
+        return tuple(reversed(seq))
 
     def all_sequences(self) -> np.ndarray:
         """(V^L, L) int array, row i = sequence_at(i)."""
+        _check_cap(self)
         return _context_prefixes(np.arange(self.size), self.vocab_size, self.length, self.length)
 
 
@@ -151,27 +171,28 @@ class CategoricalTable:
     The constructor normalizes; ``log_z`` records the log partition function
     that was divided out (for tables produced by temperature scaling this is
     log Z of the scaled distribution). It makes a raw table, whose ``rows``
-    and ``window`` are None.
+    and ``window`` are None, and refuses a space larger than ENUMERATION_CAP
+    and an entry that is NaN or +inf.
 
     A chain table, made by ``enumerate_joint``, ``myopic_scale_joint`` or
     ``temperature_scale_exact`` from a model with an int ``window`` shorter
-    than L - 1, also has ``window`` and ``rows``: for each position i one
+    than L - 1, has ``window`` and ``rows``: for each position i one
     read-only (V^c, V) array of conditional log-probs, c = min(i, window),
-    whose row s is the conditional after the context of id s. Chaining the
-    rows gives the entries, and a chain table without entries builds
-    ``log_probs`` that way when it is first read.
+    whose row s is the conditional after the context of id s. Its entries
+    are the chained rows, built when ``log_probs`` is first read (past
+    ENUMERATION_CAP that read raises); tables that share rows share one
+    build.
     """
 
     rows: tuple[np.ndarray, ...] | None = None
     window: int | None = None
 
     def __init__(self, space: SequenceSpace, log_weights: np.ndarray, normalize: bool = True):
+        _check_cap(space)
         lw = np.asarray(log_weights, dtype=np.float64)
         if lw.shape != (space.size,):
             raise OracleError(f"expected {space.size} entries, got shape {lw.shape}")
-        m = lw.max()
-        if np.isnan(m) or m == np.inf:
-            raise OracleError("table entries must be finite or -inf")
+        m = _checked_max(lw)
         if normalize:
             log_z = _log_z(lw, m)
             lw = lw - log_z
@@ -185,11 +206,10 @@ class CategoricalTable:
 
     @functools.cached_property
     def log_probs(self) -> np.ndarray:
-        # only read on a chain table made without entries: a raw table
-        # stores its entries under this name on construction
-        log_probs = functools.reduce(_extend, self.rows, np.zeros(1))
-        log_probs.flags.writeable = False
-        return log_probs
+        # only read on a chain table: a raw table stores its entries under
+        # this name on construction
+        _check_cap(self.space)
+        return self.rows.entries
 
     @property
     def vocab_size(self) -> int:
@@ -201,6 +221,16 @@ class CategoricalTable:
 
     def probs(self) -> np.ndarray:
         return np.exp(self.log_probs)
+
+
+class _Rows(tuple):
+    """A chain table's per-position rows, which build its entries once."""
+
+    @functools.cached_property
+    def entries(self) -> np.ndarray:
+        entries = functools.reduce(_extend, self, np.zeros(1))
+        entries.flags.writeable = False
+        return entries
 
 
 def _extend(log_joint: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -218,17 +248,19 @@ def _extend(log_joint: np.ndarray, rows: np.ndarray) -> np.ndarray:
 
 
 def _chain_joint(model, t_cond: float | None, temperature: float = 1.0) -> CategoricalTable:
-    """Chain the model's conditionals over every prefix, breadth first.
+    """Each position's conditionals, once per distinct context, as a chain
+    table or chained into a raw one.
 
     Position i evaluates the conditionals once on the V^c distinct contexts,
-    c = min(i, window) (c = i when the model has no window), and adds them
-    to the lexicographic prefixes that share those last c tokens (``_extend``).
-    Each conditional is rescaled before chaining by
-    ``numerics.myopic_rescale``, which ``ARModel.sample`` also draws from; at
-    T = 1 it returns the rows untouched. A model with an int window shorter
-    than L - 1 gives a chain table, which keeps a copy of the rows; a window
-    of L - 1 or more reads whole prefixes, where rows as large as the entries
-    would save no work, and gives a raw table.
+    c = min(i, window) (c = i when the model has no window). Each
+    conditional is rescaled by ``numerics.myopic_rescale``, which
+    ``ARModel.sample`` also draws from; at T = 1 it returns the rows
+    untouched. A model with an int window shorter than L - 1 gives a chain
+    table, which keeps a checked copy of the rows and builds no entry. A
+    window of L - 1 or more reads whole prefixes, where rows as large as the
+    entries would save no work: each position's rows are added at once to
+    the lexicographic prefixes that share their last c tokens (``_extend``),
+    giving a raw table.
     """
     length = model.max_length
     space = SequenceSpace(model.vocab_size, length)
@@ -236,6 +268,8 @@ def _chain_joint(model, t_cond: float | None, temperature: float = 1.0) -> Categ
     window = getattr(model, "window", None)
     if window is not None and window >= length - 1:
         window = None
+    if window is None:
+        _check_cap(space)  # before the V^(L-1) contexts are allocated
 
     log_joint = np.zeros(1, dtype=np.float64)
     kept = []
@@ -244,16 +278,19 @@ def _chain_joint(model, t_cond: float | None, temperature: float = 1.0) -> Categ
         contexts = _context_prefixes(np.arange(V**c), V, c, pos)
         rows = myopic_rescale(model.conditional_log_probs_batch(contexts, pos, t_cond=t_cond),
                               temperature)
-        log_joint = _extend(log_joint, rows)
-        if window is not None:
-            # a copy: the model may hand out rows it keeps
+        if window is None:
+            log_joint = _extend(log_joint, rows)
+        else:
+            # a copy: the model may hand out rows it keeps. A chain of
+            # finite or -inf rows has finite or -inf entries, so checking
+            # the rows checks the entries.
             rows = np.array(rows, dtype=np.float64)
+            _checked_max(rows)
             rows.flags.writeable = False
             kept.append(rows)
-    table = CategoricalTable(space, log_joint, normalize=False)
-    if window is not None:
-        table.rows, table.window = tuple(kept), window
-    return table
+    if window is None:
+        return CategoricalTable(space, log_joint, normalize=False)
+    return _derived_table(space, None, 0.0, _Rows(kept), window)
 
 
 def enumerate_joint(model, t_cond: float | None = None) -> CategoricalTable:
@@ -266,11 +303,12 @@ def enumerate_joint(model, t_cond: float | None = None) -> CategoricalTable:
 
     If the model sets ``window`` to an int, its conditional at position i
     must depend only on the last min(i, window) prefix tokens: it is called
-    once per distinct context, with zeros in the earlier columns, and the
-    result is a chain table that keeps those rows beside its entries, when
-    the window is shorter than L - 1. ``window`` None, or no such attribute,
-    means the whole prefix and gives a raw table. Either way the entries are
-    built here.
+    once per distinct context, with zeros in the earlier columns. When the
+    window is shorter than L - 1 the result is a chain table of those rows,
+    whose entries are built only when ``log_probs`` is first read.
+    ``window`` None, or no such attribute, means the whole prefix and gives
+    a raw table, whose entries are built here. Either way a NaN or +inf
+    log-prob raises.
     """
     return _chain_joint(model, t_cond)
 
@@ -282,7 +320,7 @@ def temperature_scale_exact(table: CategoricalTable, temperature: float) -> Cate
     T = 1 returns a table that shares the source's read-only entries and
     rows. Off T = 1:
 
-    - a chain table gives a chain table, and touches no entry. Backward
+    - a chain table gives a chain table, and builds no entry. Backward
       log-messages over the window states,
       log b_i(s) = logsumexp_x [log p(x|s)/T + log b_(i+1)(s')], with s'
       the last c_(i+1) tokens of s followed by x and log b_L = 0, give
@@ -328,14 +366,15 @@ def _scale_rows(rows: tuple[np.ndarray, ...], temperature: float
         a.flags.writeable = False
         scaled.append(a)
         log_beta = (m + lse)[:, 0]
-    return tuple(reversed(scaled)), float(log_beta[0])
+    return _Rows(reversed(scaled)), float(log_beta[0])
 
 
 def _derived_table(space: SequenceSpace, log_probs: np.ndarray | None, log_z: float,
                    rows: tuple[np.ndarray, ...] | None = None,
                    window: int | None = None) -> CategoricalTable:
-    """Freeze entries derived from a checked table, skipping the checks.
-    ``log_probs`` None leaves a chain table's entries to its first read."""
+    """Freeze entries or rows derived from checked ones, skipping the
+    checks. ``log_probs`` None leaves a chain table's entries to its first
+    read."""
     out = object.__new__(CategoricalTable)
     out.space, out.log_z, out.rows, out.window = space, log_z, rows, window
     if log_probs is not None:
@@ -351,8 +390,9 @@ def myopic_scale_joint(model, temperature: float, t_cond: float | None = None) -
     position before chaining, by ``numerics.myopic_rescale``, which
     ``ARModel.sample(myopic_t=T)`` shares. At T = 1 this reproduces
     enumerate_joint entry-for-entry (the rescale returns the rows untouched).
-    Like enumerate_joint it builds the entries, and a windowed model gives a
-    chain table of the rescaled rows.
+    Like enumerate_joint, a windowed model gives a chain table of the
+    rescaled rows, which builds its entries only when they are first read,
+    and a whole-prefix model a raw table.
     """
     if not 0 < temperature < math.inf:
         raise OracleError(f"temperature must be positive and finite, got {temperature}")
@@ -375,11 +415,12 @@ def kl_divergence(p: CategoricalTable, q: CategoricalTable) -> float:
     or when that sum is not finite (a -inf row entry in p or q), the
     entries are compared in one pass over blocks b, each summed as
     exp(lp_b) @ (lp_b - lq_b), with no temporary larger than a block,
-    building a chain table's entries if they are not built yet. A block
-    whose sum is not finite has a -inf entry: it is summed again over the
-    entries where p has mass, so the others add nothing. If q lacks support
-    somewhere p has mass, the divergence is +inf and a SupportWarning names
-    the first offending sequence.
+    building a chain table's entries if they are not built yet (past
+    ENUMERATION_CAP that raises). A block whose sum is not finite has a -inf
+    entry: it is summed again over the entries where p has mass, so the
+    others add nothing. If q lacks support somewhere p has mass, the
+    divergence is +inf and a SupportWarning names the first offending
+    sequence.
     """
     _check_same_space(p, q)
     if p.rows is not None and q.rows is not None:
@@ -427,6 +468,21 @@ def _chain_kl(p_rows: tuple[np.ndarray, ...], q_rows: tuple[np.ndarray, ...]) ->
 
 
 def entropy(table: CategoricalTable) -> float:
+    """H(p) = -sum_x p(x) log p(x), exact.
+
+    A chain table's entropy is sum_i sum_s mu_i(s) H(p(.|s)), which is
+    minus ``_chain_kl``'s forward sum against log q = 0 on every row, and
+    reads no entry. A raw table, or a chain table whose row sum is not
+    finite (a -inf row entry), is summed over blocks of its entries,
+    skipping the -inf ones.
+    """
+    if table.rows is not None:
+        zeros = (np.zeros((1, table.vocab_size)),) * table.length
+        with np.errstate(invalid="ignore"):
+            h = -_chain_kl(table.rows, zeros)
+        if math.isfinite(h):
+            return h
+
     def block(a):
         a = a[a > -np.inf]
         return float(np.sum(np.exp(a) * a))

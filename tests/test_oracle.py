@@ -13,6 +13,7 @@ from lhts.data import shared_prefix_scenario
 from lhts.numerics import log_softmax, myopic_rescale
 from lhts.oracle import (
     _BLOCK,
+    ENUMERATION_CAP,
     _context_prefixes,
     CategoricalTable,
     OracleError,
@@ -47,6 +48,15 @@ def test_space_roundtrip_lexicographic():
         assert space.sequence_at(i) == tuple(s)
 
 
+def test_indices_of_a_space_past_int64_are_exact():
+    space = SequenceSpace(8, 22)
+    assert space.size == 8**22 > 2**63
+    last = (7,) * 22
+    assert space.index_of(last) == 8**22 - 1
+    assert space.sequence_at(8**22 - 1) == last
+    assert space.sequence_at(8**21 + 5) == (1,) + (0,) * 20 + (5,)
+
+
 @pytest.mark.parametrize("index", [-1, 4])
 def test_sequence_at_checks_its_range(index):
     with pytest.raises(OracleError, match="out of range"):
@@ -61,8 +71,18 @@ def test_index_of_checks_its_tokens(seq, message):
 
 
 def test_space_cap_error_reports_sizes():
-    with pytest.raises(OracleError, match=r"100000000.*10000000"):
-        SequenceSpace(10, 8)
+    # a space past the cap can be made; building its entries is refused,
+    # and a whole-prefix model is refused before its contexts are allocated
+    space = SequenceSpace(10, 8)
+    builds = [
+        space.all_sequences,
+        lambda: CategoricalTable(space, np.zeros(1)),
+        lambda: enumerate_joint(LinearAR(10, 8, 7)),
+        lambda: enumerate_joint(LinearAR(10, 8, 2)).log_probs,
+    ]
+    for build in builds:
+        with pytest.raises(OracleError, match=r"100000000.*10000000"):
+            build()
 
 
 # ---------------------------------------------------------- enumerate_joint
@@ -602,11 +622,14 @@ def test_chain_tables_match_the_table_path(V, L, window_fracs, embedding, T, see
         a_raw = want if a is scaled else raw(a)
         b_raw = want if b is scaled else raw(b)
         assert_close(kl_divergence(a, b), kl_divergence(a_raw, b_raw))
+    assert_close(entropy(scaled), entropy(want))
     # off T = 1 a chain table's entries are built only when read: the KLs
-    # of chain tables read rows only
+    # and the entropy of chain tables read rows only
     assert ("log_probs" in vars(scaled)) == (T == 1.0 or not (p_chain and q_chain))
     np.testing.assert_allclose(scaled.log_probs, want.log_probs, rtol=0, atol=1e-12)
     assert not scaled.log_probs.flags.writeable
+    for a in (p, q):
+        assert_close(entropy(a), entropy(raw(a)))
 
 
 def test_scale_at_one_shares_a_chain_tables_rows_and_entries():
@@ -618,6 +641,45 @@ def test_scale_at_one_shares_a_chain_tables_rows_and_entries():
     lazy = temperature_scale_exact(p, 0.5)
     again = temperature_scale_exact(lazy, 1.0)
     assert again.rows is lazy.rows and "log_probs" not in vars(again)
+
+
+def test_windowed_tables_build_their_entries_only_when_read():
+    model, _ = random_ar("linear", 3, 5, 2, False, 0)
+    for table in (enumerate_joint(model), myopic_scale_joint(model, 0.5)):
+        assert "log_probs" not in vars(table)
+    assert _peak_bytes(enumerate_joint, LinearAR(8, 7, 3)) < 2**20
+
+
+def test_windowed_model_with_a_nan_log_prob_is_refused():
+    # the rows are checked instead of the entries they chain into
+    model, _ = random_ar("linear", 3, 4, 2, False, 0)
+    model.bias[1] = np.nan
+    with pytest.raises(OracleError, match="finite or -inf"):
+        enumerate_joint(model)
+
+
+def test_independent_positions_past_the_cap_match_the_closed_form():
+    # w_ctx = 0 makes every position independent of its context, so
+    # pi = p^(1/T)/Z has rows softmax(log p_i / T), and KL(pi || q) and
+    # H(pi) are sums of per-position terms; 8^12 entries are never built
+    V, L, T = 8, 12, 0.5
+    assert V**L > ENUMERATION_CAP
+    rng = np.random.default_rng(0)
+    models, rows = [], []
+    for _ in range(2):
+        model = LinearAR(V, L, 2)
+        model.w_pos = rng.normal(size=model.w_pos.shape)
+        model.bias = rng.normal(size=model.bias.shape)
+        models.append(model)
+        rows.append(log_softmax((model.bias[:, None] + model.w_pos).T))
+    pi = temperature_scale_exact(enumerate_joint(models[0]), T)
+    q = enumerate_joint(models[1])
+    lpi, lq = log_softmax(rows[0] / T), rows[1]
+    assert_close(kl_divergence(pi, q), float(np.sum(np.exp(lpi) * (lpi - lq))))
+    assert_close(entropy(pi), float(-np.sum(np.exp(lpi) * lpi)))
+    assert "log_probs" not in vars(pi) and "log_probs" not in vars(q)
+    with pytest.raises(OracleError, match="enumeration cap"):
+        pi.log_probs
 
 
 def test_whole_prefix_models_and_raw_tables_keep_the_table_path():
