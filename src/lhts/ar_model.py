@@ -17,9 +17,10 @@ gradients and checkpoints all use it.
 
 A model's ``window`` declares which prefix tokens its conditionals read: the
 last ``window`` of them, or the whole prefix when it is None. Pricing,
-sampling, the trainer's loss and exact enumeration all rely on it: they
-evaluate each position's conditionals once per distinct context
-(``distinct_contexts``) and gather the rows back to the sequences.
+sampling, the trainer's loss and exact enumeration all read the model's row
+tables (``row_tables``): each position's conditionals on every context it
+reads, built once per parameter state and t_cond, and indexed by each
+sequence's rolling context id.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numerics import log_softmax, myopic_rescale
-from .oracle import CategoricalTable, _context_ids, _context_prefixes
+from .oracle import ENUMERATION_CAP, CategoricalTable, _context_ids, _context_prefixes
 
 __all__ = [
     "ModelError",
@@ -74,12 +75,14 @@ class ARModel:
     vocab_size: int
     max_length: int
     # the conditionals read only the last ``window`` tokens; None means the
-    # whole prefix. Pricing, sampling, the loss and enumeration evaluate one
-    # row per distinct context and share it between the prefixes that end in it
+    # whole prefix. Pricing, sampling, the loss and enumeration read one row
+    # per context from ``row_tables``
     window: int | None = None
     # width of the temperature embedding; None when the model does not
     # condition on a temperature
     embedding_width: int | None = None
+    # the last tables ``row_tables`` built, as ((parameter bytes, t_cond), tables)
+    _row_cache: tuple | None = None
 
     # -- to implement ------------------------------------------------------
 
@@ -93,10 +96,11 @@ class ARModel:
         """Next-token log-probs, the log-softmax of ``logits_batch``."""
         raise NotImplementedError
 
-    def param_grad(self, prefixes: np.ndarray, position: int, g_logits: np.ndarray,
+    def param_grad(self, position: int, g_rows: np.ndarray,
                    t_cond: float | None = None) -> np.ndarray:
-        """Chain rule through ``logits_batch``: given dL/dlogits (n, V) for
-        these prefixes, dL/dtheta as a flat vector in ``param_array`` order."""
+        """Chain rule through ``logits_batch``: given dL/dlogits (V^c, V) of
+        every context at ``position``, in the row order of ``row_tables``,
+        dL/dtheta as a flat vector in ``param_array`` order."""
         raise NotImplementedError
 
     def param_array(self) -> np.ndarray:
@@ -141,37 +145,51 @@ class ARModel:
             raise ModelError(f"prefix of length {len(prefix)} too long for max_length {self.max_length}")
         return self.conditional_log_probs_batch(prefix[None, :], len(prefix), t_cond=t_cond)[0]
 
-    def distinct_contexts(self, prefixes: np.ndarray, position: int) -> tuple[np.ndarray, np.ndarray]:
-        """The contexts that occur at ``position`` among the rows of
-        ``prefixes``, whose first ``position`` columns hold in-vocab tokens.
+    def row_tables(self, t_cond: float | None = None) -> tuple[np.ndarray, ...]:
+        """Each position's conditionals on every context it reads.
 
-        A context is the last c = min(position, window) of those tokens (all
-        of them when ``window`` is None). Returns ``reps``, one (position,)
-        prefix per context that occurs, in lexicographic order with zeros in
-        the columns the model does not read, and ``inverse``, the row of
-        ``reps`` for each prefix. Costs O(n + V^c) and does not sort.
+        Position i's table is a read-only (V^c, V) array, c = min(i, window)
+        (c = i without a window), whose row s is the conditional after the
+        context of id s (``oracle``'s lexicographic encoding). The model
+        keeps the last set it built, keyed by the exact bytes of
+        ``param_array()`` and by t_cond, and builds a new one when either
+        differs, however the parameters were changed. A table past
+        ``ENUMERATION_CAP`` entries raises ``ModelError`` before anything
+        is built.
         """
-        V = self.vocab_size
-        c = position if self.window is None else min(position, self.window)
-        ids = _context_ids(prefixes[:, position - c:position], V)
-        seen = np.zeros(V**c, dtype=bool)
-        seen[ids] = True
-        present = np.flatnonzero(seen)
-        rank = np.empty(V**c, dtype=np.int64)
-        rank[present] = np.arange(present.size)
-        return _context_prefixes(present, V, c, position), rank[ids]
+        self._check_t_cond(t_cond)
+        key = (self.param_array().tobytes(), t_cond)
+        if self._row_cache is not None and self._row_cache[0] == key:
+            return self._row_cache[1]
+        V, L = self.vocab_size, self.max_length
+        widths = [i if self.window is None else min(i, self.window) for i in range(L)]
+        if V ** widths[-1] * V > ENUMERATION_CAP:
+            raise ModelError(
+                f"the row table at position {L - 1} needs {V ** widths[-1] * V} entries but "
+                f"the enumeration cap allows {ENUMERATION_CAP}; reduce vocab_size={V}, "
+                f"window={self.window} or max_length={L}")
+        tables = []
+        for i, c in enumerate(widths):
+            rows = self.conditional_log_probs_batch(_context_prefixes(np.arange(V**c), V, c, i),
+                                                    i, t_cond=t_cond)
+            rows.flags.writeable = False
+            tables.append(rows)
+        self._row_cache = (key, tuple(tables))
+        return self._row_cache[1]
 
     def per_token_log_probs_matrix(self, xs: np.ndarray, t_cond: float | None = None) -> np.ndarray:
-        """u over a batch: (N, L) matrix of conditional log-probs."""
+        """u over a batch: a new (N, L) matrix of conditional log-probs,
+        read from ``row_tables`` by each row's rolling context id."""
         xs = self._check_tokens(xs)
         n, length = xs.shape
         if length > self.max_length:
             raise ModelError(f"sequence length {length} exceeds max_length {self.max_length}")
         u = np.empty((n, length))
-        for i in range(length):
-            reps, inverse = self.distinct_contexts(xs, i)
-            rows = self.conditional_log_probs_batch(reps, i, t_cond=t_cond)
-            u[:, i] = rows.ravel()[inverse * self.vocab_size + xs[:, i]]
+        # flat is s V + x: the context id s, then the token x read after it
+        flat = np.zeros(n, dtype=np.int64)
+        for i, rows in enumerate(self.row_tables(t_cond)[:length]):
+            flat = flat % rows.shape[0] * self.vocab_size + xs[:, i]
+            u[:, i] = rows.ravel()[flat]
         return u
 
     def sample(self, n: int, myopic_t: float = 1.0, t_cond: float | None = None,
@@ -197,24 +215,25 @@ class ARModel:
         V = self.vocab_size
         seqs = np.zeros((n, self.max_length), dtype=np.int64)
         logp = np.zeros(n)
-        for i in range(self.max_length):
-            reps, inverse = self.distinct_contexts(seqs, i)
-            rows = self.conditional_log_probs_batch(reps, i, t_cond=t_cond)
+        flat = np.zeros(n, dtype=np.int64)
+        for i, rows in enumerate(self.row_tables(t_cond)):
+            ids = flat % rows.shape[0]
             if myopic_t == 0.0:
-                toks = np.argmax(rows, axis=1)[inverse]
+                toks = np.argmax(rows, axis=1)[ids]
             else:
                 probs = np.exp(myopic_rescale(rows, myopic_t))
                 probs /= probs.sum(axis=1, keepdims=True)
                 # cum[k] is every context's CDF at token k, for k < V-1; the
                 # last entry could only add what the cap at V-1 takes away
-                cum = np.empty((V - 1, reps.shape[0]))
+                cum = np.empty((V - 1, rows.shape[0]))
                 np.cumsum(probs[:, :-1], axis=1, out=cum.T)
                 u = rng.random((n, 1))[:, 0]
                 toks = np.zeros(n, dtype=np.int64)
                 for col in cum:
-                    toks += col[inverse] < u
+                    toks += col[ids] < u
             seqs[:, i] = toks
-            logp += rows.ravel()[inverse * V + toks]
+            flat = ids * V + toks
+            logp += rows.ravel()[flat]
         return SampleBatch(seqs, logp, myopic_t=float(myopic_t), t_cond=t_cond)
 
 
@@ -289,10 +308,10 @@ class TabularAR(ARModel):
     def conditional_log_probs_batch(self, prefixes, position, t_cond=None):
         return log_softmax(self.logits_batch(prefixes, position, t_cond))
 
-    def param_grad(self, prefixes, position, g_logits, t_cond=None):
+    def param_grad(self, position, g_rows, t_cond=None):
         grad = np.zeros_like(self.logits)
-        rows = self.row_indices(np.asarray(prefixes, dtype=np.int64), position)
-        np.add.at(grad, rows, g_logits)
+        start = self.offsets[position]
+        grad[start:start + self.vocab_size**position] = g_rows
         return grad.ravel()
 
     @property
@@ -406,13 +425,15 @@ class LinearAR(ARModel):
     def conditional_log_probs_batch(self, prefixes, position, t_cond=None):
         return log_softmax(self.logits_batch(prefixes, position, t_cond))
 
-    def param_grad(self, prefixes, position, g_logits, t_cond=None):
-        prefixes = np.asarray(prefixes, dtype=np.int64)
+    def param_grad(self, position, g_rows, t_cond=None):
+        V, c = self.vocab_size, min(self.window, position)
         grad = np.zeros(self.n_params)
         g_ctx, g_pos, g_bias, *g_emb = self.split(grad)
-        for j in range(min(self.window, position)):
-            np.add.at(g_ctx, (slice(None), j, prefixes[:, position - 1 - j]), g_logits.T)
-        g_logits.sum(axis=0, out=g_bias)
+        # axis a of g is the context's token c - a places back
+        g = g_rows.reshape((V,) * c + (V,))
+        for j in range(c):
+            g_ctx[:, j] = g.sum(axis=tuple(a for a in range(c) if a != c - 1 - j)).T
+        g.sum(axis=tuple(range(c)), out=g_bias)
         g_pos[:, position] = g_bias
         if g_emb:
             # logits += w_emb @ e with e = emb_scale * T + emb_bias

@@ -8,14 +8,14 @@ entropy) are reduced over blocks of ``_BLOCK`` entries, so their temporaries
 stay cache-sized. A table of one block is one pass with one-shot arithmetic;
 on larger tables the block sums move a result by a few ulp.
 
-Enumeration evaluates each position's conditionals once per distinct
-context. A model whose ``window`` attribute is an int declares that its
-conditionals read only the last ``window`` tokens of the prefix, so position
-i needs V^min(i, window) rows; ``window`` None (or absent) means the whole
-prefix, V^i rows. A context of c tokens has one id in [0, V^c), its
-lexicographic index with the first token most significant; the models'
-pricing, sampling and loss (``ARModel.distinct_contexts``) use the same
-encoding.
+Enumeration reads the model's row tables (``ARModel.row_tables``): each
+position's conditionals once per context. A model whose ``window``
+attribute is an int declares that its conditionals read only the last
+``window`` tokens of the prefix, so position i has V^min(i, window) rows;
+``window`` None means the whole prefix, V^i rows. A context of c tokens has
+one id in [0, V^c), its lexicographic index with the first token most
+significant; the models' pricing, sampling and loss index the same tables
+by the same encoding.
 
 A table comes in two representations. A *raw* table holds only its V^L
 entries. A *chain* table, which enumeration returns for a model with an int
@@ -248,15 +248,12 @@ def _extend(log_joint: np.ndarray, rows: np.ndarray) -> np.ndarray:
 
 
 def _chain_joint(model, t_cond: float | None, temperature: float = 1.0) -> CategoricalTable:
-    """Each position's conditionals, once per distinct context, as a chain
-    table or chained into a raw one.
+    """The model's row tables, as a chain table or chained into a raw one.
 
-    Position i evaluates the conditionals once on the V^c distinct contexts,
-    c = min(i, window) (c = i when the model has no window). Each
-    conditional is rescaled by ``numerics.myopic_rescale``, which
+    Each row is rescaled by ``numerics.myopic_rescale``, which
     ``ARModel.sample`` also draws from; at T = 1 it returns the rows
     untouched. A model with an int window shorter than L - 1 gives a chain
-    table, which keeps a checked copy of the rows and builds no entry. A
+    table, which keeps the checked read-only rows and builds no entry. A
     window of L - 1 or more reads whole prefixes, where rows as large as the
     entries would save no work: each position's rows are added at once to
     the lexicographic prefixes that share their last c tokens (``_extend``),
@@ -264,51 +261,36 @@ def _chain_joint(model, t_cond: float | None, temperature: float = 1.0) -> Categ
     """
     length = model.max_length
     space = SequenceSpace(model.vocab_size, length)
-    V = model.vocab_size
-    window = getattr(model, "window", None)
+    window = model.window
     if window is not None and window >= length - 1:
         window = None
     if window is None:
         _check_cap(space)  # before the V^(L-1) contexts are allocated
-
-    log_joint = np.zeros(1, dtype=np.float64)
-    kept = []
-    for pos in range(length):
-        c = pos if window is None else min(pos, window)
-        contexts = _context_prefixes(np.arange(V**c), V, c, pos)
-        rows = myopic_rescale(model.conditional_log_probs_batch(contexts, pos, t_cond=t_cond),
-                              temperature)
-        if window is None:
-            log_joint = _extend(log_joint, rows)
-        else:
-            # a copy: the model may hand out rows it keeps. A chain of
-            # finite or -inf rows has finite or -inf entries, so checking
-            # the rows checks the entries.
-            rows = np.array(rows, dtype=np.float64)
-            _checked_max(rows)
-            rows.flags.writeable = False
-            kept.append(rows)
+    rows = [myopic_rescale(r, temperature) for r in model.row_tables(t_cond)]
     if window is None:
-        return CategoricalTable(space, log_joint, normalize=False)
-    return _derived_table(space, None, 0.0, _Rows(kept), window)
+        return CategoricalTable(space, functools.reduce(_extend, rows, np.zeros(1)),
+                                normalize=False)
+    # a chain of finite or -inf rows has finite or -inf entries, so checking
+    # the rows checks the entries
+    for r in rows:
+        _checked_max(r)
+        r.flags.writeable = False
+    return _derived_table(space, None, 0.0, _Rows(rows), window)
 
 
 def enumerate_joint(model, t_cond: float | None = None) -> CategoricalTable:
     """Chain-rule enumeration of a model's joint over all sequences.
 
     The model must expose ``vocab_size``, ``max_length`` (the length L of
-    the sequences) and ``conditional_log_probs_batch(prefixes, position,
-    t_cond)`` returning one normalized row of V log-probs per prefix (any
-    autoregressive model here does). Entry for x is sum_i log p(x_i | x_<i).
+    the sequences), ``window`` and ``row_tables(t_cond)``, each position's
+    normalized conditionals on every context it reads, as an
+    ``ar_model.ARModel`` does. Entry for x is sum_i log p(x_i | x_<i).
 
-    If the model sets ``window`` to an int, its conditional at position i
-    must depend only on the last min(i, window) prefix tokens: it is called
-    once per distinct context, with zeros in the earlier columns. When the
-    window is shorter than L - 1 the result is a chain table of those rows,
-    whose entries are built only when ``log_probs`` is first read.
-    ``window`` None, or no such attribute, means the whole prefix and gives
-    a raw table, whose entries are built here. Either way a NaN or +inf
-    log-prob raises.
+    When the window is an int shorter than L - 1 the result is a chain
+    table of those rows, whose entries are built only when ``log_probs`` is
+    first read. A window of None (the whole prefix) or of L - 1 or more
+    gives a raw table, whose entries are built here. Either way a NaN or
+    +inf log-prob raises.
     """
     return _chain_joint(model, t_cond)
 
@@ -411,23 +393,19 @@ def kl_divergence(p: CategoricalTable, q: CategoricalTable) -> float:
     """KL(p || q) = sum_x p(x) (log p(x) - log q(x)), exact.
 
     When both are chain tables, one forward pass over p's state marginals
-    sums the conditional KLs, reading only rows (``_chain_kl``). Otherwise,
-    or when that sum is not finite (a -inf row entry in p or q), the
-    entries are compared in one pass over blocks b, each summed as
+    sums the conditional KLs, reading only rows (``_chain_kl``). Otherwise
+    the entries are compared in one pass over blocks b, each summed as
     exp(lp_b) @ (lp_b - lq_b), with no temporary larger than a block,
     building a chain table's entries if they are not built yet (past
     ENUMERATION_CAP that raises). A block whose sum is not finite has a -inf
     entry: it is summed again over the entries where p has mass, so the
     others add nothing. If q lacks support somewhere p has mass, the
     divergence is +inf and a SupportWarning names the first offending
-    sequence.
+    sequence, on either path.
     """
     _check_same_space(p, q)
     if p.rows is not None and q.rows is not None:
-        with np.errstate(invalid="ignore"):
-            kl = _chain_kl(p.rows, q.rows)
-        if math.isfinite(kl):
-            return kl
+        return _chain_kl(p.rows, q.rows)
     kl = 0.0
     for start, (a, b) in _blocks(p.log_probs, q.log_probs):
         with np.errstate(invalid="ignore"):
@@ -436,16 +414,17 @@ def kl_divergence(p: CategoricalTable, q: CategoricalTable) -> float:
             mass = a > -np.inf
             bad = np.flatnonzero(mass & (b == -np.inf))
             if bad.size:
-                warnings.warn(
-                    f"support violation: q has zero probability on sequence "
-                    f"{p.space.sequence_at(start + int(bad[0]))} where p has mass; KL is +inf",
-                    SupportWarning,
-                )
+                _warn_support(p.space.sequence_at(start + int(bad[0])))
                 return math.inf
             a, b = a[mass], b[mass]
             part = float(np.sum(np.exp(a) * (a - b)))
         kl += part
     return kl
+
+
+def _warn_support(sequence: tuple[int, ...]) -> None:
+    warnings.warn(f"support violation: q has zero probability on sequence {sequence} "
+                  "where p has mass; KL is +inf", SupportWarning)
 
 
 def _chain_kl(p_rows: tuple[np.ndarray, ...], q_rows: tuple[np.ndarray, ...]) -> float:
@@ -454,7 +433,11 @@ def _chain_kl(p_rows: tuple[np.ndarray, ...], q_rows: tuple[np.ndarray, ...]) ->
     The state is the wider window's context, so position i has
     n = max(V^c_p, V^c_q) states, and the narrower table's row for state s
     is its row s mod V^c (``np.resize``). The mass mu_i(s) p(x|s) of each
-    (s, x) is carried to the next state, of id (s V + x) mod n_(i+1).
+    (s, x) is carried to the next state, of id (s V + x) mod n_(i+1). A
+    position whose sum is not finite has an entry of no mass (a -inf in
+    p's row) and is summed again over the entries of mass; if q is -inf on
+    one of them, the result is +inf and a SupportWarning names the first
+    offending sequence (``_first_violation``).
     """
     kl, mu = 0.0, np.ones(1)
     for lp, lq in zip(p_rows, q_rows):
@@ -462,9 +445,45 @@ def _chain_kl(p_rows: tuple[np.ndarray, ...], q_rows: tuple[np.ndarray, ...]) ->
         lp, lq = np.resize(lp, shape), np.resize(lq, shape)
         mu = mu.reshape(-1, shape[0]).sum(axis=0)
         joint = mu[:, None] * np.exp(lp)
-        kl += float(joint.ravel() @ (lp - lq).ravel())
+        with np.errstate(invalid="ignore"):
+            part = float(joint.ravel() @ (lp - lq).ravel())
+        if not math.isfinite(part):
+            mass = joint > 0
+            if np.any(lq[mass] == -np.inf):
+                _warn_support(_first_violation(p_rows, q_rows))
+                return math.inf
+            part = float(joint[mass] @ (lp[mass] - lq[mass]))
+        kl += part
         mu = joint.ravel()
     return kl
+
+
+def _first_violation(p_rows: tuple[np.ndarray, ...],
+                     q_rows: tuple[np.ndarray, ...]) -> tuple[int, ...]:
+    """The lexicographically first sequence that p's rows give mass and
+    q's rows none.
+
+    A backward pass marks each (state, token) of p's mass from which q
+    refuses the sequence, at that token or later on a path of p's mass.
+    The sequence then takes the smallest marked token until q has refused
+    one, and p's smallest token of mass after that.
+    """
+    V = p_rows[0].shape[1]
+    shapes = [(max(lp.shape[0], lq.shape[0]), V) for lp, lq in zip(p_rows, q_rows)]
+    marks, ahead = [], np.zeros(1, dtype=bool)
+    for lp, lq, shape in reversed(list(zip(p_rows, q_rows, shapes))):
+        mass, refused = np.resize(lp, shape) > -np.inf, np.resize(lq, shape) == -np.inf
+        marked = mass & (refused | np.resize(ahead, shape))
+        marks.append((mass, refused, marked))
+        ahead = marked.any(axis=1)
+    sequence, s, done = [], 0, False
+    for (mass, refused, marked), (n, _) in zip(reversed(marks), shapes):
+        s %= n
+        x = int(np.argmax(mass[s] if done else marked[s]))
+        done = done or bool(refused[s, x])
+        sequence.append(x)
+        s = s * V + x
+    return tuple(sequence)
 
 
 def entropy(table: CategoricalTable) -> float:
@@ -472,16 +491,11 @@ def entropy(table: CategoricalTable) -> float:
 
     A chain table's entropy is sum_i sum_s mu_i(s) H(p(.|s)), which is
     minus ``_chain_kl``'s forward sum against log q = 0 on every row, and
-    reads no entry. A raw table, or a chain table whose row sum is not
-    finite (a -inf row entry), is summed over blocks of its entries,
-    skipping the -inf ones.
+    reads no entry; a -inf row entry adds nothing. A raw table is summed
+    over blocks of its entries, skipping the -inf ones.
     """
     if table.rows is not None:
-        zeros = (np.zeros((1, table.vocab_size)),) * table.length
-        with np.errstate(invalid="ignore"):
-            h = -_chain_kl(table.rows, zeros)
-        if math.isfinite(h):
-            return h
+        return -_chain_kl(table.rows, (np.zeros((1, table.vocab_size)),) * table.length)
 
     def block(a):
         a = a[a > -np.inf]

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ar_model import ARModel, LinearAR
-from .numerics import Rng, log_softmax
+from .numerics import Rng
 from .oracle import CategoricalTable, enumerate_joint
 
 __all__ = [
@@ -294,9 +294,14 @@ def joint_weights(p: ARModel, xs: np.ndarray, temperature: float,
 
 def suffix_log_liks_matrix(p: ARModel, xs: np.ndarray, t_cond: float | None = None) -> np.ndarray:
     """v[n, i] = log p(x_{>=i} | x_<i) for each row, a reverse cumulative sum
-    of the per-token conditionals; v[:, 0] is the full sequence log-prob."""
+    of the per-token conditionals; v[:, 0] is the full sequence log-prob.
+
+    The sums are added in place, right to left, into the new matrix that
+    ``per_token_log_probs_matrix`` returns."""
     u = p.per_token_log_probs_matrix(xs, t_cond=t_cond)
-    return np.cumsum(u[:, ::-1], axis=1)[:, ::-1]
+    for i in range(u.shape[1] - 2, -1, -1):
+        u[:, i] += u[:, i + 1]
+    return u
 
 
 def apply_horizon(v: np.ndarray, horizon: int) -> np.ndarray:
@@ -333,8 +338,10 @@ def weighted_nll_loss_node(q: ARModel, xs: np.ndarray, importance: np.ndarray,
     ``importance`` is (n, L) per-index weights or (n,) per-example weights
     (the joint form, applied to every index). Importance weights and the
     base conditionals are constants; only q's parameters carry gradients.
-    Each position sums the weights of the rows that share a context and
-    evaluates q and the base once per distinct context.
+    Each position sums the weights over the S contexts of the wider window
+    of q and the anchor's base, and reads both models' ``row_tables``; the
+    narrower one's row for context s is its row s mod its own count
+    (``np.resize``), and q's gradient is summed back onto its own rows.
     """
     xs = q._check_tokens(xs)
     n, length = xs.shape
@@ -347,27 +354,29 @@ def weighted_nll_loss_node(q: ARModel, xs: np.ndarray, importance: np.ndarray,
     anchored = kl_beta > 0.0
     if anchored and base is None:
         raise TrainerError("kl_beta > 0 needs the base model")
-    # group rows by the contexts that both q and the anchor's base read: the
-    # wider window, None (the whole prefix) counting as widest
-    grouper = q
-    if anchored and q.window is not None and (base.window is None or base.window > q.window):
-        grouper = base
+    q_rows = q.row_tables(t_cond)
+    # without the anchor, S is q's own count of contexts
+    p_rows = base.row_tables() if anchored else q_rows
     V = q.vocab_size
     loss = 0.0
     grad = np.zeros(q.n_params)
+    # flat is s V + x: the context id s, then the token x read after it
+    flat = np.zeros(n, dtype=np.int64)
     for i in range(length):
-        reps, inverse = grouper.distinct_contexts(xs, i)
-        log_q = log_softmax(q.logits_batch(reps, i, t_cond))
-        # W[c, t] weighs -log q(t|c), summed over the rows with context c;
+        n_q = q_rows[i].shape[0]
+        S = max(n_q, p_rows[i].shape[0])
+        ids = flat % S
+        flat = ids * V + xs[:, i]
+        log_q = np.resize(q_rows[i], (S, V))
+        # W[s, t] weighs -log q(t|s), summed over the rows with context s;
         # zero entries are skipped in the loss so that a -inf log-prob with
         # no weight adds nothing
-        W = np.bincount(inverse * V + xs[:, i], weights=d * w[:, i],
-                        minlength=log_q.size).reshape(log_q.shape)
+        W = np.bincount(flat, weights=d * w[:, i], minlength=S * V).reshape(S, V)
         if anchored:
-            log_p = base.conditional_log_probs_batch(reps, i)
+            log_p = np.resize(p_rows[i], (S, V))
             # KL = sum_t p_t log p_t - sum_t p_t log q_t: the cross term
             # joins W, the entropy term is a constant shift of the loss
-            d_ctx = np.bincount(inverse, weights=d, minlength=reps.shape[0])
+            d_ctx = np.bincount(ids, weights=d, minlength=S)
             pw = kl_beta * d_ctx[:, None] * np.exp(log_p)
             W += pw
             mass = pw > 0
@@ -375,7 +384,9 @@ def weighted_nll_loss_node(q: ARModel, xs: np.ndarray, importance: np.ndarray,
         used = W != 0
         loss -= W[used] @ log_q[used]
         g_logits = W.sum(axis=1, keepdims=True) * np.exp(log_q) - W
-        grad += q.param_grad(reps, i, g_logits, t_cond)
+        if S > n_q:
+            g_logits = g_logits.reshape(-1, n_q, V).sum(axis=0)
+        grad += q.param_grad(i, g_logits, t_cond)
     return float(loss), grad
 
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -530,30 +531,7 @@ def test_logits_match_numpy_conditionals():
             assert np.allclose(row, expected, rtol=0, atol=1e-12)
 
 
-# ------------------------------------------------- one row per distinct context
-
-def test_distinct_contexts_windowed():
-    model = LinearAR(3, 4, window=2)
-    prefixes = np.array([[0, 2, 1], [1, 0, 2], [2, 2, 1], [0, 0, 2]])
-    reps, inverse = model.distinct_contexts(prefixes, 3)
-    # contexts (0, 2) and (2, 1), lexicographic, first column unread and zero
-    assert reps.tolist() == [[0, 0, 2], [0, 2, 1]]
-    assert inverse.tolist() == [1, 0, 1, 0]
-    reps, inverse = model.distinct_contexts(prefixes, 1)
-    assert reps.tolist() == [[0], [1], [2]]
-    assert inverse.tolist() == [0, 1, 2, 0]
-    reps, inverse = model.distinct_contexts(prefixes, 0)
-    assert reps.shape == (1, 0) and inverse.tolist() == [0, 0, 0, 0]
-
-
-def test_distinct_contexts_whole_prefix():
-    model = TabularAR(3, 4)
-    prefixes = np.array([[1, 2, 0], [0, 2, 1], [1, 2, 0], [2, 0, 0]])
-    reps, inverse = model.distinct_contexts(prefixes, 3)
-    assert reps.tolist() == [[0, 2, 1], [1, 2, 0], [2, 0, 0]]
-    assert inverse.tolist() == [1, 0, 1, 2]
-    assert np.array_equal(reps[inverse], prefixes)
-
+# ------------------------------------------------------------- row tables
 
 def random_model(kind, V, L, window, embedding, seed):
     """A random TabularAR (window ignored; "tabular_exact" is rebuilt from its
@@ -645,10 +623,85 @@ def _count_rows(model, monkeypatch) -> list:
 
 def test_pricing_and_sampling_evaluate_each_context_once(monkeypatch):
     model, _ = random_model("linear", 8, 7, 3, False, 0)
-    xs = model.sample(5000, rng=np.random.default_rng(1)).sequences
+    xs = np.random.default_rng(1).integers(0, 8, size=(5000, 7))
     counts = _count_rows(model, monkeypatch)
     model.per_token_log_probs_matrix(xs)
-    assert len(counts) == 7 and sum(counts) <= 2121
+    assert counts == [8 ** min(pos, 3) for pos in range(7)] and sum(counts) == 2121
+    # the same parameter state: a second price and a sample build no rows
     counts.clear()
+    model.per_token_log_probs_matrix(xs)
     model.sample(5000, rng=np.random.default_rng(1))
-    assert len(counts) == 7 and sum(counts) <= 2121
+    assert counts == []
+
+
+def _edit_in_place(model, t_cond):
+    model.w_ctx[0, 0, 1] += 0.5
+    return t_cond
+
+
+def _rebind(model, t_cond):
+    model.bias = model.bias + 0.25
+    return t_cond
+
+
+def _set_params(model, t_cond):
+    model.set_param_array(model.param_array() * 0.5)
+    return t_cond
+
+
+def _other_t_cond(model, t_cond):
+    return t_cond + 0.5
+
+
+@pytest.mark.parametrize("change", [_set_params, _edit_in_place, _rebind, _other_t_cond])
+def test_a_changed_state_rebuilds_the_rows(change, monkeypatch):
+    model, t_cond = random_model("linear", 3, 5, 2, True, 3)
+    xs = np.random.default_rng(4).integers(0, 3, size=(40, 5))
+    model.per_token_log_probs_matrix(xs, t_cond=t_cond)
+    t_cond = change(model, t_cond)
+    counts = _count_rows(model, monkeypatch)
+    u = model.per_token_log_probs_matrix(xs, t_cond=t_cond)
+    batch = model.sample(40, myopic_t=0.6, t_cond=t_cond, rng=np.random.default_rng(5))
+    assert counts == [3 ** min(pos, 2) for pos in range(5)]
+    fresh = model.copy()
+    assert np.array_equal(u, fresh.per_token_log_probs_matrix(xs, t_cond=t_cond))
+    want = fresh.sample(40, myopic_t=0.6, t_cond=t_cond, rng=np.random.default_rng(5))
+    assert np.array_equal(batch.sequences, want.sequences)
+    assert np.array_equal(batch.log_probs, want.log_probs)
+
+
+def test_tabular_in_place_edit_rebuilds_the_rows(counterexample_model):
+    xs = np.array([[1, 0]])
+    before = counterexample_model.per_token_log_probs_matrix(xs)
+    counterexample_model.logits[2] = [0.0, 0.0]
+    after = counterexample_model.per_token_log_probs_matrix(xs)
+    assert after[0, 0] == before[0, 0] and after[0, 1] == pytest.approx(math.log(0.5))
+
+
+def test_cached_rows_are_read_only():
+    model, t_cond = random_model("linear", 3, 4, 2, True, 0)
+    tables = model.row_tables(t_cond)
+    assert model.row_tables(t_cond) is tables
+    for rows in tables:
+        assert not rows.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            rows[0, 0] = 0.0
+
+
+def test_a_row_table_past_the_cap_is_refused_before_it_is_built():
+    # 8^11 contexts at the last position: a mask of them alone would be 8.6 GB
+    model = LinearAR(8, 12, window=11)
+    xs = np.zeros((4, 12), dtype=np.int64)
+    calls = [
+        lambda: model.per_token_log_probs_matrix(xs),
+        lambda: model.sample(4, rng=np.random.default_rng(0)),
+        lambda: enumerate_joint(LinearAR(8, 12, window=9)),
+    ]
+    for call in calls:
+        tracemalloc.start()
+        try:
+            with pytest.raises(ModelError, match="enumeration cap"):
+                call()
+            assert tracemalloc.get_traced_memory()[1] < 2**20
+        finally:
+            tracemalloc.stop()

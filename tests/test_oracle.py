@@ -174,9 +174,10 @@ def test_linear_enumeration_evaluates_each_context_once(monkeypatch):
     enumerate_joint(model)
     assert counts == [8 ** min(pos, 3) for pos in range(7)]
     assert sum(counts) == 2121
+    # the same parameter state: the model's row tables are reused
     counts.clear()
     myopic_scale_joint(model, 0.5)
-    assert sum(counts) == 2121
+    assert counts == []
 
 
 def test_tabular_enumeration_evaluates_every_prefix(monkeypatch):
@@ -661,7 +662,8 @@ def test_windowed_model_with_a_nan_log_prob_is_refused():
 def test_independent_positions_past_the_cap_match_the_closed_form():
     # w_ctx = 0 makes every position independent of its context, so
     # pi = p^(1/T)/Z has rows softmax(log p_i / T), and KL(pi || q) and
-    # H(pi) are sums of per-position terms; 8^12 entries are never built
+    # H(pi) are sums of per-position terms; 8^12 entries are never built.
+    # p gives token 1 no mass, which adds nothing to either sum
     V, L, T = 8, 12, 0.5
     assert V**L > ENUMERATION_CAP
     rng = np.random.default_rng(0)
@@ -671,13 +673,23 @@ def test_independent_positions_past_the_cap_match_the_closed_form():
         model.w_pos = rng.normal(size=model.w_pos.shape)
         model.bias = rng.normal(size=model.bias.shape)
         models.append(model)
-        rows.append(log_softmax((model.bias[:, None] + model.w_pos).T))
-    pi = temperature_scale_exact(enumerate_joint(models[0]), T)
+    models[0].bias[1] = -np.inf
+    rows = [log_softmax((m.bias[:, None] + m.w_pos).T) for m in models]
+    p = enumerate_joint(models[0])
+    pi = temperature_scale_exact(p, T)
     q = enumerate_joint(models[1])
-    lpi, lq = log_softmax(rows[0] / T), rows[1]
+    mass = rows[0] > -np.inf
+    lp, lpi, lq = rows[0][mass], log_softmax(rows[0] / T)[mass], rows[1][mass]
     assert_close(kl_divergence(pi, q), float(np.sum(np.exp(lpi) * (lpi - lq))))
     assert_close(entropy(pi), float(-np.sum(np.exp(lpi) * lpi)))
-    assert "log_probs" not in vars(pi) and "log_probs" not in vars(q)
+    assert_close(kl_divergence(p, q), float(np.sum(np.exp(lp) * (lp - lq))))
+    assert_close(entropy(p), float(-np.sum(np.exp(lp) * lp)))
+    # q refusing token 2, to which p gives mass, makes the KL +inf; the
+    # first such sequence is all zeros but for its last token
+    models[1].bias[2] = -np.inf
+    with pytest.warns(SupportWarning, match=re.escape(str((0,) * 11 + (2,)))):
+        assert kl_divergence(pi, enumerate_joint(models[1])) == math.inf
+    assert all("log_probs" not in vars(t) for t in (p, pi, q))
     with pytest.raises(OracleError, match="enumeration cap"):
         pi.log_probs
 

@@ -12,7 +12,13 @@ from lhts.ar_model import (
 )
 from lhts.data import enumerated_dataset, make_skewed_ground_truth
 from lhts.numerics import Rng, finite_difference_gradient, log_softmax
-from lhts.oracle import enumerate_joint, entropy, kl_divergence, temperature_scale_exact
+from lhts.oracle import (
+    _context_ids,
+    entropy,
+    enumerate_joint,
+    kl_divergence,
+    temperature_scale_exact,
+)
 from lhts.trainer import (
     NumericalAbort,
     StreamingBaseline,
@@ -290,11 +296,15 @@ def test_data_weights_must_be_nonnegative_with_positive_finite_sum(counterexampl
 
 def per_row_loss(q, xs, importance, d, t_cond, kl_beta, base):
     """Reference loss and gradient: q's logits, the base's conditionals and
-    the weight matrix W taken on every row, one param_grad per row set."""
+    the weight matrix W taken on every row; each row's logit gradient is
+    added to the row of its context in q's own (V^c, V) layout, and
+    param_grad maps those onto q's parameters."""
     n, length = xs.shape
+    V = q.vocab_size
     w = importance if importance.ndim == 2 else np.repeat(importance[:, None], length, axis=1)
     loss, grad = 0.0, np.zeros(q.n_params)
     for i in range(length):
+        c = i if q.window is None else min(i, q.window)
         log_q = log_softmax(q.logits_batch(xs[:, :i], i, t_cond))
         W = np.zeros_like(log_q)
         W[np.arange(n), xs[:, i]] = d * w[:, i]
@@ -304,8 +314,10 @@ def per_row_loss(q, xs, importance, d, t_cond, kl_beta, base):
             W += pw
             loss += np.sum(pw * log_p)
         loss -= np.sum(W * log_q)
-        grad += q.param_grad(xs[:, :i], i, W.sum(axis=1, keepdims=True) * np.exp(log_q) - W,
-                             t_cond)
+        g_rows = np.zeros((V**c, V))
+        np.add.at(g_rows, _context_ids(xs[:, i - c:i], V),
+                  W.sum(axis=1, keepdims=True) * np.exp(log_q) - W)
+        grad += q.param_grad(i, g_rows, t_cond)
     return loss, grad
 
 
