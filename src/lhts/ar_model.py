@@ -6,25 +6,28 @@ realizable), and a compact linear model over windowed one-hot features that
 optionally conditions on a scalar temperature through a learned affine
 embedding.
 
-Both evaluate with numpy. Each model exposes its raw logits
-(``logits_batch``), and its conditional is always their log-softmax
-(``conditional_log_probs_batch``), so a -inf logit is a token of zero
-probability. Each model maps a gradient wrt those logits back onto its flat
-parameter vector in closed form (``param_grad``); the trainer owns the loss.
-The vector's layout is declared once per model: ``TabularAR``'s is its logit
+A model's ``window`` declares which prefix tokens its conditionals read: the
+last ``window`` of them, or the whole prefix when it is None, so position i
+has V^c contexts, c = min(i, window). Each model has one forward and one
+backward, both in the layout of those contexts: ``row_logits(i, t_cond)``
+is the (V^c, V) logits of every context at position i, row s for the
+context of id s (``oracle``'s lexicographic encoding), and
+``param_grad(i, g_rows, t_cond)`` maps a gradient in that layout back onto
+the flat parameter vector in closed form; the trainer owns the loss. The
+vector's layout is declared once per model: ``TabularAR``'s is its logit
 table, row-major, and ``LinearAR``'s is ``LinearAR.split``. Parameters,
 gradients and checkpoints all use it.
 
-A model's ``window`` declares which prefix tokens its conditionals read: the
-last ``window`` of them, or the whole prefix when it is None. Pricing,
-sampling, the trainer's loss and exact enumeration all read the model's row
-tables (``row_tables``): each position's conditionals on every context it
-reads, built once per parameter state and t_cond, and indexed by each
-sequence's rolling context id.
+A conditional is always the log-softmax of its logits, so a -inf logit is a
+token of zero probability. ``row_tables`` takes that log-softmax of every
+position's ``row_logits`` once per parameter state and t_cond, and
+pricing, sampling, the trainer's loss and exact enumeration all read those
+tables, indexed by each sequence's rolling context id.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -32,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numerics import log_softmax, myopic_rescale
-from .oracle import ENUMERATION_CAP, CategoricalTable, _context_ids, _context_prefixes
+from .oracle import ENUMERATION_CAP, CategoricalTable
 
 __all__ = [
     "ModelError",
@@ -41,7 +44,6 @@ __all__ = [
     "TabularAR",
     "LinearAR",
     "tabular_from_table",
-    "kl_to_base_per_position",
     "save_checkpoint",
     "load_checkpoint",
     "checkpoint_dict",
@@ -69,8 +71,9 @@ class SampleBatch:
 
 
 class ARModel:
-    """Shared machinery: chain-rule log-probs and ancestral sampling on top
-    of a parameterization-specific batched conditional."""
+    """Shared machinery: row tables, chain-rule log-probs and ancestral
+    sampling on top of a parameterization's ``row_logits`` and its adjoint
+    ``param_grad``."""
 
     vocab_size: int
     max_length: int
@@ -86,21 +89,17 @@ class ARModel:
 
     # -- to implement ------------------------------------------------------
 
-    def logits_batch(self, prefixes: np.ndarray, position: int,
-                     t_cond: float | None = None) -> np.ndarray:
-        """Unnormalized next-token logits, one (V,) row per prefix."""
-        raise NotImplementedError
-
-    def conditional_log_probs_batch(self, prefixes: np.ndarray, position: int,
-                                    t_cond: float | None = None) -> np.ndarray:
-        """Next-token log-probs, the log-softmax of ``logits_batch``."""
+    def row_logits(self, position: int, t_cond: float | None = None) -> np.ndarray:
+        """The forward: unnormalized next-token logits (V^c, V) of every
+        context at ``position``, in the row order of ``row_tables``. The
+        caller has checked t_cond and the position, as ``row_tables`` does."""
         raise NotImplementedError
 
     def param_grad(self, position: int, g_rows: np.ndarray,
                    t_cond: float | None = None) -> np.ndarray:
-        """Chain rule through ``logits_batch``: given dL/dlogits (V^c, V) of
-        every context at ``position``, in the row order of ``row_tables``,
-        dL/dtheta as a flat vector in ``param_array`` order."""
+        """The backward, the adjoint of ``row_logits``: given dL/dlogits
+        (V^c, V) of every context at ``position``, dL/dtheta as a flat vector
+        in ``param_array`` order."""
         raise NotImplementedError
 
     def param_array(self) -> np.ndarray:
@@ -136,42 +135,31 @@ class ARModel:
             raise ModelError(f"token out of vocab of size {self.vocab_size}: {arr}")
         return arr
 
-    def conditional_log_probs(self, prefix, t_cond: float | None = None) -> np.ndarray:
-        """Normalized next-token log-probs after the given prefix."""
-        prefix = self._check_tokens(prefix)
-        if prefix.ndim != 1:
-            raise ModelError("prefix must be a 1-D token sequence")
-        if len(prefix) >= self.max_length:
-            raise ModelError(f"prefix of length {len(prefix)} too long for max_length {self.max_length}")
-        return self.conditional_log_probs_batch(prefix[None, :], len(prefix), t_cond=t_cond)[0]
-
     def row_tables(self, t_cond: float | None = None) -> tuple[np.ndarray, ...]:
         """Each position's conditionals on every context it reads.
 
-        Position i's table is a read-only (V^c, V) array, c = min(i, window)
-        (c = i without a window), whose row s is the conditional after the
-        context of id s (``oracle``'s lexicographic encoding). The model
-        keeps the last set it built, keyed by the exact bytes of
-        ``param_array()`` and by t_cond, and builds a new one when either
-        differs, however the parameters were changed. A table past
-        ``ENUMERATION_CAP`` entries raises ``ModelError`` before anything
-        is built.
+        Position i's table is a read-only (V^c, V) array, the log-softmax of
+        ``row_logits(i, t_cond)``: row s is the conditional after the
+        context of id s. The model keeps the last set it built, keyed by the
+        exact bytes of ``param_array()`` and by t_cond, and builds a new one
+        when either differs, however the parameters were changed. A table
+        past ``ENUMERATION_CAP`` entries raises ``ModelError`` before
+        anything is built.
         """
         self._check_t_cond(t_cond)
         key = (self.param_array().tobytes(), t_cond)
         if self._row_cache is not None and self._row_cache[0] == key:
             return self._row_cache[1]
         V, L = self.vocab_size, self.max_length
-        widths = [i if self.window is None else min(i, self.window) for i in range(L)]
-        if V ** widths[-1] * V > ENUMERATION_CAP:
+        c = L - 1 if self.window is None else min(L - 1, self.window)
+        if V**c * V > ENUMERATION_CAP:
             raise ModelError(
-                f"the row table at position {L - 1} needs {V ** widths[-1] * V} entries but "
+                f"the row table at position {L - 1} needs {V**c * V} entries but "
                 f"the enumeration cap allows {ENUMERATION_CAP}; reduce vocab_size={V}, "
                 f"window={self.window} or max_length={L}")
         tables = []
-        for i, c in enumerate(widths):
-            rows = self.conditional_log_probs_batch(_context_prefixes(np.arange(V**c), V, c, i),
-                                                    i, t_cond=t_cond)
+        for i in range(L):
+            rows = log_softmax(self.row_logits(i, t_cond))
             rows.flags.writeable = False
             tables.append(rows)
         self._row_cache = (key, tuple(tables))
@@ -241,8 +229,10 @@ class TabularAR(ARModel):
     """One logit row per prefix, for every prefix up to length L-1.
 
     Rows are stored per position: position i holds V^i rows in lexicographic
-    prefix order. A prefix's conditional is the log-softmax of its row; a
-    -inf logit stays a token of zero probability.
+    prefix order, so ``row_logits(i)`` is the table's slice at offsets[i]
+    and ``param_grad`` writes its gradient into the same slice. A prefix's
+    conditional is the log-softmax of its row; a -inf logit stays a token
+    of zero probability.
     """
 
     def __init__(self, vocab_size: int, max_length: int, logits: np.ndarray | None = None):
@@ -279,34 +269,28 @@ class TabularAR(ARModel):
         model = TabularAR(vocab_size, max_length)
         seen = 0
         for prefix, probs in conditionals.items():
-            toks = model._check_tokens(prefix)
+            toks = np.asarray(prefix)
             if toks.ndim != 1 or len(toks) >= max_length:
                 raise ModelError(f"prefix {prefix} is not a sequence shorter than {max_length}")
-            row = model.row_indices(toks[None, :], len(toks))[0]
+            toks = model._check_tokens(toks[None])[0].tolist()
+            # the prefix's lexicographic id among the V^i rows of its position
+            row = functools.reduce(lambda s, tok: s * vocab_size + tok, toks, 0)
             p = np.asarray(probs, dtype=np.float64)
             if p.shape != (vocab_size,):
                 raise ModelError(f"conditional for prefix {prefix} has wrong arity")
             if abs(p.sum() - 1.0) > 1e-9 or np.any(p < 0):
                 raise ModelError(f"conditional for prefix {prefix} is not a distribution")
             with np.errstate(divide="ignore"):
-                model.logits[row] = np.log(p)
+                model.logits[model.offsets[len(toks)] + row] = np.log(p)
             seen += 1
         if seen != model.n_rows:
             raise ModelError(f"got {seen} conditionals, need one per prefix ({model.n_rows})")
         return model
 
-    def row_indices(self, prefixes: np.ndarray, position: int) -> np.ndarray:
-        return self.offsets[position] + _context_ids(prefixes[:, :position], self.vocab_size)
-
-    def logits_batch(self, prefixes, position, t_cond=None):
-        self._check_t_cond(t_cond)
-        if position >= self.max_length:
-            raise ModelError(f"position {position} out of range for max_length {self.max_length}")
-        prefixes = np.asarray(prefixes, dtype=np.int64)
-        return self.logits[self.row_indices(prefixes, position)]
-
-    def conditional_log_probs_batch(self, prefixes, position, t_cond=None):
-        return log_softmax(self.logits_batch(prefixes, position, t_cond))
+    def row_logits(self, position, t_cond=None):
+        """A view of the table's V^position rows at ``position``."""
+        start = self.offsets[position]
+        return self.logits[start:start + self.vocab_size**position]
 
     def param_grad(self, position, g_rows, t_cond=None):
         grad = np.zeros_like(self.logits)
@@ -347,6 +331,11 @@ class LinearAR(ARModel):
     plain attributes: ``set_param_array`` binds them to views of a copy of
     the vector, and ``param_array`` reads whatever they hold. Zero weights
     give uniform conditionals, and a zero embedding adds nothing.
+
+    ``row_logits`` evaluates the formula on every context at once by
+    broadcasting each w_ctx[:, j] onto the axis of the (V,)*c+(V,) context
+    grid that holds the token j+1 places back; ``param_grad``, its adjoint,
+    sums the gradient over the other axes.
     """
 
     def __init__(self, vocab_size: int, max_length: int, window: int = 3,
@@ -408,22 +397,17 @@ class LinearAR(ARModel):
     def _features(self, t_cond: float) -> np.ndarray:
         return self.emb_scale * float(t_cond) + self.emb_bias
 
-    def logits_batch(self, prefixes, position, t_cond=None):
-        self._check_t_cond(t_cond)
-        if position >= self.max_length:
-            raise ModelError(f"position {position} out of range for max_length {self.max_length}")
-        prefixes = np.asarray(prefixes, dtype=np.int64)
-        n = prefixes.shape[0]
-        logits = np.tile(self.bias + self.w_pos[:, position], (n, 1))
-        for j in range(min(self.window, position)):
-            toks = prefixes[:, position - 1 - j]
-            logits += self.w_ctx[:, j, toks].T
+    def row_logits(self, position, t_cond=None):
+        V, c = self.vocab_size, min(self.window, position)
+        logits = np.tile(self.bias + self.w_pos[:, position], (V**c, 1))
+        # axis a of the (V,)*c+(V,) view is the context's token c - a places
+        # back, so w_ctx[:, j].T broadcasts onto axis c-1-j
+        view = logits.reshape((V,) * c + (V,))
+        for j in range(c):
+            view += self.w_ctx[:, j].T.reshape((V,) + (1,) * j + (V,))
         if self.has_embedding:
             logits += self.w_emb @ self._features(t_cond)
         return logits
-
-    def conditional_log_probs_batch(self, prefixes, position, t_cond=None):
-        return log_softmax(self.logits_batch(prefixes, position, t_cond))
 
     def param_grad(self, position, g_rows, t_cond=None):
         V, c = self.vocab_size, min(self.window, position)
@@ -480,20 +464,6 @@ def tabular_from_table(table: CategoricalTable) -> TabularAR:
         model.logits[model.offsets[i]:model.offsets[i] + V**i] = np.where(
             log_mass[:, None] == -np.inf, 0.0, rows)
     return model
-
-
-def kl_to_base_per_position(base: ARModel, model: ARModel, x,
-                            t_cond: float | None = None) -> float:
-    """sum_i KL(base(.|x_<i) || model(.|x_<i)), exact categorical KLs."""
-    if base.vocab_size != model.vocab_size:
-        raise ModelError("models have different vocabularies")
-    x = np.asarray(x, dtype=np.int64)
-    total = 0.0
-    for i in range(len(x)):
-        lp = base.conditional_log_probs(x[:i])
-        lq = model.conditional_log_probs(x[:i], t_cond=t_cond)
-        total += float(np.sum(np.exp(lp) * (lp - lq)))
-    return total
 
 
 # -- checkpoints -----------------------------------------------------------

@@ -112,17 +112,9 @@ def _log_z(lw: np.ndarray, m: float) -> float:
     return m + math.log(_block_sum(lambda b: float(np.exp(b - m).sum()), lw))
 
 
-def _context_ids(tokens: np.ndarray, vocab_size: int) -> np.ndarray:
-    """Lexicographic id of each row of a (n, c) token array, in [0, V^c)."""
-    ids = np.zeros(tokens.shape[0], dtype=np.int64)
-    for col in range(tokens.shape[1]):
-        ids = ids * vocab_size + tokens[:, col]
-    return ids
-
-
 def _context_prefixes(ids: np.ndarray, vocab_size: int, c: int, width: int) -> np.ndarray:
-    """Inverse of ``_context_ids``: (len(ids), width) prefixes holding each
-    id's c tokens in the last c columns and zeros before them."""
+    """(len(ids), width) prefixes holding the c tokens of each lexicographic
+    context id in the last c columns and zeros before them."""
     out = np.zeros((ids.shape[0], width), dtype=np.int64)
     for col in range(width - 1, width - 1 - c, -1):
         ids, out[:, col] = np.divmod(ids, vocab_size)

@@ -339,9 +339,12 @@ def weighted_nll_loss_node(q: ARModel, xs: np.ndarray, importance: np.ndarray,
     (the joint form, applied to every index). Importance weights and the
     base conditionals are constants; only q's parameters carry gradients.
     Each position sums the weights over the S contexts of the wider window
-    of q and the anchor's base, and reads both models' ``row_tables``; the
-    narrower one's row for context s is its row s mod its own count
-    (``np.resize``), and q's gradient is summed back onto its own rows.
+    of q and the anchor's base, and reads both models' ``row_tables``, the
+    log-softmax of their ``row_logits``; the narrower one's row for context
+    s is its row s mod its own count (``np.resize``). The gradient wrt q's
+    logits is summed back onto q's own (V^c, V) rows, the layout of
+    ``row_logits``, and ``q.param_grad``, its adjoint, maps it onto the
+    parameters.
     """
     xs = q._check_tokens(xs)
     n, length = xs.shape

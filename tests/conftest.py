@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from lhts.ar_model import TabularAR
+from lhts.numerics import log_softmax
 
 
 @pytest.fixture
@@ -17,3 +18,56 @@ def counterexample_model() -> TabularAR:
 @pytest.fixture
 def uniform_model() -> TabularAR:
     return TabularAR(2, 3)
+
+
+# -- per-prefix references ---------------------------------------------------
+# The models evaluate every context of a position at once (``row_logits``)
+# and read each sequence's conditionals from ``row_tables``. These helpers
+# compute the same quantities one prefix at a time, from each model's
+# definition, for the tests to compare against.
+
+def context_ids(tokens, vocab_size: int) -> np.ndarray:
+    """Lexicographic id of each row of an (n, c) token array, first token
+    most significant: the row order of ``row_tables``."""
+    tokens = np.asarray(tokens, dtype=np.int64)
+    return tokens @ vocab_size ** np.arange(tokens.shape[1] - 1, -1, -1, dtype=np.int64)
+
+
+def prefix_logits(model, prefixes, position: int, t_cond=None) -> np.ndarray:
+    """Each prefix's next-token logits at ``position``, one (V,) row per
+    prefix: a ``TabularAR`` looks its prefix's row up in its table, and a
+    ``LinearAR`` evaluates its formula on the prefix's last ``window``
+    tokens, adding the terms in the order ``row_logits`` does."""
+    prefixes = np.asarray(prefixes, dtype=np.int64)
+    if isinstance(model, TabularAR):
+        return model.logits[model.offsets[position] +
+                            context_ids(prefixes[:, :position], model.vocab_size)]
+    logits = np.tile(model.bias + model.w_pos[:, position], (prefixes.shape[0], 1))
+    for j in range(min(model.window, position)):
+        logits += model.w_ctx[:, j, prefixes[:, position - 1 - j]].T
+    if model.has_embedding:
+        logits += model.w_emb @ (model.emb_scale * t_cond + model.emb_bias)
+    return logits
+
+
+def prefix_log_probs(model, prefixes, position: int, t_cond=None) -> np.ndarray:
+    """Each prefix's conditional, the log-softmax of ``prefix_logits``."""
+    return log_softmax(prefix_logits(model, prefixes, position, t_cond))
+
+
+def row_after(model, prefix, t_cond=None) -> np.ndarray:
+    """The model's conditional after one prefix, read from its row tables."""
+    prefix = np.asarray(prefix, dtype=np.int64).reshape(1, -1)
+    rows = model.row_tables(t_cond)[prefix.shape[1]]
+    return rows[context_ids(prefix, model.vocab_size)[0] % rows.shape[0]]
+
+
+def kl_to_base_per_position(base, model, x, t_cond=None) -> float:
+    """sum_i KL(base(.|x_<i) || model(.|x_<i)), exact categorical KLs of the
+    two models' rows along one sequence."""
+    total = 0.0
+    for i in range(len(x)):
+        lp = row_after(base, x[:i])
+        lq = row_after(model, x[:i], t_cond)
+        total += float(np.sum(np.exp(lp) * (lp - lq)))
+    return total

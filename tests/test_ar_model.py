@@ -8,19 +8,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from conftest import kl_to_base_per_position, prefix_log_probs, prefix_logits, row_after
 from lhts.ar_model import (
     LinearAR,
     ModelError,
     TabularAR,
     checkpoint_dict,
-    kl_to_base_per_position,
     load_checkpoint,
     model_from_checkpoint,
     save_checkpoint,
     tabular_from_table,
 )
-from lhts.numerics import Rng, log_softmax, myopic_rescale
-from lhts.oracle import enumerate_joint, myopic_scale_joint
+from lhts.numerics import Rng, finite_difference_gradient, myopic_rescale
+from lhts.oracle import _context_prefixes, enumerate_joint, myopic_scale_joint
 from lhts.trainer import suffix_log_liks_matrix
 
 
@@ -35,8 +35,7 @@ def random_linear(seed, V=3, L=4, window=2, embedding=False) -> LinearAR:
 
 def test_zero_linear_is_uniform():
     model = LinearAR(4, 5)
-    row = model.conditional_log_probs(np.array([], dtype=np.int64))
-    assert np.array_equal(row, np.full(4, -math.log(4)))
+    assert np.array_equal(row_after(model, []), np.full(4, -math.log(4)))
 
 
 def test_tabular_from_conditionals_exact(counterexample_model):
@@ -45,7 +44,7 @@ def test_tabular_from_conditionals_exact(counterexample_model):
     given = {(): [0.6, 0.4], (0,): [0.55, 0.45], (1,): [0.9, 0.1]}
     assert np.array_equal(counterexample_model.logits, np.log(list(given.values())))
     for prefix, probs in given.items():
-        row = counterexample_model.conditional_log_probs(np.array(prefix, dtype=np.int64))
+        row = row_after(counterexample_model, prefix)
         np.testing.assert_allclose(row, np.log(probs), rtol=1e-15, atol=0)
 
 
@@ -67,22 +66,13 @@ def test_conditionals_normalize():
         tab = TabularAR(3, 3, np.random.default_rng(seed).normal(size=(13, 3)))
         for m in (model, tab):
             for prefix in [(), (0,), (1, 2)]:
-                row = m.conditional_log_probs(np.array(prefix, dtype=np.int64))
+                row = row_after(m, prefix)
                 assert abs(np.logaddexp.reduce(row)) < 1e-12
 
 
-def test_batch_matches_scalar_conditionals():
-    model = random_linear(3)
-    rng = np.random.default_rng(0)
-    prefixes = rng.integers(0, 3, size=(8, 2))
-    rows = model.conditional_log_probs_batch(prefixes, 2)
-    for i in range(8):
-        assert np.array_equal(rows[i], model.conditional_log_probs(prefixes[i]))
-
-
 def test_prefix_too_long_errors(counterexample_model):
-    with pytest.raises(ModelError, match="too long"):
-        counterexample_model.conditional_log_probs(np.array([0, 1], dtype=np.int64))
+    with pytest.raises(ModelError, match="exceeds max_length 2"):
+        counterexample_model.per_token_log_probs_matrix(np.array([[0, 1, 0]]))
 
 
 def test_token_out_of_vocab_errors(counterexample_model):
@@ -93,10 +83,10 @@ def test_token_out_of_vocab_errors(counterexample_model):
 def test_t_cond_strictness():
     plain = random_linear(0)
     with pytest.raises(ModelError, match="no temperature embedding"):
-        plain.conditional_log_probs(np.array([], dtype=np.int64), t_cond=1.0)
+        plain.row_tables(t_cond=1.0)
     cond = random_linear(0, embedding=True)
     with pytest.raises(ModelError, match="pass t_cond"):
-        cond.conditional_log_probs(np.array([], dtype=np.int64))
+        cond.row_tables()
 
 
 # ----------------------------------------------------------- sequence logprob
@@ -212,7 +202,7 @@ def test_non_finite_t_cond_is_rejected(bad):
     with pytest.raises(ModelError, match="t_cond must be finite"):
         model.per_token_log_probs_matrix(np.zeros((2, 4), dtype=np.int64), t_cond=bad)
     with pytest.raises(ModelError, match="t_cond must be finite"):
-        model.conditional_log_probs(np.array([], dtype=np.int64), t_cond=bad)
+        model.row_tables(t_cond=bad)
 
 
 class _StubUniforms:
@@ -228,8 +218,7 @@ class _StubUniforms:
 
 def _first_cdf(model, myopic_t):
     """The CDF that ``sample`` draws the first token from."""
-    rows = model.conditional_log_probs_batch(np.zeros((1, 0), dtype=np.int64), 0)
-    scaled = myopic_rescale(rows, myopic_t)
+    scaled = myopic_rescale(model.row_tables()[0], myopic_t)
     probs = np.exp(scaled)
     probs /= probs.sum(axis=1, keepdims=True)
     return np.cumsum(probs, axis=1)[0]
@@ -295,8 +284,7 @@ def test_kl_to_base_strictly_increases_off_base(counterexample_model):
 
 def test_embedding_affine_in_temperature():
     model = random_linear(7, embedding=True)
-    prefixes = np.array([[0, 2], [1, 1]], dtype=np.int64)
-    l1, l2, l3 = (model.logits_batch(prefixes, 2, t_cond=t) for t in (0.5, 1.0, 1.5))
+    l1, l2, l3 = (model.row_logits(2, t_cond=t) for t in (0.5, 1.0, 1.5))
     assert np.allclose(l3 - 2.0 * l2 + l1, 0.0, rtol=0, atol=1e-12)
     assert not np.allclose(l2, l1)
 
@@ -304,17 +292,15 @@ def test_embedding_affine_in_temperature():
 def test_embedding_conditionals_continuous_in_t():
     model = random_linear(7, embedding=True)
     for t in np.linspace(0.1, 2.0, 25):
-        row = model.conditional_log_probs(np.array([0], dtype=np.int64), t_cond=float(t))
-        assert np.all(np.isfinite(row))
-        assert abs(np.logaddexp.reduce(row)) < 1e-12
+        rows = model.row_tables(t_cond=float(t))[1]
+        assert np.all(np.isfinite(rows))
+        assert np.all(np.abs(np.logaddexp.reduce(rows, axis=1)) < 1e-12)
 
 
 def test_with_embedding_is_noop_until_trained():
     base = random_linear(8)
     cond = base.with_embedding()
-    for prefix in [(), (1,), (0, 2)]:
-        a = base.conditional_log_probs(np.array(prefix, dtype=np.int64))
-        b = cond.conditional_log_probs(np.array(prefix, dtype=np.int64), t_cond=0.5)
+    for a, b in zip(base.row_tables(), cond.row_tables(t_cond=0.5), strict=True):
         assert np.array_equal(a, b)
 
 
@@ -407,7 +393,7 @@ def test_tabular_set_param_array_rejects_wrong_size(counterexample_model):
     before[1] = -np.inf
     counterexample_model.set_param_array(before)
     assert np.array_equal(counterexample_model.param_array(), before)
-    assert counterexample_model.conditional_log_probs(np.array([], dtype=np.int64))[1] == -np.inf
+    assert row_after(counterexample_model, [])[1] == -np.inf
 
 
 @pytest.mark.parametrize("embedding", [False, True])
@@ -489,7 +475,7 @@ def test_checkpoint_keeps_neg_inf_logits(tmp_path):
     back = load_checkpoint(path)
     assert back.logits[0, 1] == -np.inf
     assert np.array_equal(back.logits, model.logits)
-    assert back.conditional_log_probs(np.array([], dtype=np.int64))[1] == -np.inf
+    assert row_after(back, [])[1] == -np.inf
 
 
 def test_checkpoint_ignores_keys_it_does_not_read(counterexample_model):
@@ -518,19 +504,6 @@ def test_checkpoint_rejects_non_object():
         model_from_checkpoint([])
 
 
-# ------------------------------------------------------------------ logits
-
-def test_logits_match_numpy_conditionals():
-    xs = np.array([[1, 2, 0, 1], [0, 0, 2, 2]], dtype=np.int64)
-    for embedding in (False, True):
-        model = random_linear(10, embedding=embedding)
-        t_cond = 0.8 if embedding else None
-        for pos in range(4):
-            row = log_softmax(model.logits_batch(xs[:, :pos], pos, t_cond=t_cond))
-            expected = model.conditional_log_probs_batch(xs[:, :pos], pos, t_cond=t_cond)
-            assert np.allclose(row, expected, rtol=0, atol=1e-12)
-
-
 # ------------------------------------------------------------- row tables
 
 def random_model(kind, V, L, window, embedding, seed):
@@ -555,7 +528,7 @@ def per_row_log_probs(model, xs, t_cond):
     n, length = xs.shape
     u = np.empty((n, length))
     for i in range(length):
-        rows = model.conditional_log_probs_batch(xs[:, :i], i, t_cond=t_cond)
+        rows = prefix_log_probs(model, xs, i, t_cond)
         u[:, i] = rows[np.arange(n), xs[:, i]]
     return u
 
@@ -567,7 +540,7 @@ def per_row_sample(model, n, myopic_t, t_cond, rng):
     seqs = np.zeros((n, length), dtype=np.int64)
     logp = np.zeros(n)
     for i in range(length):
-        rows = model.conditional_log_probs_batch(seqs[:, :i], i, t_cond=t_cond)
+        rows = prefix_log_probs(model, seqs, i, t_cond)
         if myopic_t == 0.0:
             toks = np.argmax(rows, axis=1)
         else:
@@ -609,15 +582,65 @@ def test_pricing_and_sampling_match_per_row_reference(kind, V, L, window_frac, e
         assert np.array_equal(batch.log_probs, logp)
 
 
+@given(
+    kind=st.sampled_from(["tabular", "linear"]),
+    V=st.sampled_from([2, 3]),
+    L=st.integers(min_value=1, max_value=6),
+    window_frac=st.floats(min_value=0.0, max_value=1.0),
+    embedding=st.booleans(),
+    seed=st.integers(min_value=0, max_value=2**16),
+)
+@settings(max_examples=60, deadline=None)
+def test_row_logits_match_the_per_prefix_reference(kind, V, L, window_frac, embedding, seed):
+    # windows 0..L+1: wider than the sequence means the whole prefix
+    window = round(window_frac * (L + 1))
+    model, t_cond = random_model(kind, V, L, window, embedding, seed)
+    tables = model.row_tables(t_cond)
+    assert len(tables) == L
+    for i in range(L):
+        # every context of the position, as a prefix of i tokens whose
+        # last c hold the context and whose first i - c are zeros
+        c = i if model.window is None else min(i, model.window)
+        prefixes = _context_prefixes(np.arange(V**c), V, c, i)
+        assert np.array_equal(model.row_logits(i, t_cond), prefix_logits(model, prefixes, i, t_cond))
+        assert np.array_equal(tables[i], prefix_log_probs(model, prefixes, i, t_cond))
+        # the same context after other tokens further back reads the same row
+        older = np.random.default_rng(seed).integers(0, V, size=(V**c, i - c))
+        prefixes[:, :i - c] = older
+        assert np.array_equal(tables[i], prefix_log_probs(model, prefixes, i, t_cond))
+
+
+@pytest.mark.parametrize("kind, embedding", [("tabular", False), ("linear", False),
+                                             ("linear", True)])
+def test_param_grad_is_the_adjoint_of_row_logits(kind, embedding):
+    # V=3, L=4, window 2: the linear model's positions read 0, 1, 2, 2 tokens
+    model, t_cond = random_model(kind, 3, 4, 2, embedding, 11)
+    rng = np.random.default_rng(12)
+    for i in range(4):
+        g_rows = rng.normal(size=model.row_logits(i, t_cond).shape)
+
+        def pairing(theta):
+            probe = model.copy()
+            probe.set_param_array(theta)
+            return float(np.sum(g_rows * probe.row_logits(i, t_cond)))
+
+        grad = model.param_grad(i, g_rows, t_cond)
+        fd = finite_difference_gradient(pairing, model.param_array())
+        assert grad.shape == (model.n_params,)
+        np.testing.assert_allclose(grad, fd, rtol=0, atol=1e-8)
+
+
 def _count_rows(model, monkeypatch) -> list:
+    """The number of rows of each ``row_logits`` call the model makes."""
     counts = []
-    inner = model.conditional_log_probs_batch
+    inner = model.row_logits
 
-    def counting(prefixes, position, t_cond=None):
-        counts.append(len(prefixes))
-        return inner(prefixes, position, t_cond=t_cond)
+    def counting(position, t_cond=None):
+        rows = inner(position, t_cond=t_cond)
+        counts.append(rows.shape[0])
+        return rows
 
-    monkeypatch.setattr(model, "conditional_log_probs_batch", counting)
+    monkeypatch.setattr(model, "row_logits", counting)
     return counts
 
 
@@ -626,6 +649,7 @@ def test_pricing_and_sampling_evaluate_each_context_once(monkeypatch):
     xs = np.random.default_rng(1).integers(0, 8, size=(5000, 7))
     counts = _count_rows(model, monkeypatch)
     model.per_token_log_probs_matrix(xs)
+    # one row_logits call per position, of every context it reads
     assert counts == [8 ** min(pos, 3) for pos in range(7)] and sum(counts) == 2121
     # the same parameter state: a second price and a sample build no rows
     counts.clear()

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import prefix_log_probs, row_after
 from lhts.ar_model import LinearAR, TabularAR, tabular_from_table
 from lhts.data import shared_prefix_scenario
 from lhts.numerics import log_softmax, myopic_rescale
@@ -127,7 +128,7 @@ def full_prefix_joint(model, L, t_cond, temperature=None):
     xs = SequenceSpace(model.vocab_size, L).all_sequences()
     total = np.zeros(len(xs))
     for i in range(L):
-        rows = model.conditional_log_probs_batch(xs[:, :i], i, t_cond=t_cond)
+        rows = prefix_log_probs(model, xs, i, t_cond)
         if temperature is not None:
             rows = log_softmax(rows / temperature)
         total += rows[np.arange(len(xs)), xs[:, i]]
@@ -157,14 +158,16 @@ def test_enumeration_matches_full_prefix_reference(kind, V, L, window_frac, embe
 
 
 def _count_rows(model, monkeypatch) -> list:
+    """The number of rows of each ``row_logits`` call the model makes."""
     counts = []
-    inner = model.conditional_log_probs_batch
+    inner = model.row_logits
 
-    def counting(prefixes, position, t_cond=None):
-        counts.append(len(prefixes))
-        return inner(prefixes, position, t_cond=t_cond)
+    def counting(position, t_cond=None):
+        rows = inner(position, t_cond=t_cond)
+        counts.append(rows.shape[0])
+        return rows
 
-    monkeypatch.setattr(model, "conditional_log_probs_batch", counting)
+    monkeypatch.setattr(model, "row_logits", counting)
     return counts
 
 
@@ -582,8 +585,7 @@ def broadcast_joint(model, L, t_cond, temperature=1.0):
     for pos in range(L):
         c = min(pos, model.window)
         contexts = _context_prefixes(np.arange(V**c), V, c, pos)
-        rows = myopic_rescale(model.conditional_log_probs_batch(contexts, pos, t_cond=t_cond),
-                              temperature)
+        rows = myopic_rescale(prefix_log_probs(model, contexts, pos, t_cond), temperature)
         log_joint = (log_joint.reshape(-1, V**c, 1) + rows).reshape(-1)
     return log_joint
 
@@ -795,9 +797,8 @@ def test_tabular_from_table_reproduces_conditionals(counterexample_model):
     table = enumerate_joint(counterexample_model)
     rebuilt = tabular_from_table(table)
     for prefix in [(), (0,), (1,)]:
-        a = counterexample_model.conditional_log_probs(np.array(prefix, dtype=np.int64))
-        b = rebuilt.conditional_log_probs(np.array(prefix, dtype=np.int64))
-        assert np.allclose(a, b, atol=1e-12)
+        assert np.allclose(row_after(counterexample_model, prefix), row_after(rebuilt, prefix),
+                           atol=1e-12)
     assert np.allclose(enumerate_joint(rebuilt).log_probs, table.log_probs, atol=1e-12)
 
 
@@ -814,9 +815,8 @@ def test_tabular_from_table_gives_zero_mass_prefixes_uniform_rows():
         model = tabular_from_table(table)
         joint = enumerate_joint(model).log_probs
     for prefix in [(1,), (1, 0), (1, 2), (0, 2)]:
-        row = model.conditional_log_probs(np.array(prefix, dtype=np.int64))
-        assert np.array_equal(row, np.full(3, -math.log(3)))
-    assert model.conditional_log_probs(np.array([2, 0], dtype=np.int64))[1] == -np.inf
+        assert np.array_equal(row_after(model, prefix), np.full(3, -math.log(3)))
+    assert row_after(model, [2, 0])[1] == -np.inf
     assert np.array_equal(joint == -np.inf, table.log_probs == -np.inf)
     np.testing.assert_allclose(joint, table.log_probs, rtol=0, atol=1e-12)
 

@@ -3,17 +3,16 @@ import math
 import numpy as np
 import pytest
 
+from conftest import context_ids, kl_to_base_per_position, prefix_log_probs
 from lhts.ar_model import (
     LinearAR,
     ModelError,
     TabularAR,
-    kl_to_base_per_position,
     tabular_from_table,
 )
 from lhts.data import enumerated_dataset, make_skewed_ground_truth
-from lhts.numerics import Rng, finite_difference_gradient, log_softmax
+from lhts.numerics import Rng, finite_difference_gradient
 from lhts.oracle import (
-    _context_ids,
     entropy,
     enumerate_joint,
     kl_divergence,
@@ -251,7 +250,7 @@ def test_loss_grad_matches_finite_differences(kind, per_index, data_weighted, kl
     assert np.max(np.abs(grad - fd)) < 1e-6 * np.max(np.abs(fd))
     if isinstance(q, TabularAR):
         # rows no prefix of the batch reaches get exactly zero
-        reached = np.concatenate([q.row_indices(xs[:, :i], i) for i in range(3)])
+        reached = np.concatenate([q.offsets[i] + context_ids(xs[:, :i], 3) for i in range(3)])
         unreached = np.setdiff1d(np.arange(q.n_rows), reached)
         assert unreached.size and not np.any(grad.reshape(q.n_rows, 3)[unreached])
 
@@ -295,27 +294,27 @@ def test_data_weights_must_be_nonnegative_with_positive_finite_sum(counterexampl
 
 
 def per_row_loss(q, xs, importance, d, t_cond, kl_beta, base):
-    """Reference loss and gradient: q's logits, the base's conditionals and
-    the weight matrix W taken on every row; each row's logit gradient is
-    added to the row of its context in q's own (V^c, V) layout, and
-    param_grad maps those onto q's parameters."""
+    """Reference loss and gradient: both models' conditionals, computed one
+    prefix at a time, and the weight matrix W taken on every row; each row's
+    logit gradient is added to the row of its context in q's own (V^c, V)
+    layout, and param_grad maps those onto q's parameters."""
     n, length = xs.shape
     V = q.vocab_size
     w = importance if importance.ndim == 2 else np.repeat(importance[:, None], length, axis=1)
     loss, grad = 0.0, np.zeros(q.n_params)
     for i in range(length):
         c = i if q.window is None else min(i, q.window)
-        log_q = log_softmax(q.logits_batch(xs[:, :i], i, t_cond))
+        log_q = prefix_log_probs(q, xs, i, t_cond)
         W = np.zeros_like(log_q)
         W[np.arange(n), xs[:, i]] = d * w[:, i]
         if kl_beta > 0.0:
-            log_p = base.conditional_log_probs_batch(xs[:, :i], i)
+            log_p = prefix_log_probs(base, xs, i)
             pw = kl_beta * d[:, None] * np.exp(log_p)
             W += pw
             loss += np.sum(pw * log_p)
         loss -= np.sum(W * log_q)
         g_rows = np.zeros((V**c, V))
-        np.add.at(g_rows, _context_ids(xs[:, i - c:i], V),
+        np.add.at(g_rows, context_ids(xs[:, i - c:i], V),
                   W.sum(axis=1, keepdims=True) * np.exp(log_q) - W)
         grad += q.param_grad(i, g_rows, t_cond)
     return loss, grad
@@ -453,9 +452,7 @@ def test_temperature_embedding_trains():
     q, records = train(base, xs, dw, settings, Rng(5), embedding_width=2)
     assert {r.temperature for r in records} == {0.5, 1.0}
     assert np.any(q.w_emb != 0)
-    prefixes = np.array([[0, 2], [1, 1]], dtype=np.int64)
-    assert not np.array_equal(q.logits_batch(prefixes, 2, t_cond=0.5),
-                              q.logits_batch(prefixes, 2, t_cond=1.0))
+    assert not np.array_equal(q.row_logits(2, t_cond=0.5), q.row_logits(2, t_cond=1.0))
 
 
 def test_zero_steps_returns_copy_of_base(counterexample_model):
