@@ -130,10 +130,17 @@ class ARModel:
             raise ModelError(f"t_cond must be finite, got {t_cond}")
 
     def _check_tokens(self, x) -> np.ndarray:
-        arr = np.asarray(x, dtype=np.int64)
-        if arr.size and (arr.min() < 0 or arr.max() >= self.vocab_size):
-            raise ModelError(f"token out of vocab of size {self.vocab_size}: {arr}")
-        return arr
+        """A batch of sequences as a 2-D int64 array of in-vocab tokens."""
+        arr = np.asarray(x)
+        if arr.ndim != 2:
+            raise ModelError(f"tokens must be a 2-D batch of sequences, got shape {arr.shape}")
+        with np.errstate(invalid="ignore"):  # NaN and inf cast to garbage, caught below
+            tokens = arr.astype(np.int64, copy=False)
+        if tokens is not arr and not np.array_equal(tokens, arr):
+            raise ModelError(f"tokens must be integers: {arr}")
+        if tokens.size and (tokens.min() < 0 or tokens.max() >= self.vocab_size):
+            raise ModelError(f"token out of vocab of size {self.vocab_size}: {tokens}")
+        return tokens
 
     def row_tables(self, t_cond: float | None = None) -> tuple[np.ndarray, ...]:
         """Each position's conditionals on every context it reads.

@@ -284,7 +284,8 @@ def joint_weights(p: ARModel, xs: np.ndarray, temperature: float,
     b is the baseline's running mean of log p, from previous batches only;
     this batch's statistics are folded in afterwards.
     """
-    xs = np.asarray(xs, dtype=np.int64)
+    # p's pricing checks the tokens
+    xs = np.asarray(xs)
     logps = p.per_token_log_probs_matrix(xs).sum(axis=1)
     _check_finite_log_p(logps, xs)
     wb = _importance_weights(logps, baseline.means(logps), temperature, clip)
@@ -405,9 +406,7 @@ def lhts_step(state: TrainState, xs: np.ndarray, temperature: float,
     baseline is updated after the weights are computed.
     """
     cfg = state.settings
-    xs = np.asarray(xs, dtype=np.int64)
-    if xs.ndim != 2:
-        raise TrainerError("expected a batch of sequences (n, length)")
+    xs = state.p._check_tokens(xs)
     v = suffix_log_liks_matrix(state.p, xs)
     _check_finite_log_p(v[:, 0], xs)
     s = apply_horizon(v, cfg.horizon) if cfg.horizon is not None else v
@@ -454,7 +453,7 @@ def train(base: ARModel, xs: np.ndarray, data_weights: np.ndarray | None,
     ``exact_kl_fn(q, T)``, when given, is evaluated at the configured
     cadence and recorded as the kl_to_target metric.
     """
-    xs = np.asarray(xs, dtype=np.int64)
+    xs = base._check_tokens(xs)
     n = xs.shape[0]
     dnorm = _norm_weights(n, data_weights)
     state = TrainState(base, settings, embedding_width=embedding_width)

@@ -21,7 +21,7 @@ from lhts.ar_model import (
 )
 from lhts.numerics import Rng, finite_difference_gradient, myopic_rescale
 from lhts.oracle import _context_prefixes, enumerate_joint, myopic_scale_joint
-from lhts.trainer import suffix_log_liks_matrix
+from lhts.trainer import suffix_log_liks_matrix, weighted_nll_loss_node
 
 
 def random_linear(seed, V=3, L=4, window=2, embedding=False) -> LinearAR:
@@ -78,6 +78,27 @@ def test_prefix_too_long_errors(counterexample_model):
 def test_token_out_of_vocab_errors(counterexample_model):
     with pytest.raises(ModelError, match="out of vocab"):
         counterexample_model.per_token_log_probs_matrix(np.array([[0, 5]]))
+
+
+@pytest.mark.parametrize("xs", [np.array([0, 1]), np.zeros((2, 2, 2), dtype=np.int64), 1])
+def test_a_token_batch_that_is_not_2d_is_refused(counterexample_model, xs):
+    with pytest.raises(ModelError, match="2-D batch of sequences"):
+        counterexample_model.per_token_log_probs_matrix(xs)
+    with pytest.raises(ModelError, match="2-D batch of sequences"):
+        weighted_nll_loss_node(counterexample_model, xs, np.ones(2))
+
+
+@pytest.mark.parametrize("bad", [0.5, 1.5, np.nan, np.inf])
+def test_non_integral_tokens_are_refused(bad):
+    model = random_linear(0)
+    with pytest.raises(ModelError, match="tokens must be integers"):
+        suffix_log_liks_matrix(model, [[bad, 1.5, 2.5, 0.5]])
+    with pytest.raises(ModelError, match="tokens must be integers"):
+        model.per_token_log_probs_matrix(np.array([[0.0, 1.0, bad, 2.0]]))
+    # integral floats are tokens
+    xs = np.array([[0, 1, 2, 0]])
+    assert np.array_equal(model.per_token_log_probs_matrix(xs.astype(np.float64)),
+                          model.per_token_log_probs_matrix(xs))
 
 
 def test_t_cond_strictness():

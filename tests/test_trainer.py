@@ -271,6 +271,20 @@ def test_baseline_refuses_statistics_of_another_shape():
     assert baseline.means() == -3.0
 
 
+@pytest.mark.parametrize("xs", [np.array([[0, 1.5, 1], [1, 0, 0]]), np.array([0, 1, 1])])
+def test_training_refuses_a_malformed_token_batch(xs):
+    # a non-integral token or a batch that is not 2-D, before any state changes
+    state = TrainState(TabularAR(2, 3), TrainSettings(learning_rate=0.5, temperatures=(0.5,)))
+    q = state.q.param_array()
+    for call in (lambda: lhts_step(state, xs, 0.5),
+                 lambda: joint_weights(state.p, xs, 0.5, state.baseline),
+                 lambda: train(state.p, xs, None, TrainSettings(steps=1), Rng(0))):
+        with pytest.raises(ModelError, match="must be integers|2-D batch"):
+            call()
+    assert np.array_equal(state.q.param_array(), q)
+    assert state.step == 0 and state.baseline.n == 0
+
+
 def test_step_refuses_a_batch_of_another_length_before_weighting():
     state = TrainState(TabularAR(2, 3), TrainSettings(learning_rate=0.5, temperatures=(0.5,)))
     lhts_step(state, np.array([[0, 1, 1], [1, 0, 0]]), 0.5)
