@@ -94,7 +94,11 @@ class StreamingBaseline:
         s = np.asarray(stats, dtype=np.float64)
         self.means(s)
         w = _norm_weights(s.shape[0], data_weights)
-        self.sums = self.sums + w @ s
+        # a C-ordered product summed over the batch adds in one order
+        # whatever the layout of s, where w @ s rounds by the BLAS kernel
+        # that the layout selects
+        terms = np.multiply(w.reshape((-1,) + (1,) * (s.ndim - 1)), s, order="C")
+        self.sums = self.sums + terms.sum(axis=0)
         self.n += 1.0
 
 

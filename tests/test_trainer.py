@@ -263,6 +263,28 @@ def test_loss_validates_inputs(counterexample_model):
         weighted_nll_loss_node(counterexample_model, xs, np.ones(2), kl_beta=0.1)
 
 
+@pytest.mark.parametrize("columns", [0, 7])
+def test_baseline_means_do_not_depend_on_the_memory_layout(columns):
+    # the same values as a C-ordered array, a reversed view (the layout of a
+    # reverse cumulative sum), a Fortran-ordered array and a strided view
+    rng = np.random.default_rng(8)
+    shape = (301,) + ((columns,) if columns else ())
+    values = rng.normal(scale=30.0, size=shape)
+    dw = rng.random(301)
+    flipped = np.ascontiguousarray(values[..., ::-1])[..., ::-1]
+    layouts = [values, flipped, np.asfortranarray(values),
+               np.repeat(values, 2, axis=-1)[..., ::2] if columns else values[::-1][::-1]]
+    means = []
+    for s in layouts:
+        assert np.array_equal(s, values)
+        baseline = StreamingBaseline()
+        baseline.update(s, dw)
+        baseline.update(s[:40])
+        means.append(baseline.means())
+    for m in means[1:]:
+        assert np.array_equal(m, means[0])
+
+
 def test_baseline_refuses_statistics_of_another_shape():
     baseline = StreamingBaseline()
     baseline.update(np.array([-2.0, -4.0]))
