@@ -131,13 +131,15 @@ class ARModel:
 
     def _check_tokens(self, x) -> np.ndarray:
         """A batch of sequences as a 2-D int64 array of in-vocab tokens."""
-        arr = np.asarray(x)
-        if arr.ndim != 2:
-            raise ModelError(f"tokens must be a 2-D batch of sequences, got shape {arr.shape}")
-        with np.errstate(invalid="ignore"):  # NaN and inf cast to garbage, caught below
-            tokens = arr.astype(np.int64, copy=False)
-        if tokens is not arr and not np.array_equal(tokens, arr):
-            raise ModelError(f"tokens must be integers: {arr}")
+        tokens = np.asarray(x)
+        if tokens.ndim != 2:
+            raise ModelError(f"tokens must be a 2-D batch of sequences, got shape {tokens.shape}")
+        if tokens.dtype != np.int64:
+            with np.errstate(invalid="ignore"):  # NaN and inf cast to garbage, caught below
+                cast = tokens.astype(np.int64)
+            if not np.array_equal(cast, tokens):
+                raise ModelError(f"tokens must be integers: {tokens}")
+            tokens = cast
         if tokens.size and (tokens.min() < 0 or tokens.max() >= self.vocab_size):
             raise ModelError(f"token out of vocab of size {self.vocab_size}: {tokens}")
         return tokens
@@ -407,8 +409,7 @@ class LinearAR(ARModel):
     def row_logits(self, position, t_cond=None):
         V, c = self.vocab_size, min(self.window, position)
         logits = np.tile(self.bias + self.w_pos[:, position], (V**c, 1))
-        # axis a of the (V,)*c+(V,) view is the context's token c - a places
-        # back, so w_ctx[:, j].T broadcasts onto axis c-1-j
+        # axis a of the view is the context's token c - a places back
         view = logits.reshape((V,) * c + (V,))
         for j in range(c):
             view += self.w_ctx[:, j].T.reshape((V,) + (1,) * j + (V,))

@@ -62,6 +62,21 @@ def row_after(model, prefix, t_cond=None) -> np.ndarray:
     return rows[context_ids(prefix, model.vocab_size)[0] % rows.shape[0]]
 
 
+def count_rows(model, monkeypatch) -> list:
+    """Record the number of rows of each ``row_logits`` call the model
+    makes, in the list returned."""
+    counts = []
+    inner = model.row_logits
+
+    def counting(position, t_cond=None):
+        rows = inner(position, t_cond=t_cond)
+        counts.append(rows.shape[0])
+        return rows
+
+    monkeypatch.setattr(model, "row_logits", counting)
+    return counts
+
+
 def kl_to_base_per_position(base, model, x, t_cond=None) -> float:
     """sum_i KL(base(.|x_<i) || model(.|x_<i)), exact categorical KLs of the
     two models' rows along one sequence."""

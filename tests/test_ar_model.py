@@ -8,7 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from conftest import kl_to_base_per_position, prefix_log_probs, prefix_logits, row_after
+from conftest import (
+    count_rows,
+    kl_to_base_per_position,
+    prefix_log_probs,
+    prefix_logits,
+    row_after,
+)
 from lhts.ar_model import (
     LinearAR,
     ModelError,
@@ -623,7 +629,8 @@ def test_row_logits_match_the_per_prefix_reference(kind, V, L, window_frac, embe
         # last c hold the context and whose first i - c are zeros
         c = i if model.window is None else min(i, model.window)
         prefixes = _context_prefixes(np.arange(V**c), V, c, i)
-        assert np.array_equal(model.row_logits(i, t_cond), prefix_logits(model, prefixes, i, t_cond))
+        assert np.array_equal(model.row_logits(i, t_cond),
+                              prefix_logits(model, prefixes, i, t_cond))
         assert np.array_equal(tables[i], prefix_log_probs(model, prefixes, i, t_cond))
         # the same context after other tokens further back reads the same row
         older = np.random.default_rng(seed).integers(0, V, size=(V**c, i - c))
@@ -651,24 +658,10 @@ def test_param_grad_is_the_adjoint_of_row_logits(kind, embedding):
         np.testing.assert_allclose(grad, fd, rtol=0, atol=1e-8)
 
 
-def _count_rows(model, monkeypatch) -> list:
-    """The number of rows of each ``row_logits`` call the model makes."""
-    counts = []
-    inner = model.row_logits
-
-    def counting(position, t_cond=None):
-        rows = inner(position, t_cond=t_cond)
-        counts.append(rows.shape[0])
-        return rows
-
-    monkeypatch.setattr(model, "row_logits", counting)
-    return counts
-
-
 def test_pricing_and_sampling_evaluate_each_context_once(monkeypatch):
     model, _ = random_model("linear", 8, 7, 3, False, 0)
     xs = np.random.default_rng(1).integers(0, 8, size=(5000, 7))
-    counts = _count_rows(model, monkeypatch)
+    counts = count_rows(model, monkeypatch)
     model.per_token_log_probs_matrix(xs)
     # one row_logits call per position, of every context it reads
     assert counts == [8 ** min(pos, 3) for pos in range(7)] and sum(counts) == 2121
@@ -704,7 +697,7 @@ def test_a_changed_state_rebuilds_the_rows(change, monkeypatch):
     xs = np.random.default_rng(4).integers(0, 3, size=(40, 5))
     model.per_token_log_probs_matrix(xs, t_cond=t_cond)
     t_cond = change(model, t_cond)
-    counts = _count_rows(model, monkeypatch)
+    counts = count_rows(model, monkeypatch)
     u = model.per_token_log_probs_matrix(xs, t_cond=t_cond)
     batch = model.sample(40, myopic_t=0.6, t_cond=t_cond, rng=np.random.default_rng(5))
     assert counts == [3 ** min(pos, 2) for pos in range(5)]

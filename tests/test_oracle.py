@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import prefix_log_probs, row_after
+from conftest import count_rows, prefix_log_probs, row_after
 from lhts.ar_model import LinearAR, TabularAR, tabular_from_table
 from lhts.data import shared_prefix_scenario
 from lhts.numerics import log_softmax, myopic_rescale
@@ -157,23 +157,9 @@ def test_enumeration_matches_full_prefix_reference(kind, V, L, window_frac, embe
                            rtol=0, atol=1e-12)
 
 
-def _count_rows(model, monkeypatch) -> list:
-    """The number of rows of each ``row_logits`` call the model makes."""
-    counts = []
-    inner = model.row_logits
-
-    def counting(position, t_cond=None):
-        rows = inner(position, t_cond=t_cond)
-        counts.append(rows.shape[0])
-        return rows
-
-    monkeypatch.setattr(model, "row_logits", counting)
-    return counts
-
-
 def test_linear_enumeration_evaluates_each_context_once(monkeypatch):
     model, _ = random_ar("linear", 8, 7, 3, False, 0)
-    counts = _count_rows(model, monkeypatch)
+    counts = count_rows(model, monkeypatch)
     enumerate_joint(model)
     assert counts == [8 ** min(pos, 3) for pos in range(7)]
     assert sum(counts) == 2121
@@ -185,7 +171,7 @@ def test_linear_enumeration_evaluates_each_context_once(monkeypatch):
 
 def test_tabular_enumeration_evaluates_every_prefix(monkeypatch):
     model, _ = random_ar("tabular", 3, 4, None, False, 0)
-    counts = _count_rows(model, monkeypatch)
+    counts = count_rows(model, monkeypatch)
     enumerate_joint(model)
     assert counts == [3**pos for pos in range(4)]
 
@@ -747,14 +733,14 @@ def test_chain_scale_and_kl_read_only_rows(monkeypatch):
     model, _ = random_ar("linear", 8, 7, 3, False, 0)
     q_model, _ = random_ar("linear", 8, 7, 3, False, 1)
     p, q = enumerate_joint(model), enumerate_joint(q_model)
-    counts = _count_rows(model, monkeypatch) + _count_rows(q_model, monkeypatch)
+    p_counts, q_counts = count_rows(model, monkeypatch), count_rows(q_model, monkeypatch)
 
     def score():
         for T in (0.5, 0.8, 1.0):
             kl_divergence(temperature_scale_exact(p, T), q)
 
     assert _peak_bytes(score) < 2**20
-    assert counts == []
+    assert p_counts == [] and q_counts == []
     p_raw, q_raw = raw(p), raw(q)
     assert _peak_bytes(lambda: kl_divergence(temperature_scale_exact(p_raw, 0.5), q_raw)) \
         >= 16 * 2**20
