@@ -282,15 +282,16 @@ class TabularAR(ARModel):
             if toks.ndim != 1 or len(toks) >= max_length:
                 raise ModelError(f"prefix {prefix} is not a sequence shorter than {max_length}")
             toks = model._check_tokens(toks[None])[0].tolist()
-            # the prefix's lexicographic id among the V^i rows of its position
-            row = functools.reduce(lambda s, tok: s * vocab_size + tok, toks, 0)
+            # its position's first row plus its lexicographic id
+            row = model.offsets[len(toks)] + functools.reduce(
+                lambda s, tok: s * vocab_size + tok, toks, 0)
             p = np.asarray(probs, dtype=np.float64)
             if p.shape != (vocab_size,):
                 raise ModelError(f"conditional for prefix {prefix} has wrong arity")
             if abs(p.sum() - 1.0) > 1e-9 or np.any(p < 0):
                 raise ModelError(f"conditional for prefix {prefix} is not a distribution")
             with np.errstate(divide="ignore"):
-                model.logits[model.offsets[len(toks)] + row] = np.log(p)
+                model.logits[row] = np.log(p)
             seen += 1
         if seen != model.n_rows:
             raise ModelError(f"got {seen} conditionals, need one per prefix ({model.n_rows})")
