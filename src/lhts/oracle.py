@@ -40,7 +40,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .numerics import myopic_rescale
+from .numerics import myopic_rescale, row_max
 
 __all__ = [
     "OracleError",
@@ -325,15 +325,18 @@ def _scale_rows(rows: tuple[np.ndarray, ...], temperature: float
     """The rows of p^(1/T)/Z and its log Z, by backward log-messages.
 
     Row s of position i leads, on token x, to the state of id
-    (s V + x) mod V^(c_(i+1)), so ``np.resize`` of the next position's
-    messages to the rows' shape lines each message up with its (s, x).
+    (s V + x) mod n, n = V^(c_(i+1)) the next position's count of states.
+    s V + x is the flat index of (s, x), and n divides the rows' size, so
+    in the rows viewed as (-1, n) each (s, x) sits in the column of its
+    next state, and the next messages add along that view's rows.
     """
     log_beta = np.zeros(1)
     scaled = []
     for r in reversed(rows):
         a = r / temperature
-        a += np.resize(log_beta, r.shape)
-        m = a.max(axis=1, keepdims=True)
+        by_next = a.reshape(-1, log_beta.size)
+        by_next += log_beta
+        m = row_max(a)
         a -= m
         lse = np.log(np.exp(a).sum(axis=1, keepdims=True))
         a -= lse
@@ -420,34 +423,49 @@ def _warn_support(sequence: tuple[int, ...]) -> None:
 
 
 def _chain_kl(p_rows: tuple[np.ndarray, ...], q_rows: tuple[np.ndarray, ...]) -> float:
-    """sum_i sum_s mu_i(s) KL(p(.|s) || q(.|s)), mu_i the law of p's state.
-
-    The state is the wider window's context, so position i has
-    n = max(V^c_p, V^c_q) states, and the narrower table's row for state s
-    is its row s mod V^c (``np.resize``). The mass mu_i(s) p(x|s) of each
-    (s, x) is carried to the next state, of id (s V + x) mod n_(i+1). A
-    position whose sum is not finite has an entry of no mass (a -inf in
-    p's row) and is summed again over the entries of mass; if q is -inf on
-    one of them, the result is +inf and a SupportWarning names the first
-    offending sequence (``_first_violation``).
+    """sum_i sum_s mu_i(s) KL(p(.|s) || q(.|s)), mu_i the law of p's state,
+    summed over ``_forward``'s per-position arrays. A position whose sum is
+    not finite has an entry of no mass (a -inf in p's row) and is summed
+    again over the entries of mass; if q is -inf on one of them, the result
+    is +inf and a SupportWarning names the first offending sequence
+    (``_first_violation``).
     """
-    kl, mu = 0.0, np.ones(1)
-    for lp, lq in zip(p_rows, q_rows):
-        shape = (max(lp.shape[0], lq.shape[0]), lp.shape[1])
-        lp, lq = np.resize(lp, shape), np.resize(lq, shape)
-        mu = mu.reshape(-1, shape[0]).sum(axis=0)
-        joint = mu[:, None] * np.exp(lp)
+    kl = 0.0
+    for joint, lp, lq in _forward(p_rows, q_rows):
         with np.errstate(invalid="ignore"):
-            part = float(joint.ravel() @ (lp - lq).ravel())
+            diff = lp - lq
+            part = float(joint.ravel() @ diff.ravel())
         if not math.isfinite(part):
             mass = joint > 0
-            if np.any(lq[mass] == -np.inf):
+            if np.any(np.broadcast_to(lq, mass.shape)[mass] == -np.inf):
                 _warn_support(_first_violation(p_rows, q_rows))
                 return math.inf
-            part = float(joint[mass] @ (lp[mass] - lq[mass]))
+            part = float(joint[mass] @ diff[mass])
         kl += part
-        mu = joint.ravel()
     return kl
+
+
+def _forward(p_rows: tuple[np.ndarray, ...], q_rows: tuple[np.ndarray, ...]):
+    """Yield each position's (joint, lp, lq): the mass mu_i(s) p(x|s) of
+    each (state s, token x), mu_i the law of p's state, and p's and q's
+    rows, all three on p's and q's wider window.
+
+    Position i has S = max(V^c_p, V^c_q) states, and the narrower table,
+    of n = min(V^c_p, V^c_q) rows, reads its row s mod n for state s. So
+    both tables are read as (-1, n, V) views, the wider one of shape
+    (S/n, n, V) and the narrower one (1, n, V), which broadcasts: nothing
+    is copied. ``joint`` is (S/n, n, V), its flat index s V + x; its mass
+    is carried to the next state, of id (s V + x) mod S_(i+1).
+    """
+    mu = np.ones(1)
+    for lp, lq in zip(p_rows, q_rows):
+        n, S = sorted((lp.shape[0], lq.shape[0]))
+        V = lp.shape[1]
+        lp, lq = lp.reshape(-1, n, V), lq.reshape(-1, n, V)
+        mu = mu.reshape(-1, S).sum(axis=0)
+        joint = mu.reshape(-1, n, 1) * np.exp(lp)
+        yield joint, lp, lq
+        mu = joint.ravel()
 
 
 def _first_violation(p_rows: tuple[np.ndarray, ...],
@@ -456,23 +474,25 @@ def _first_violation(p_rows: tuple[np.ndarray, ...],
     q's rows none.
 
     A backward pass marks each (state, token) of p's mass from which q
-    refuses the sequence, at that token or later on a path of p's mass.
-    The sequence then takes the smallest marked token until q has refused
-    one, and p's smallest token of mass after that.
+    refuses the sequence, at that token or later on a path of p's mass;
+    the rows are aligned on states as in ``_forward``. The sequence then
+    takes the smallest marked token until q has refused one, and p's
+    smallest token of mass after that.
     """
     V = p_rows[0].shape[1]
-    shapes = [(max(lp.shape[0], lq.shape[0]), V) for lp, lq in zip(p_rows, q_rows)]
     marks, ahead = [], np.zeros(1, dtype=bool)
-    for lp, lq, shape in reversed(list(zip(p_rows, q_rows, shapes))):
-        mass, refused = np.resize(lp, shape) > -np.inf, np.resize(lq, shape) == -np.inf
-        marked = mass & (refused | np.resize(ahead, shape))
-        marks.append((mass, refused, marked))
-        ahead = marked.any(axis=1)
+    for lp, lq in zip(reversed(p_rows), reversed(q_rows)):
+        n, S = sorted((lp.shape[0], lq.shape[0]))
+        # (s, x) leads to the next state (s V + x) mod ahead.size
+        ahead = np.broadcast_to(ahead, (S * V // ahead.size, ahead.size)).reshape(-1, n, V)
+        marked = (lp.reshape(-1, n, V) > -np.inf) & ((lq.reshape(-1, n, V) == -np.inf) | ahead)
+        marks.append(marked.reshape(S, V))
+        ahead = marks[-1].any(axis=1)
     sequence, s, done = [], 0, False
-    for (mass, refused, marked), (n, _) in zip(reversed(marks), shapes):
-        s %= n
-        x = int(np.argmax(mass[s] if done else marked[s]))
-        done = done or bool(refused[s, x])
+    for lp, lq, marked in zip(p_rows, q_rows, reversed(marks)):
+        s %= marked.shape[0]
+        x = int(np.argmax(lp[s % lp.shape[0]] > -np.inf if done else marked[s]))
+        done = done or bool(lq[s % lq.shape[0], x] == -np.inf)
         sequence.append(x)
         s = s * V + x
     return tuple(sequence)
@@ -481,13 +501,21 @@ def _first_violation(p_rows: tuple[np.ndarray, ...],
 def entropy(table: CategoricalTable) -> float:
     """H(p) = -sum_x p(x) log p(x), exact.
 
-    A chain table's entropy is sum_i sum_s mu_i(s) H(p(.|s)), which is
-    minus ``_chain_kl``'s forward sum against log q = 0 on every row, and
-    reads no entry; a -inf row entry adds nothing. A raw table is summed
-    over blocks of its entries, skipping the -inf ones.
+    A chain table's entropy is sum_i sum_s mu_i(s) H(p(.|s)), summed over
+    ``_forward``'s per-position arrays (the table aligned with itself), and
+    reads no entry. A raw table is summed over blocks of its entries. Either
+    way a -inf entry adds nothing.
     """
     if table.rows is not None:
-        return -_chain_kl(table.rows, (np.zeros((1, table.vocab_size)),) * table.length)
+        total = 0.0
+        for joint, lp, _ in _forward(table.rows, table.rows):
+            with np.errstate(invalid="ignore"):
+                part = float(joint.ravel() @ lp.ravel())
+            if not math.isfinite(part):
+                mass = joint > 0
+                part = float(joint[mass] @ lp[mass])
+            total += part
+        return -total
 
     def block(a):
         a = a[a > -np.inf]

@@ -160,11 +160,13 @@ class WeightBatch:
 
     def stats(self) -> dict:
         """Mean, variance and max of the weights; their effective sample size
-        (sum w)^2 / sum w^2 over all entries (Kong 1992); and the range of the
-        exponents, i.e. the log-weights before clipping."""
+        (sum w)^2 / sum w^2 over all n entries (Kong 1992), and that as a
+        fraction of n; and the range of the exponents, i.e. the log-weights
+        before clipping."""
         w = self.weights
+        ess = float(w.sum() ** 2 / np.sum(w * w))
         return {"mean": float(w.mean()), "var": float(w.var()), "max": float(w.max()),
-                "ess": float(w.sum() ** 2 / np.sum(w * w)),
+                "ess": ess, "ess_frac": ess / w.size,
                 "log_w_min": float(self.exponents.min()),
                 "log_w_max": float(self.exponents.max())}
 
@@ -181,13 +183,22 @@ class StepRecord:
     kl_to_target: float | None = None
 
     def metrics_dict(self) -> dict:
-        """The JSON-lines record contract."""
-        out: dict = {"step": self.step, "T": self.temperature, "loss": self.loss}
+        """The JSON-lines record contract. A NaN or infinite number, such
+        as the normalized loss and gradient norm of a step that aborted,
+        is written as None (JSON null), so the record stays valid JSON."""
+        out: dict = {"step": self.step, "T": self.temperature, "loss": self.loss,
+                     "normalized_loss": self.normalized_loss, "grad_norm": self.grad_norm,
+                     "clip_rate": self.clip_rate}
         if self.kl_to_target is not None:
             out["kl_to_target"] = self.kl_to_target
-        out["weight_stats"] = self.weight_stats
-        out["clip_rate"] = self.clip_rate
+        out = _json_numbers(out)
+        out["weight_stats"] = _json_numbers(self.weight_stats)
         return out
+
+
+def _json_numbers(numbers: dict) -> dict:
+    """``numbers`` with each NaN or infinite value replaced by None."""
+    return {k: v if math.isfinite(v) else None for k, v in numbers.items()}
 
 
 @dataclass
@@ -345,11 +356,12 @@ def weighted_nll_loss_node(q: ARModel, xs: np.ndarray, importance: np.ndarray,
     base conditionals are constants; only q's parameters carry gradients.
     Each position sums the weights over the S contexts of the wider window
     of q and the anchor's base, and reads both models' ``row_tables``, the
-    log-softmax of their ``row_logits``; the narrower one's row for context
-    s is its row s mod its own count (``np.resize``). The gradient wrt q's
-    logits is summed back onto q's own (V^c, V) rows, the layout of
-    ``row_logits``, and ``q.param_grad``, its adjoint, maps it onto the
-    parameters.
+    log-softmax of their ``row_logits``. The narrower table, of k rows,
+    reads its row s mod k for context s: the (S, V) sums are viewed as
+    (S/k, k, V), and the narrower table's rows as (1, k, V) broadcast onto
+    them, with no copy. The gradient wrt q's logits is summed back onto q's
+    own (V^c, V) rows, the layout of ``row_logits``, and ``q.param_grad``,
+    its adjoint, maps it onto the parameters.
     """
     xs = q._check_tokens(xs)
     n, length = xs.shape
@@ -372,29 +384,31 @@ def weighted_nll_loss_node(q: ARModel, xs: np.ndarray, importance: np.ndarray,
     flat = np.zeros(n, dtype=np.int64)
     for i in range(length):
         n_q = q_rows[i].shape[0]
-        S = max(n_q, p_rows[i].shape[0])
+        k, S = sorted((n_q, p_rows[i].shape[0]))
         ids = flat % S
         flat = ids * V + xs[:, i]
-        log_q = np.resize(q_rows[i], (S, V))
+        # the (S, V) sums are read as (S/k, k, V) views, on which the
+        # narrower table's (1, k, V) view broadcasts
+        log_q = q_rows[i].reshape(-1, k, V)
         # W[s, t] weighs -log q(t|s), summed over the rows with context s;
         # zero entries are skipped in the loss so that a -inf log-prob with
         # no weight adds nothing
-        W = np.bincount(flat, weights=d * w[:, i], minlength=S * V).reshape(S, V)
+        W = np.bincount(flat, weights=d * w[:, i], minlength=S * V).reshape(-1, k, V)
         if anchored:
-            log_p = np.resize(p_rows[i], (S, V))
+            log_p = p_rows[i].reshape(-1, k, V)
             # KL = sum_t p_t log p_t - sum_t p_t log q_t: the cross term
             # joins W, the entropy term is a constant shift of the loss
             d_ctx = np.bincount(ids, weights=d, minlength=S)
-            pw = kl_beta * d_ctx[:, None] * np.exp(log_p)
+            pw = kl_beta * d_ctx.reshape(-1, k, 1) * np.exp(log_p)
             W += pw
             mass = pw > 0
-            loss += pw[mass] @ log_p[mass]
+            loss += pw[mass] @ np.broadcast_to(log_p, pw.shape)[mass]
         used = W != 0
-        loss -= W[used] @ log_q[used]
-        g_logits = W.sum(axis=1, keepdims=True) * np.exp(log_q) - W
+        loss -= W[used] @ np.broadcast_to(log_q, W.shape)[used]
+        g_logits = W.sum(axis=2, keepdims=True) * np.exp(log_q) - W
         if S > n_q:
             g_logits = g_logits.reshape(-1, n_q, V).sum(axis=0)
-        grad += q.param_grad(i, g_logits, t_cond)
+        grad += q.param_grad(i, g_logits.reshape(n_q, V), t_cond)
     return float(loss), grad
 
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lhts.numerics import Rng, finite_difference_gradient, log_softmax, myopic_rescale
+from lhts.numerics import Rng, finite_difference_gradient, log_softmax, myopic_rescale, row_max
 
 
 def lse_reference(vals) -> float:
@@ -53,6 +53,34 @@ def test_log_softmax_shift_invariance(vals, shift):
     base = log_softmax(np.array(vals))
     shifted = log_softmax(np.array(vals) - shift)
     assert np.allclose(shifted, base, rtol=0, atol=1e-9)
+
+
+def max_reference_log_softmax(z):
+    m = z.max(axis=-1, keepdims=True)
+    return z - (m + np.log(np.exp(z - m).sum(axis=-1, keepdims=True)))
+
+
+@pytest.mark.parametrize("shape", [(6,), (9, 4), (3, 5, 7)])
+@pytest.mark.parametrize("empty_row", [False, True])
+def test_row_max_keeps_log_softmax_and_the_rescale_exact(shape, empty_row):
+    # the token-major max against z.max(axis=-1): equal entries, with -inf
+    # holes, and NaN in the same places where a row is all -inf
+    rng = np.random.default_rng(len(shape))
+    z = rng.normal(scale=3.0, size=shape)
+    z[rng.random(shape) < 0.3] = -np.inf
+    if empty_row:
+        z[(0,) * (z.ndim - 1)] = -np.inf
+    for arr in (z, z[..., ::-1]):  # a strided view reads the same rows
+        assert np.array_equal(row_max(arr), arr.max(axis=-1, keepdims=True))
+        with np.errstate(invalid="ignore"):
+            got = log_softmax(arr)
+            want = max_reference_log_softmax(arr)
+            assert np.array_equal(got, want, equal_nan=True)
+            assert np.isnan(got).any() == empty_row
+            for T in (0.3, 2.0):
+                shifted = (arr - arr.max(axis=-1, keepdims=True)) / T
+                assert np.array_equal(myopic_rescale(arr, T),
+                                      max_reference_log_softmax(shifted), equal_nan=True)
 
 
 # ------------------------------------------------------- finite differences

@@ -15,7 +15,12 @@ from lhts.numerics import log_softmax, myopic_rescale
 from lhts.oracle import (
     _BLOCK,
     ENUMERATION_CAP,
+    _chain_kl,
     _context_prefixes,
+    _derived_table,
+    _first_violation,
+    _Rows,
+    _scale_rows,
     CategoricalTable,
     OracleError,
     SequenceSpace,
@@ -27,6 +32,7 @@ from lhts.oracle import (
     myopic_scale_joint,
     temperature_scale_exact,
 )
+from lhts.trainer import weighted_nll_loss_node
 
 
 def random_table(seed, V=3, L=2) -> CategoricalTable:
@@ -619,6 +625,167 @@ def test_chain_tables_match_the_table_path(V, L, window_fracs, embedding, T, see
     assert not scaled.log_probs.flags.writeable
     for a in (p, q):
         assert_close(entropy(a), entropy(raw(a)))
+
+
+# References that align rows with np.resize, as the chain passes and the
+# loss once did: the row s mod n of an n-row table is read by tiling the
+# table to the wider count. The views that replaced them read the same
+# entries and do the same arithmetic, so the results must be equal.
+
+def resize_scale_rows(rows, T):
+    log_beta, scaled = np.zeros(1), []
+    for r in reversed(rows):
+        a = r / T
+        a += np.resize(log_beta, r.shape)
+        m = a.max(axis=1, keepdims=True)
+        a -= m
+        lse = np.log(np.exp(a).sum(axis=1, keepdims=True))
+        a -= lse
+        scaled.append(a)
+        log_beta = (m + lse)[:, 0]
+    return scaled[::-1], float(log_beta[0])
+
+
+def resize_chain_kl(p_rows, q_rows):
+    kl, mu = 0.0, np.ones(1)
+    for lp, lq in zip(p_rows, q_rows):
+        shape = (max(lp.shape[0], lq.shape[0]), lp.shape[1])
+        lp, lq = np.resize(lp, shape), np.resize(lq, shape)
+        mu = mu.reshape(-1, shape[0]).sum(axis=0)
+        joint = mu[:, None] * np.exp(lp)
+        with np.errstate(invalid="ignore"):
+            part = float(joint.ravel() @ (lp - lq).ravel())
+        if not math.isfinite(part):
+            mass = joint > 0
+            if np.any(lq[mass] == -np.inf):
+                return math.inf
+            part = float(joint[mass] @ (lp[mass] - lq[mass]))
+        kl += part
+        mu = joint.ravel()
+    return kl
+
+
+def resize_entropy(rows):
+    return -resize_chain_kl(rows, (np.zeros((1, rows[0].shape[1])),) * len(rows))
+
+
+def resize_loss(q, base, xs, w, d, t_cond, kl_beta):
+    q_rows = q.row_tables(t_cond)
+    p_rows = base.row_tables() if kl_beta > 0 else q_rows
+    V = q.vocab_size
+    loss, grad = 0.0, np.zeros(q.n_params)
+    flat = np.zeros(len(xs), dtype=np.int64)
+    for i in range(xs.shape[1]):
+        n_q = q_rows[i].shape[0]
+        S = max(n_q, p_rows[i].shape[0])
+        ids = flat % S
+        flat = ids * V + xs[:, i]
+        log_q = np.resize(q_rows[i], (S, V))
+        W = np.bincount(flat, weights=d * w[:, i], minlength=S * V).reshape(S, V)
+        if kl_beta > 0:
+            log_p = np.resize(p_rows[i], (S, V))
+            d_ctx = np.bincount(ids, weights=d, minlength=S)
+            pw = kl_beta * d_ctx[:, None] * np.exp(log_p)
+            W += pw
+            mass = pw > 0
+            loss += pw[mass] @ log_p[mass]
+        used = W != 0
+        loss -= W[used] @ log_q[used]
+        g_logits = W.sum(axis=1, keepdims=True) * np.exp(log_q) - W
+        if S > n_q:
+            g_logits = g_logits.reshape(-1, n_q, V).sum(axis=0)
+        grad += q.param_grad(i, g_logits, t_cond)
+    return float(loss), grad
+
+
+@given(
+    V=st.sampled_from([2, 3]),
+    L=st.integers(min_value=1, max_value=6),
+    window_fracs=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+    embedding=st.booleans(),
+    hole=st.booleans(),
+    T=st.sampled_from([0.3, 0.7, 2.0]),
+    seed=st.integers(min_value=0, max_value=2**16),
+)
+@settings(max_examples=80, deadline=None)
+def test_aligned_views_match_the_resize_reference(V, L, window_fracs, embedding, hole, T,
+                                                  seed):
+    # windows 0..L+1, p's and q's drawn apart; the row passes run on row
+    # tables of any window, so whole-prefix ones are checked too. A hole
+    # gives p's token 1 no mass, which sends the KLs down their masked sums
+    # and, where q has mass there, to +inf
+    wp, wq = (round(f * (L + 1)) for f in window_fracs)
+    p_model, _ = random_ar("linear", V, L, wp, False, seed)
+    if hole:
+        p_model.bias[1] = -np.inf
+    q_model, tq = random_ar("linear", V, L, wq, embedding, seed + 1)
+    p_rows = p_model.row_tables()
+    q_rows = tuple(myopic_rescale(r, T) for r in q_model.row_tables(tq))
+
+    scaled, log_z = _scale_rows(p_rows, T)
+    want, want_log_z = resize_scale_rows(p_rows, T)
+    assert log_z == want_log_z
+    assert all(np.array_equal(a, b) for a, b in zip(scaled, want, strict=True))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", SupportWarning)
+        for a, b in [(scaled, q_rows), (q_rows, scaled), (p_rows, q_rows), (q_rows, p_rows),
+                     (scaled, p_rows), (p_rows, scaled)]:
+            assert _chain_kl(a, b) == resize_chain_kl(a, b)
+    space = SequenceSpace(V, L)
+    for rows in (p_rows, scaled, q_rows):
+        table = _derived_table(space, None, 0.0, _Rows(rows), max(wp, wq))
+        assert entropy(table) == resize_entropy(rows)
+
+    rng = np.random.default_rng(seed)
+    xs = rng.integers(V, size=(16, L))
+    w = rng.uniform(0.1, 2.0, size=xs.shape)
+    dw = rng.uniform(0.1, 1.0, size=len(xs))
+    for kl_beta in (0.0, 0.3):
+        loss, grad = weighted_nll_loss_node(q_model, xs, w, dw, t_cond=tq, kl_beta=kl_beta,
+                                            base=p_model)
+        want_loss, want_grad = resize_loss(q_model, p_model, xs, w, dw / dw.sum(), tq, kl_beta)
+        assert loss == want_loss
+        assert np.array_equal(grad, want_grad)
+
+
+def test_a_saturated_window_at_full_size_matches_the_table_path():
+    # positions 3 and 4 of a window-3 model over 8 tokens have 8^3 = 512
+    # contexts, the size of the bench's linear model; q's window is 2
+    p_model, _ = random_ar("linear", 8, 5, 3, False, 0)
+    q_model, tq = random_ar("linear", 8, 5, 2, True, 1)
+    p, q = enumerate_joint(p_model), myopic_scale_joint(q_model, 0.7, t_cond=tq)
+    assert [r.shape[0] for r in p.rows] == [1, 8, 64, 512, 512]
+    scaled = temperature_scale_exact(p, 0.5)
+    want = temperature_scale_exact(raw(p), 0.5)
+    assert "log_probs" not in vars(scaled)
+    assert_close(scaled.log_z, want.log_z)
+    np.testing.assert_allclose(scaled.log_probs, want.log_probs, rtol=0, atol=1e-12)
+    for a, b in [(scaled, q), (q, scaled), (p, q), (q, p), (scaled, p)]:
+        a_raw = want if a is scaled else raw(a)
+        b_raw = want if b is scaled else raw(b)
+        assert_close(kl_divergence(a, b), kl_divergence(a_raw, b_raw))
+    for a, a_raw in [(p, raw(p)), (scaled, want), (q, raw(q))]:
+        assert_close(entropy(a), entropy(a_raw))
+
+    # q refuses one (context, token) at each of positions 3 and 4 on which p
+    # has mass; the chain path names the table path's first such sequence
+    rng = np.random.default_rng(2)
+    rows = [r.copy() for r in q.rows]
+    for i in (3, 4):
+        s, x = int(rng.integers(rows[i].shape[0])), int(rng.integers(8))
+        row = rows[i][s].copy()
+        row[x] = -np.inf
+        rows[i][s] = log_softmax(row)
+    refusing = _derived_table(q.space, None, 0.0, _Rows(rows), 2)
+    named = []
+    for a, b in [(p, refusing), (raw(p), raw(refusing))]:
+        with pytest.warns(SupportWarning) as record:
+            assert kl_divergence(a, b) == math.inf
+        named.append(str(record[0].message))
+    assert named[0] == named[1]
+    first = _first_violation(p.rows, tuple(rows))
+    assert str(first) in named[1]
+    assert refusing.log_probs[q.space.index_of(first)] == -np.inf
 
 
 def test_scale_at_one_shares_a_chain_tables_rows_and_entries():

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -461,8 +462,14 @@ def test_abort_on_nonfinite_loss(counterexample_model):
     state.q.set_param_array(broken)
     with pytest.raises(NumericalAbort) as err:
         lhts_step(state, xs, 1.0, data_weights=dw)
-    assert err.value.record["step"] == 0
-    assert set(err.value.record) == {"step", "T", "loss", "weight_stats", "clip_rate"}
+    record = err.value.record
+    assert record["step"] == 0
+    assert set(record) == {"step", "T", "loss", "normalized_loss", "grad_norm",
+                           "weight_stats", "clip_rate"}
+    # the step stopped before normalizing and clipping: those fields, like
+    # the non-finite loss, are null, and the record is valid JSON
+    assert record["loss"] is record["normalized_loss"] is record["grad_norm"] is None
+    assert json.loads(json.dumps(record, allow_nan=False)) == record
 
 
 def test_embedding_requires_linear(counterexample_model):
@@ -547,13 +554,15 @@ def test_exact_kl_metric_recorded(counterexample_model):
     assert records[-1].kl_to_target is not None
     assert records[1].kl_to_target is None
     d = records[0].metrics_dict()
-    assert set(d) == {"step", "T", "loss", "kl_to_target", "weight_stats", "clip_rate"}
+    assert set(d) == {"step", "T", "loss", "normalized_loss", "grad_norm", "kl_to_target",
+                      "weight_stats", "clip_rate"}
+    assert d["kl_to_target"] == records[0].kl_to_target
 
 
 def test_weight_stats_report_ess_and_log_weight_range(counterexample_model):
     xs = np.array([[0, 0], [0, 1], [1, 0], [1, 1], [1, 0]])
     stats = joint_weights(counterexample_model, xs, 1.0, StreamingBaseline()).stats()
-    assert stats["ess"] == len(xs)
+    assert stats["ess"] == len(xs) and stats["ess_frac"] == 1.0
     assert stats["log_w_min"] == stats["log_w_max"] == 0.0
     # log p of the five rows lies in [log 0.04, log 0.36]; the clip at -1.05
     # caps only the 0.36 rows, and the range reports the unclipped exponents
@@ -562,13 +571,22 @@ def test_weight_stats_report_ess_and_log_weight_range(counterexample_model):
     w = wb.weights
     assert stats["ess"] == pytest.approx(w.sum() ** 2 / (w @ w), rel=1e-15)
     assert 1.0 < stats["ess"] < len(xs)
+    assert stats["ess_frac"] == stats["ess"] / len(xs)
     assert stats["log_w_min"] == pytest.approx(math.log(0.04), rel=1e-12)
     assert stats["log_w_max"] == pytest.approx(math.log(0.36), rel=1e-12)
 
     state = TrainState(counterexample_model, TrainSettings(steps=1))
-    d = lhts_step(state, xs, 0.5).metrics_dict()
-    assert set(d) == {"step", "T", "loss", "weight_stats", "clip_rate"}
-    assert set(d["weight_stats"]) == {"mean", "var", "max", "ess", "log_w_min", "log_w_max"}
+    record = lhts_step(state, xs, 0.5)
+    d = record.metrics_dict()
+    assert set(d) == {"step", "T", "loss", "normalized_loss", "grad_norm", "weight_stats",
+                      "clip_rate"}
+    assert (d["normalized_loss"], d["grad_norm"]) == (record.normalized_loss, record.grad_norm)
+    assert math.isfinite(d["grad_norm"]) and d["grad_norm"] > 0
+    assert set(d["weight_stats"]) == {"mean", "var", "max", "ess", "ess_frac", "log_w_min",
+                                      "log_w_max"}
+    # the per-index weights of lhts_step have n L entries
+    assert d["weight_stats"]["ess_frac"] == d["weight_stats"]["ess"] / xs.size
+    assert json.loads(json.dumps(d, allow_nan=False)) == d
 
 
 # ------------------------------------------------------ exact loss identities
