@@ -492,26 +492,25 @@ def checkpoint_dict(model: ARModel) -> dict:
             "parameters": model.param_array().tolist()}
 
 
-def _doc_field(doc: dict, key: str, kind: type, optional: bool = False,
-               error: type[Exception] = ModelError):
+def _doc_field(doc: dict, key: str, kind: type, optional: bool = False):
     """``doc[key]``, checked to be a ``kind`` (or None when ``optional``);
-    a missing or mistyped value raises ``error``."""
+    a missing or mistyped value raises ``ModelError``."""
     if key not in doc:
-        raise error(f"checkpoint has no {key!r}")
+        raise ModelError(f"checkpoint has no {key!r}")
     value = doc[key]
     if optional and value is None:
         return None
     # True is an int to Python, but no size
     if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
-        raise error(f"checkpoint {key!r} must be {kind.__name__}, got {value!r}")
+        raise ModelError(f"checkpoint {key!r} must be {kind.__name__}, got {value!r}")
     return value
 
 
-def _doc_numbers(doc: dict, key: str, error: type[Exception] = ModelError) -> np.ndarray:
+def _doc_numbers(doc: dict, key: str) -> np.ndarray:
     """``doc[key]``, checked to be a list of numbers, as a float64 vector."""
-    values = _doc_field(doc, key, list, error=error)
+    values = _doc_field(doc, key, list)
     if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in values):
-        raise error(f"checkpoint {key!r} must be a list of numbers")
+        raise ModelError(f"checkpoint {key!r} must be a list of numbers")
     return np.array(values, dtype=np.float64)
 
 

@@ -21,13 +21,11 @@ parameter vector in place.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .ar_model import _doc_field, _doc_numbers
 from .trainer import WeightBatch, _importance_weights
 
 __all__ = [
@@ -45,10 +43,6 @@ __all__ = [
     "finetune_weighted",
     "train_base",
     "sample_ancestral",
-    "diffusion_checkpoint_dict",
-    "diffusion_from_checkpoint",
-    "save_diffusion_checkpoint",
-    "load_diffusion_checkpoint",
 ]
 
 
@@ -464,45 +458,3 @@ def sample_ancestral(model: DiffusionModel, n: int, pseudo_temperature: float = 
         else:
             x = mu
     return x
-
-
-# ---------------------------------------------------------------- checkpoints
-
-def diffusion_checkpoint_dict(model: DiffusionModel) -> dict:
-    return {
-        "kind": "diffusion",
-        "dim": model.dim,
-        "hidden": model.net.hidden,
-        "n_freqs": model.net.n_freqs,
-        "betas": model.schedule.betas.tolist(),
-        "parameters": model.param_array().tolist(),
-    }
-
-
-def diffusion_from_checkpoint(doc: dict) -> DiffusionModel:
-    if not isinstance(doc, dict):
-        raise DiffusionError("a checkpoint must be a JSON object")
-    if doc.get("kind") != "diffusion":
-        raise DiffusionError(f"checkpoint 'kind' must be 'diffusion', got {doc.get('kind')!r}")
-    dim, hidden, n_freqs = (_doc_field(doc, key, int, error=DiffusionError)
-                            for key in ("dim", "hidden", "n_freqs"))
-    if dim < 1 or hidden < 1 or n_freqs < 0:
-        raise DiffusionError(f"checkpoint sizes out of range: 'dim' {dim} and 'hidden' "
-                             f"{hidden} must be >= 1, 'n_freqs' {n_freqs} >= 0")
-    sch = NoiseSchedule(_doc_numbers(doc, "betas", error=DiffusionError))
-    params = _doc_numbers(doc, "parameters", error=DiffusionError)
-    if not np.all(np.isfinite(params)):
-        raise DiffusionError("checkpoint 'parameters' must be finite")
-    net = DenoiserMLP(dim, hidden, n_freqs=n_freqs)
-    net.set_param_array(params)
-    return DiffusionModel(sch, dim=dim, net=net)
-
-
-def save_diffusion_checkpoint(model: DiffusionModel, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(diffusion_checkpoint_dict(model), fh)
-
-
-def load_diffusion_checkpoint(path) -> DiffusionModel:
-    with open(path) as fh:
-        return diffusion_from_checkpoint(json.load(fh))

@@ -8,17 +8,13 @@ from lhts.diffusion import (
     DiffusionError,
     DiffusionModel,
     MixtureGroundTruth,
-    diffusion_checkpoint_dict,
-    diffusion_from_checkpoint,
     elbo_batch,
     elbo_draws,
     finetune_weighted,
     gaussian_kl,
     lhts_diffusion_weights,
     linear_schedule,
-    load_diffusion_checkpoint,
     sample_ancestral,
-    save_diffusion_checkpoint,
     train_base,
     weighted_noise_loss,
 )
@@ -421,79 +417,6 @@ def test_set_param_array_rejects_wrong_size():
         with pytest.raises(DiffusionError, match=rf"expected \({before.size},\)"):
             net.set_param_array(bad)
     assert np.array_equal(net.param_array(), before)
-
-
-def test_checkpoint_roundtrip_non_default_n_freqs(tmp_path):
-    rng = np.random.default_rng(0)
-    net = DenoiserMLP(2, hidden=8, n_freqs=2, rng=rng)
-    model = DiffusionModel(linear_schedule(5), dim=2, net=net)
-    path = tmp_path / "diffusion.json"
-    save_diffusion_checkpoint(model, path)
-    back = load_diffusion_checkpoint(path)
-    x = rng.normal(size=(6, 2))
-    assert back.net.n_freqs == 2
-    assert np.array_equal(back.net.forward(x, back._step_bias(3)),
-                          model.net.forward(x, model._step_bias(3)))
-
-
-def _checkpoint() -> dict:
-    return diffusion_checkpoint_dict(_model(steps=3, hidden=4, n_freqs=1))
-
-
-@pytest.mark.parametrize("doc", [[], "diffusion", None, 3])
-def test_checkpoint_must_be_an_object(doc):
-    with pytest.raises(DiffusionError, match="JSON object"):
-        diffusion_from_checkpoint(doc)
-
-
-@pytest.mark.parametrize("kind", ["linear", None, "missing"])
-def test_checkpoint_kind_must_be_diffusion(kind):
-    doc = _checkpoint()
-    if kind == "missing":
-        del doc["kind"]
-    else:
-        doc["kind"] = kind
-    with pytest.raises(DiffusionError, match="'kind' must be 'diffusion'"):
-        diffusion_from_checkpoint(doc)
-
-
-@pytest.mark.parametrize("key, value, message", [
-    ("betas", None, "checkpoint has no 'betas'"),
-    ("dim", None, "checkpoint has no 'dim'"),
-    ("hidden", None, "checkpoint has no 'hidden'"),
-    ("n_freqs", None, "checkpoint has no 'n_freqs'"),
-    ("parameters", None, "checkpoint has no 'parameters'"),
-    ("dim", True, "'dim' must be int"),
-    ("dim", 2.0, "'dim' must be int"),
-    ("hidden", "4", "'hidden' must be int"),
-    ("n_freqs", None, "'n_freqs' must be int"),
-    ("betas", "0.1", "'betas' must be list"),
-    ("betas", [0.1, "x"], "'betas' must be a list of numbers"),
-    ("parameters", {"w1": [0.0]}, "'parameters' must be list"),
-    ("parameters", [[0.0]], "'parameters' must be a list of numbers"),
-    ("parameters", [True], "'parameters' must be a list of numbers"),
-    ("dim", 0, "'dim' 0 and 'hidden' 4 must be >= 1"),
-    ("hidden", -1, "'dim' 2 and 'hidden' -1 must be >= 1"),
-    ("n_freqs", -1, "'n_freqs' -1 >= 0"),
-])
-def test_checkpoint_fields_are_checked(key, value, message):
-    doc = _checkpoint()
-    if message.startswith("checkpoint has no"):
-        del doc[key]
-    else:
-        doc[key] = value
-    with pytest.raises(DiffusionError, match=message):
-        diffusion_from_checkpoint(doc)
-
-
-@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-@pytest.mark.parametrize("key, message", [("parameters", "'parameters' must be finite"),
-                                          ("betas", "every beta must lie in")])
-def test_checkpoint_rejects_non_finite_numbers(key, message, bad):
-    doc = _checkpoint()
-    doc[key][-1] = bad
-    with pytest.raises(DiffusionError, match=message):
-        diffusion_from_checkpoint(doc)
 
 
 MEANS = [[-2.0, 0.0], [2.0, 0.0]]
