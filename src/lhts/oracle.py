@@ -163,21 +163,19 @@ class CategoricalTable:
     The constructor normalizes; ``log_z`` records the log partition function
     that was divided out (for tables produced by temperature scaling this is
     log Z of the scaled distribution). It makes a raw table, whose ``rows``
-    and ``window`` are None, and refuses a space larger than ENUMERATION_CAP
-    and an entry that is NaN or +inf.
+    are None, and refuses a space larger than ENUMERATION_CAP and an entry
+    that is NaN or +inf.
 
     A chain table, made by ``enumerate_joint``, ``myopic_scale_joint`` or
     ``temperature_scale_exact`` from a model with an int ``window`` shorter
-    than L - 1, has ``window`` and ``rows``: for each position i one
-    read-only (V^c, V) array of conditional log-probs, c = min(i, window),
-    whose row s is the conditional after the context of id s. Its entries
-    are the chained rows, built when ``log_probs`` is first read (past
-    ENUMERATION_CAP that read raises); tables that share rows share one
-    build.
+    than L - 1, has ``rows``: for each position i one read-only (V^c, V)
+    array of conditional log-probs, c = min(i, window), whose row s is the
+    conditional after the context of id s. Its entries are the chained
+    rows, built when ``log_probs`` is first read (past ENUMERATION_CAP that
+    read raises); tables that share rows share one build.
     """
 
     rows: tuple[np.ndarray, ...] | None = None
-    window: int | None = None
 
     def __init__(self, space: SequenceSpace, log_weights: np.ndarray, normalize: bool = True):
         _check_cap(space)
@@ -267,7 +265,7 @@ def _chain_joint(model, t_cond: float | None, temperature: float = 1.0) -> Categ
     for r in rows:
         _checked_max(r)
         r.flags.writeable = False
-    return _derived_table(space, None, 0.0, _Rows(rows), window)
+    return _derived_table(space, None, 0.0, _Rows(rows))
 
 
 def enumerate_joint(model, t_cond: float | None = None) -> CategoricalTable:
@@ -310,10 +308,10 @@ def temperature_scale_exact(table: CategoricalTable, temperature: float) -> Cate
     if temperature == 1.0:
         # the source's entries if they are built (a raw table's always are)
         entries = vars(table).get("log_probs")
-        return _derived_table(table.space, entries, 0.0, table.rows, table.window)
+        return _derived_table(table.space, entries, 0.0, table.rows)
     if table.rows is not None:
         rows, log_z = _scale_rows(table.rows, temperature)
-        return _derived_table(table.space, None, log_z, rows, table.window)
+        return _derived_table(table.space, None, log_z, rows)
     scaled = table.log_probs / temperature
     log_z = _log_z(scaled, float(scaled.max()))
     scaled -= log_z
@@ -347,13 +345,12 @@ def _scale_rows(rows: tuple[np.ndarray, ...], temperature: float
 
 
 def _derived_table(space: SequenceSpace, log_probs: np.ndarray | None, log_z: float,
-                   rows: tuple[np.ndarray, ...] | None = None,
-                   window: int | None = None) -> CategoricalTable:
+                   rows: tuple[np.ndarray, ...] | None = None) -> CategoricalTable:
     """Freeze entries or rows derived from checked ones, skipping the
     checks. ``log_probs`` None leaves a chain table's entries to its first
     read."""
     out = object.__new__(CategoricalTable)
-    out.space, out.log_z, out.rows, out.window = space, log_z, rows, window
+    out.space, out.log_z, out.rows = space, log_z, rows
     if log_probs is not None:
         log_probs.flags.writeable = False
         out.log_probs = log_probs

@@ -604,7 +604,11 @@ def test_chain_tables_match_the_table_path(V, L, window_fracs, embedding, T, see
     p = enumerate_joint(p_model, t_cond=tp)
     q = myopic_scale_joint(q_model, T, t_cond=tq)
     p_chain, q_chain = wp < L - 1, wq < L - 1
-    assert (p.window, q.window) == (wp if p_chain else None, wq if q_chain else None)
+    for table, w, chain in [(p, wp, p_chain), (q, wq, q_chain)]:
+        if chain:
+            assert [r.shape[0] for r in table.rows] == [V**min(i, w) for i in range(L)]
+        else:
+            assert table.rows is None
     assert np.array_equal(p.log_probs, broadcast_joint(p_model, L, tp))
     assert np.array_equal(q.log_probs, broadcast_joint(q_model, L, tq, T))
 
@@ -733,7 +737,7 @@ def test_aligned_views_match_the_resize_reference(V, L, window_fracs, embedding,
             assert _chain_kl(a, b) == resize_chain_kl(a, b)
     space = SequenceSpace(V, L)
     for rows in (p_rows, scaled, q_rows):
-        table = _derived_table(space, None, 0.0, _Rows(rows), max(wp, wq))
+        table = _derived_table(space, None, 0.0, _Rows(rows))
         assert entropy(table) == resize_entropy(rows)
 
     rng = np.random.default_rng(seed)
@@ -776,7 +780,7 @@ def test_a_saturated_window_at_full_size_matches_the_table_path():
         row = rows[i][s].copy()
         row[x] = -np.inf
         rows[i][s] = log_softmax(row)
-    refusing = _derived_table(q.space, None, 0.0, _Rows(rows), 2)
+    refusing = _derived_table(q.space, None, 0.0, _Rows(rows))
     named = []
     for a, b in [(p, refusing), (raw(p), raw(refusing))]:
         with pytest.warns(SupportWarning) as record:
@@ -792,7 +796,7 @@ def test_scale_at_one_shares_a_chain_tables_rows_and_entries():
     model, _ = random_ar("linear", 3, 4, 2, False, 0)
     p = enumerate_joint(model)
     out = temperature_scale_exact(p, 1.0)
-    assert out.rows is p.rows and out.window == 2 and out.log_z == 0.0
+    assert out.rows is p.rows and out.log_z == 0.0
     assert np.shares_memory(out.log_probs, p.log_probs)
     lazy = temperature_scale_exact(p, 0.5)
     again = temperature_scale_exact(lazy, 1.0)
@@ -852,13 +856,13 @@ def test_independent_positions_past_the_cap_match_the_closed_form():
 def test_whole_prefix_models_and_raw_tables_keep_the_table_path():
     model, _ = random_ar("tabular", 3, 3, None, False, 0)
     table = enumerate_joint(model)
-    assert table.rows is None and table.window is None
+    assert table.rows is None
     assert temperature_scale_exact(table, 0.5).rows is None
 
 
 def test_a_window_of_length_minus_one_reads_whole_prefixes():
     table = enumerate_joint(LinearAR(3, 4, 3))
-    assert table.rows is None and table.window is None
+    assert table.rows is None
 
 
 def _with_neg_inf_bias(seed, V=3, L=4, window=2):
