@@ -53,13 +53,10 @@ class ModelError(ValueError):
 @dataclass
 class SampleBatch:
     """Ancestrally sampled sequences plus their log-probs under the
-    generating model (unscaled joint, honoring t_cond) and the settings
-    used to generate them."""
+    generating model (unscaled joint, honoring t_cond)."""
 
     sequences: np.ndarray  # (n, L) int
     log_probs: np.ndarray  # (n,)
-    myopic_t: float
-    t_cond: float | None = None
 
     def __len__(self) -> int:
         return self.sequences.shape[0]
@@ -226,7 +223,7 @@ class ARModel:
             seqs[:, i] = toks
             flat = ids * V + toks
             logp += rows.ravel()[flat]
-        return SampleBatch(seqs, logp, myopic_t=float(myopic_t), t_cond=t_cond)
+        return SampleBatch(seqs, logp)
 
 
 class TabularAR(ARModel):
