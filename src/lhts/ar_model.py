@@ -15,8 +15,8 @@ context of id s (``oracle``'s lexicographic encoding), and
 ``param_grad(i, g_rows, t_cond)`` maps a gradient in that layout back onto
 the flat parameter vector in closed form; the trainer owns the loss. The
 vector's layout is declared once per model: ``TabularAR``'s is its logit
-table, row-major, and ``LinearAR``'s is ``LinearAR.split``. Parameters,
-gradients and checkpoints all use it.
+table, row-major, and ``LinearAR``'s is ``LinearAR.split``. Parameters and
+gradients both use it.
 
 A conditional is always the log-softmax of its logits, so a -inf logit is a
 token of zero probability. ``row_tables`` takes that log-softmax of every
@@ -28,7 +28,6 @@ tables, indexed by each sequence's rolling context id.
 from __future__ import annotations
 
 import functools
-import json
 import math
 from dataclasses import dataclass
 
@@ -44,10 +43,6 @@ __all__ = [
     "TabularAR",
     "LinearAR",
     "tabular_from_table",
-    "save_checkpoint",
-    "load_checkpoint",
-    "checkpoint_dict",
-    "model_from_checkpoint",
 ]
 
 
@@ -65,6 +60,17 @@ class SampleBatch:
 
     def __len__(self) -> int:
         return self.sequences.shape[0]
+
+
+def _size(name: str, value, minimum: int) -> int:
+    """A model size: an int or numpy integer of at least ``minimum``, as an
+    int. Anything else raises ``ModelError`` naming the argument."""
+    # True is an int to Python, but no size
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ModelError(f"{name} must be an int, got {value!r}")
+    if value < minimum:
+        raise ModelError(f"{name} must be >= {minimum}, got {value}")
+    return int(value)
 
 
 class ARModel:
@@ -242,12 +248,8 @@ class TabularAR(ARModel):
     """
 
     def __init__(self, vocab_size: int, max_length: int, logits: np.ndarray | None = None):
-        if vocab_size < 2:
-            raise ModelError("need vocab_size >= 2")
-        if max_length < 1:
-            raise ModelError("need max_length >= 1")
-        self.vocab_size = vocab_size
-        self.max_length = max_length
+        self.vocab_size = _size("vocab_size", vocab_size, 2)
+        self.max_length = _size("max_length", max_length, 1)
         self.offsets = np.zeros(max_length, dtype=np.int64)
         rows = 0
         for i in range(max_length):
@@ -347,18 +349,11 @@ class LinearAR(ARModel):
 
     def __init__(self, vocab_size: int, max_length: int, window: int = 3,
                  embedding_width: int | None = None):
-        if vocab_size < 2:
-            raise ModelError("need vocab_size >= 2")
-        if max_length < 1:
-            raise ModelError("need max_length >= 1")
-        if window < 0:
-            raise ModelError("window must be >= 0")
-        if embedding_width is not None and embedding_width < 1:
-            raise ModelError("embedding_width must be >= 1")
-        self.vocab_size = vocab_size
-        self.max_length = max_length
-        self.window = window
-        self.embedding_width = embedding_width
+        self.vocab_size = _size("vocab_size", vocab_size, 2)
+        self.max_length = _size("max_length", max_length, 1)
+        self.window = _size("window", window, 0)
+        self.embedding_width = (None if embedding_width is None
+                                else _size("embedding_width", embedding_width, 1))
         self.set_param_array(np.zeros(self.n_params))
 
     def _layout(self) -> list[tuple[str, tuple[int, ...]]]:
@@ -374,7 +369,7 @@ class LinearAR(ARModel):
         parameter-sized vector, back to back in this order: w_ctx is
         (V, window, V), w_pos (V, L), bias (V,), and with an embedding of
         width E, w_emb is (V, E) and emb_scale and emb_bias are (E,). The
-        parameters, ``param_grad`` and checkpoints share this layout."""
+        parameters and ``param_grad`` share this layout."""
         views, end = [], 0
         for _, shape in self._layout():
             start, end = end, end + math.prod(shape)
@@ -470,72 +465,3 @@ def tabular_from_table(table: CategoricalTable) -> TabularAR:
         model.logits[model.offsets[i]:model.offsets[i] + V**i] = np.where(
             log_mass[:, None] == -np.inf, 0.0, rows)
     return model
-
-
-# -- checkpoints -----------------------------------------------------------
-
-def checkpoint_dict(model: ARModel) -> dict:
-    """A JSON-ready document: the shape header that rebuilds the model, plus
-    its flat ``param_array`` as "parameters", and nothing else.
-    ``model_from_checkpoint`` ignores keys it does not read."""
-    if isinstance(model, TabularAR):
-        header = {"parameterization": "tabular"}
-    elif isinstance(model, LinearAR):
-        header = {"parameterization": "linear", "window": model.window,
-                  "embedding_width": model.embedding_width}
-    else:
-        raise ModelError(f"cannot checkpoint {type(model).__name__}")
-    return {**header, "vocab_size": model.vocab_size, "max_length": model.max_length,
-            "parameters": model.param_array().tolist()}
-
-
-def _doc_field(doc: dict, key: str, kind: type, optional: bool = False):
-    """``doc[key]``, checked to be a ``kind`` (or None when ``optional``);
-    a missing or mistyped value raises ``ModelError``."""
-    if key not in doc:
-        raise ModelError(f"checkpoint has no {key!r}")
-    value = doc[key]
-    if optional and value is None:
-        return None
-    # True is an int to Python, but no size
-    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
-        raise ModelError(f"checkpoint {key!r} must be {kind.__name__}, got {value!r}")
-    return value
-
-
-def _doc_numbers(doc: dict, key: str) -> np.ndarray:
-    """``doc[key]``, checked to be a list of numbers, as a float64 vector."""
-    values = _doc_field(doc, key, list)
-    if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in values):
-        raise ModelError(f"checkpoint {key!r} must be a list of numbers")
-    return np.array(values, dtype=np.float64)
-
-
-def model_from_checkpoint(doc: dict) -> ARModel:
-    if not isinstance(doc, dict):
-        raise ModelError("a checkpoint must be a JSON object")
-    kind = doc.get("parameterization")
-    if kind not in ("tabular", "linear"):
-        raise ModelError(f"unknown parameterization {kind!r}")
-    V, L = _doc_field(doc, "vocab_size", int), _doc_field(doc, "max_length", int)
-    if kind == "tabular":
-        model = TabularAR(V, L)
-    else:
-        model = LinearAR(V, L, _doc_field(doc, "window", int),
-                         embedding_width=_doc_field(doc, "embedding_width", int, optional=True))
-    params = _doc_numbers(doc, "parameters")
-    # -inf is a zero-probability logit of a TabularAR
-    if np.any(np.isnan(params) | (params == np.inf)):
-        raise ModelError("checkpoint 'parameters' must be finite or -inf")
-    model.set_param_array(params)
-    return model
-
-
-def save_checkpoint(model: ARModel, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(checkpoint_dict(model), fh)
-
-
-def load_checkpoint(path) -> ARModel:
-    with open(path) as fh:
-        return model_from_checkpoint(json.load(fh))

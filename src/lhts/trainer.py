@@ -213,27 +213,36 @@ class TrainSettings:
     eval_every: int | None = None       # cadence for the exact-KL metric
 
     def __post_init__(self):
-        self.temperatures = tuple(float(t) for t in self.temperatures)
-        if self.steps < 0:
-            raise TrainerError("steps must be >= 0")
+        try:
+            self.temperatures = tuple(float(t) for t in self.temperatures)
+        except (TypeError, ValueError):
+            raise TrainerError("temperatures must be an iterable of numbers, "
+                               f"got {self.temperatures!r}") from None
+        _check_count("steps", self.steps, 0)
+        for name in ("horizon", "batch_size", "eval_every"):
+            if getattr(self, name) is not None:
+                _check_count(name, getattr(self, name), 1)
         if not _finite_positive(self.learning_rate):
             raise TrainerError("learning_rate must be positive and finite")
         if not self.temperatures or not all(map(_finite_positive, self.temperatures)):
             raise TrainerError("temperatures must be a non-empty set of positive finite values")
-        if self.horizon is not None and self.horizon < 1:
-            raise TrainerError("horizon must be >= 1")
         if self.clip is not None and not _finite_positive(self.clip):
             raise TrainerError("clip must be positive and finite")
         if not (math.isfinite(self.kl_beta) and self.kl_beta >= 0):
             raise TrainerError("kl_beta must be finite and >= 0")
-        if self.batch_size is not None and self.batch_size < 1:
-            raise TrainerError("batch_size must be >= 1")
-        if self.eval_every is not None and self.eval_every < 1:
-            raise TrainerError("eval_every must be >= 1")
 
 
 def _finite_positive(value: float) -> bool:
     return math.isfinite(value) and value > 0
+
+
+def _check_count(name: str, value, minimum: int) -> None:
+    """A count is an int or numpy integer of at least ``minimum``."""
+    # True is an int to Python, but no count
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise TrainerError(f"{name} must be an int, got {value!r}")
+    if value < minimum:
+        raise TrainerError(f"{name} must be >= {minimum}")
 
 
 class TrainState:

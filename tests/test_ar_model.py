@@ -19,10 +19,6 @@ from lhts.ar_model import (
     LinearAR,
     ModelError,
     TabularAR,
-    checkpoint_dict,
-    load_checkpoint,
-    model_from_checkpoint,
-    save_checkpoint,
     tabular_from_table,
 )
 from lhts.numerics import Rng, finite_difference_gradient, myopic_rescale
@@ -383,42 +379,24 @@ def test_zero_embedding_width_is_rejected():
         LinearAR(3, 4, 2).with_embedding(0)
 
 
-# ---------------------------------------------------------------- checkpoints
-
-def test_checkpoint_roundtrip_tabular(tmp_path, counterexample_model):
-    path = tmp_path / "model.json"
-    save_checkpoint(counterexample_model, path)
-    back = load_checkpoint(path)
-    assert isinstance(back, TabularAR)
-    assert np.array_equal(back.logits, counterexample_model.logits)
-
-
-def test_checkpoint_roundtrip_linear_with_embedding(tmp_path):
-    model = random_linear(9, embedding=True)
-    path = tmp_path / "model.json"
-    save_checkpoint(model, path)
-    back = load_checkpoint(path)
-    assert np.array_equal(back.param_array(), model.param_array())
-    assert back.embedding_width == model.embedding_width == 4
-
-
-def test_checkpoint_roundtrip_linear_without_embedding(tmp_path):
-    model = random_linear(9, window=3)
-    path = tmp_path / "model.json"
-    save_checkpoint(model, path)
-    back = load_checkpoint(path)
-    assert isinstance(back, LinearAR) and back.window == 3 and not back.has_embedding
-    assert np.array_equal(back.param_array(), model.param_array())
-
-
-def test_checkpoint_stores_the_flat_parameter_vector(counterexample_model):
-    model = random_linear(9, embedding=True)
-    doc = checkpoint_dict(model)
-    assert doc["parameters"] == model.param_array().tolist()
-    assert (doc["window"], doc["embedding_width"]) == (2, 4)
-    doc = checkpoint_dict(counterexample_model)
-    assert doc["parameters"] == counterexample_model.param_array().tolist()
-    assert doc["parameterization"] == "tabular" and "window" not in doc
+@pytest.mark.parametrize("cls, args, name", [
+    (TabularAR, (3.0, 2), "vocab_size"),
+    (TabularAR, (3, 2.0), "max_length"),
+    (TabularAR, (3, True), "max_length"),
+    (LinearAR, (3.0, 4), "vocab_size"),
+    (LinearAR, (3, None), "max_length"),
+    (LinearAR, (3, 4, 2.0), "window"),
+    (LinearAR, (3, 4, "2"), "window"),
+    (LinearAR, (3, 4, True), "window"),
+    (LinearAR, (3, 4, 2, 2.0), "embedding_width"),
+    (LinearAR, (3, 4, 2, True), "embedding_width"),
+], ids=["tabular-vocab_size-float", "tabular-max_length-float", "tabular-max_length-bool",
+        "linear-vocab_size-float", "linear-max_length-none", "linear-window-float",
+        "linear-window-str", "linear-window-bool", "linear-embedding_width-float",
+        "linear-embedding_width-bool"])
+def test_model_sizes_must_be_ints(cls, args, name):
+    with pytest.raises(ModelError, match=f"{name} must be an int"):
+        cls(*args)
 
 
 def test_tabular_set_param_array_rejects_wrong_size(counterexample_model):
@@ -449,104 +427,6 @@ def test_linear_set_param_array_rejects_wrong_size(embedding):
         with pytest.raises(ModelError, match=rf"expected \({before.size},\)"):
             model.set_param_array(bad)
     assert np.array_equal(model.param_array(), before)
-
-
-@pytest.mark.parametrize("field", ["embedding.scale", "embedding.bias", "bias", "w_ctx",
-                                   "w_pos", "w_emb"])
-@pytest.mark.parametrize("extra", [-1, 1])
-def test_linear_checkpoint_rejects_wrong_sizes(field, extra):
-    # V=3, L=4, window 2, width-2 embedding; the flat parameter list one
-    # entry short or one too long inside the named field's segment
-    model = random_linear(13).with_embedding(width=2)
-    doc = checkpoint_dict(model)
-    segment = ["w_ctx", "w_pos", "bias", "w_emb", "embedding.scale", "embedding.bias"].index(field)
-    end = sum(v.size for v in model.split(model.param_array())[:segment + 1])
-    if extra < 0:
-        del doc["parameters"][end - 1]
-    else:
-        doc["parameters"].insert(end, 0.0)
-    with pytest.raises(ModelError, match=rf"expected \({model.n_params},\)"):
-        model_from_checkpoint(doc)
-
-
-def test_tabular_checkpoint_rejects_wrong_size(counterexample_model):
-    n = counterexample_model.n_params
-    for extra in (-1, 1):
-        doc = checkpoint_dict(counterexample_model)
-        if extra < 0:
-            doc["parameters"].pop()
-        else:
-            doc["parameters"].append(0.0)
-        with pytest.raises(ModelError, match=rf"expected \({n},\)"):
-            model_from_checkpoint(doc)
-
-
-@pytest.mark.parametrize("kind, key", [
-    ("tabular", "vocab_size"), ("tabular", "max_length"), ("tabular", "parameters"),
-    ("linear", "vocab_size"), ("linear", "max_length"),
-    ("linear", "window"), ("linear", "embedding_width"), ("linear", "parameters")])
-def test_checkpoint_missing_key_is_named(kind, key, counterexample_model):
-    model = counterexample_model if kind == "tabular" else random_linear(5, embedding=True)
-    doc = checkpoint_dict(model)
-    del doc[key]
-    with pytest.raises(ModelError, match=f"checkpoint has no '{key}'"):
-        model_from_checkpoint(doc)
-
-
-@pytest.mark.parametrize("params", ["0.5", None, 1.0, {"w_ctx": [0.0]}, [0.0, "x"], [[0.0]],
-                                    [True]])
-def test_checkpoint_parameters_must_be_a_list_of_numbers(params):
-    doc = checkpoint_dict(random_linear(5))
-    doc["parameters"] = params
-    with pytest.raises(ModelError, match="'parameters' must be"):
-        model_from_checkpoint(doc)
-
-
-@pytest.mark.parametrize("bad", [math.nan, math.inf])
-def test_checkpoint_rejects_nan_and_pos_inf_parameters(bad):
-    model = LinearAR(3, 3, 1)
-    model.set_param_array(np.random.default_rng(0).normal(size=model.n_params))
-    doc = checkpoint_dict(model)
-    doc["parameters"][-1] = bad
-    with pytest.raises(ModelError, match="'parameters' must be finite or -inf"):
-        model_from_checkpoint(doc)
-
-
-def test_checkpoint_keeps_neg_inf_logits(tmp_path):
-    model = TabularAR.from_conditionals(2, 2, {(): [1.0, 0.0], (0,): [0.5, 0.5],
-                                               (1,): [0.25, 0.75]})
-    path = tmp_path / "model.json"
-    save_checkpoint(model, path)
-    back = load_checkpoint(path)
-    assert back.logits[0, 1] == -np.inf
-    assert np.array_equal(back.logits, model.logits)
-    assert row_after(back, [])[1] == -np.inf
-
-
-def test_checkpoint_ignores_keys_it_does_not_read(counterexample_model):
-    # older tabular checkpoints carry a bool flag beside the header
-    doc = checkpoint_dict(counterexample_model)
-    doc["flag"] = True
-    assert np.array_equal(model_from_checkpoint(doc).logits, counterexample_model.logits)
-
-
-@pytest.mark.parametrize("key, value, message", [
-    ("vocab_size", 3.0, "'vocab_size' must be int"),
-    ("max_length", None, "'max_length' must be int"),
-    ("window", "2", "'window' must be int"),
-    ("embedding_width", True, "'embedding_width' must be int"),
-    ("embedding_width", 0, "embedding_width must be >= 1"),
-    ("parameterization", "mlp", "unknown parameterization 'mlp'")])
-def test_checkpoint_header_is_checked(key, value, message):
-    doc = checkpoint_dict(random_linear(5, embedding=True))
-    doc[key] = value
-    with pytest.raises(ModelError, match=message):
-        model_from_checkpoint(doc)
-
-
-def test_checkpoint_rejects_non_object():
-    with pytest.raises(ModelError, match="JSON object"):
-        model_from_checkpoint([])
 
 
 # ------------------------------------------------------------- row tables

@@ -660,3 +660,15 @@ def test_base_model_never_modified(counterexample_model):
 def test_settings_reject_non_finite_or_non_positive_knobs(field, value):
     with pytest.raises(TrainerError, match=field):
         TrainSettings(**{field: value})
+
+
+@pytest.mark.parametrize("field, value", [
+    ("steps", 2.5), ("steps", True), ("steps", None), ("horizon", 1.5), ("horizon", True),
+    ("batch_size", 2.5), ("batch_size", True), ("eval_every", 2.0), ("eval_every", "3"),
+    ("temperatures", 0.5), ("temperatures", None),
+], ids=["steps-float", "steps-bool", "steps-none", "horizon-float", "horizon-bool",
+        "batch_size-float", "batch_size-bool", "eval_every-float", "eval_every-str",
+        "temperatures-float", "temperatures-none"])
+def test_settings_reject_values_of_the_wrong_type(field, value):
+    with pytest.raises(TrainerError, match=field):
+        TrainSettings(**{field: value})
