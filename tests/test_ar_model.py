@@ -23,7 +23,13 @@ from lhts.ar_model import (
 )
 from lhts.numerics import Rng, finite_difference_gradient, myopic_rescale
 from lhts.oracle import _context_prefixes, enumerate_joint, myopic_scale_joint
-from lhts.trainer import suffix_log_liks_matrix, weighted_nll_loss_node
+from lhts.trainer import (
+    TrainerError,
+    TrainSettings,
+    TrainState,
+    suffix_log_liks_matrix,
+    weighted_nll_loss_node,
+)
 
 
 def random_linear(seed, V=3, L=4, window=2, embedding=False) -> LinearAR:
@@ -427,6 +433,89 @@ def test_linear_set_param_array_rejects_wrong_size(embedding):
         with pytest.raises(ModelError, match=rf"expected \({before.size},\)"):
             model.set_param_array(bad)
     assert np.array_equal(model.param_array(), before)
+
+
+# ---------------------------------------------------------- in-memory checkpoints
+# A model's checkpoint is its header (the constructor's sizes) and its flat
+# ``param_array()``, held in memory: ``TrainState`` keeps one of the frozen
+# base p, and ``copy()`` rebuilds a model from one.
+
+def rebuild(model, flat):
+    """A new model with ``model``'s header holding the flat vector ``flat``."""
+    if isinstance(model, TabularAR):
+        out = TabularAR(model.vocab_size, model.max_length)
+    else:
+        out = LinearAR(model.vocab_size, model.max_length, model.window, model.embedding_width)
+    out.set_param_array(flat)
+    return out
+
+
+def test_checkpoint_roundtrip_tabular(counterexample_model):
+    flat = counterexample_model.param_array()
+    before = counterexample_model.logits.copy()
+    counterexample_model.logits[...] += 1.0  # the checkpoint is a copy
+    back = rebuild(counterexample_model, flat)
+    assert isinstance(back, TabularAR)
+    assert np.array_equal(back.logits, before)
+    for prefix in ([], [0], [1]):
+        assert np.allclose(np.exp(row_after(back, prefix)).sum(), 1.0)
+    assert np.allclose(row_after(back, [1]), np.log([0.9, 0.1]))
+
+
+def test_checkpoint_roundtrip_linear_with_embedding():
+    model = random_linear(9, embedding=True)
+    flat = model.param_array()
+    back = rebuild(model, flat)
+    assert np.array_equal(back.param_array(), model.param_array())
+    assert back.embedding_width == model.embedding_width == 4
+    # the rebuilt model prices every prefix as the original does
+    for t_cond in (0.5, 2.0):
+        for a, b in zip(back.row_tables(t_cond), model.row_tables(t_cond)):
+            assert np.array_equal(a, b)
+    model.set_param_array(np.zeros_like(flat))  # the checkpoint is a copy
+    assert np.array_equal(back.param_array(), flat)
+
+
+def test_checkpoint_roundtrip_linear_without_embedding():
+    model = random_linear(9, window=3)
+    flat = model.param_array()
+    back = rebuild(model, flat)
+    assert isinstance(back, LinearAR) and back.window == 3 and not back.has_embedding
+    assert np.array_equal(back.param_array(), model.param_array())
+    for a, b in zip(back.row_tables(None), model.row_tables(None)):
+        assert np.array_equal(a, b)
+    model.set_param_array(np.zeros_like(flat))  # the checkpoint is a copy
+    assert np.array_equal(back.param_array(), flat)
+
+
+def test_checkpoint_stores_the_flat_parameter_vector(counterexample_model):
+    # TrainState checkpoints the frozen base as its flat vector: q starts
+    # from it, and any change to p, not to q, is caught against it
+    for base, width in ((random_linear(9), None), (random_linear(9), 4),
+                        (counterexample_model, None)):
+        flat = base.param_array()
+        state = TrainState(base, TrainSettings(steps=1), embedding_width=width)
+        q_flat = state.q.param_array()
+        assert np.array_equal(q_flat[:flat.size], flat)
+        assert q_flat.size == flat.size + (0 if width is None else 3 * 4 + 4 + 4)
+        state.q.set_param_array(q_flat + 1.0)
+        state.check_base_frozen()
+        edited = flat.copy()
+        edited[-1] += 1.0
+        base.set_param_array(edited)
+        with pytest.raises(TrainerError, match="base model was modified"):
+            state.check_base_frozen()
+        base.set_param_array(flat)
+        state.check_base_frozen()
+
+
+def test_checkpoint_keeps_neg_inf_logits():
+    model = TabularAR.from_conditionals(2, 2, {(): [1.0, 0.0], (0,): [0.5, 0.5],
+                                               (1,): [0.25, 0.75]})
+    for back in (rebuild(model, model.param_array()), model.copy()):
+        assert back.logits[0, 1] == -np.inf
+        assert np.array_equal(back.logits, model.logits)
+        assert row_after(back, [])[1] == -np.inf
 
 
 # ------------------------------------------------------------- row tables
