@@ -13,10 +13,12 @@ backward, both in the layout of those contexts: ``row_logits(i, t_cond)``
 is the (V^c, V) logits of every context at position i, row s for the
 context of id s (``oracle``'s lexicographic encoding), and
 ``param_grad(i, g_rows, t_cond)`` maps a gradient in that layout back onto
-the flat parameter vector in closed form; the trainer owns the loss. The
-vector's layout is declared once per model: ``TabularAR``'s is its logit
-table, row-major, and ``LinearAR``'s is ``LinearAR.split``. Parameters and
-gradients both use it.
+the flat parameter vector in closed form; the trainer owns the loss. Every
+model is a ``numerics.FlatParams``: its parameters are one vector,
+``params``, whose layout its ``_layout`` declares once, and its fields are
+views of it. ``TabularAR``'s vector is its logit table, row-major, and
+``LinearAR``'s holds the linear model's fields back to back. Parameters and
+gradients both use that layout.
 
 A conditional is always the log-softmax of its logits, so a -inf logit is a
 token of zero probability. ``row_tables`` takes that log-softmax of every
@@ -33,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import log_softmax, myopic_rescale
+from .numerics import FlatParams, log_softmax, myopic_rescale
 from .oracle import ENUMERATION_CAP, CategoricalTable
 
 __all__ = [
@@ -73,10 +75,12 @@ def _size(name: str, value, minimum: int) -> int:
     return int(value)
 
 
-class ARModel:
+class ARModel(FlatParams):
     """Shared machinery: row tables, chain-rule log-probs and ancestral
     sampling on top of a parameterization's ``row_logits`` and its adjoint
-    ``param_grad``."""
+    ``param_grad``, over the flat parameter vector of ``FlatParams``."""
+
+    _error = ModelError
 
     vocab_size: int
     max_length: int
@@ -103,19 +107,6 @@ class ARModel:
         """The backward, the adjoint of ``row_logits``: given dL/dlogits
         (V^c, V) of every context at ``position``, dL/dtheta as a flat vector
         in ``param_array`` order."""
-        raise NotImplementedError
-
-    def param_array(self) -> np.ndarray:
-        raise NotImplementedError
-
-    def set_param_array(self, flat: np.ndarray) -> None:
-        raise NotImplementedError
-
-    @property
-    def n_params(self) -> int:
-        raise NotImplementedError
-
-    def copy(self) -> "ARModel":
         raise NotImplementedError
 
     # -- common ------------------------------------------------------------
@@ -153,13 +144,13 @@ class ARModel:
         Position i's table is a read-only (V^c, V) array, the log-softmax of
         ``row_logits(i, t_cond)``: row s is the conditional after the
         context of id s. The model keeps the last set it built, keyed by the
-        exact bytes of ``param_array()`` and by t_cond, and builds a new one
+        exact bytes of ``params`` and by t_cond, and builds a new one
         when either differs, however the parameters were changed. A table
         past ``ENUMERATION_CAP`` entries raises ``ModelError`` before
         anything is built.
         """
         self._check_t_cond(t_cond)
-        key = (self.param_array().tobytes(), t_cond)
+        key = (self.params.tobytes(), t_cond)
         if self._row_cache is not None and self._row_cache[0] == key:
             return self._row_cache[1]
         V, L = self.vocab_size, self.max_length
@@ -256,12 +247,12 @@ class TabularAR(ARModel):
             self.offsets[i] = rows
             rows += vocab_size**i
         self.n_rows = rows
-        if logits is None:
-            logits = np.zeros((rows, vocab_size))
-        logits = np.asarray(logits, dtype=np.float64)
-        if logits.shape != (rows, vocab_size):
-            raise ModelError(f"expected logits of shape {(rows, vocab_size)}, got {logits.shape}")
-        self.logits = logits
+        super().__init__()
+        if logits is not None:
+            self.logits = logits
+
+    def _layout(self):
+        return [("logits", (self.n_rows, self.vocab_size))]
 
     @staticmethod
     def from_conditionals(vocab_size: int, max_length: int,
@@ -307,22 +298,6 @@ class TabularAR(ARModel):
         grad[start:start + self.vocab_size**position] = g_rows
         return grad.ravel()
 
-    @property
-    def n_params(self) -> int:
-        return self.n_rows * self.vocab_size
-
-    def param_array(self) -> np.ndarray:
-        return self.logits.ravel().copy()
-
-    def set_param_array(self, flat) -> None:
-        flat = np.asarray(flat, dtype=np.float64)
-        if flat.shape != (self.n_params,):
-            raise ModelError(f"parameter vector has shape {flat.shape}, expected ({self.n_params},)")
-        self.logits = flat.reshape(self.n_rows, self.vocab_size).copy()
-
-    def copy(self) -> "TabularAR":
-        return TabularAR(self.vocab_size, self.max_length, self.logits.copy())
-
 
 class LinearAR(ARModel):
     """Position-wise logits from windowed one-hot context features plus a
@@ -336,9 +311,10 @@ class LinearAR(ARModel):
     the same at every position and context; a wider embedding adds no
     capacity.
 
-    The parameters are one flat vector laid out by ``split``. The fields are
-    plain attributes: ``set_param_array`` binds them to views of a copy of
-    the vector, and ``param_array`` reads whatever they hold. Zero weights
+    The fields w_ctx (V, window, V), w_pos (V, L), bias (V,) and, with an
+    embedding of width E, w_emb (V, E), emb_scale (E,) and emb_bias (E,)
+    are views of the flat vector ``params``, back to back in this order;
+    ``param_grad`` returns its gradient in the same layout. Zero weights
     give uniform conditionals, and a zero embedding adds nothing.
 
     ``row_logits`` evaluates the formula on every context at once by
@@ -354,31 +330,14 @@ class LinearAR(ARModel):
         self.window = _size("window", window, 0)
         self.embedding_width = (None if embedding_width is None
                                 else _size("embedding_width", embedding_width, 1))
-        self.set_param_array(np.zeros(self.n_params))
+        super().__init__()
 
-    def _layout(self) -> list[tuple[str, tuple[int, ...]]]:
-        """Each field's attribute name and shape, in ``split`` order."""
+    def _layout(self):
         V, E = self.vocab_size, self.embedding_width
         layout = [("w_ctx", (V, self.window, V)), ("w_pos", (V, self.max_length)), ("bias", (V,))]
         if E is not None:
             layout += [("w_emb", (V, E)), ("emb_scale", (E,)), ("emb_bias", (E,))]
         return layout
-
-    def split(self, flat: np.ndarray) -> tuple[np.ndarray, ...]:
-        """Views (w_ctx, w_pos, bias[, w_emb, emb_scale, emb_bias]) of a
-        parameter-sized vector, back to back in this order: w_ctx is
-        (V, window, V), w_pos (V, L), bias (V,), and with an embedding of
-        width E, w_emb is (V, E) and emb_scale and emb_bias are (E,). The
-        parameters and ``param_grad`` share this layout."""
-        views, end = [], 0
-        for _, shape in self._layout():
-            start, end = end, end + math.prod(shape)
-            views.append(flat[start:end].reshape(shape))
-        return tuple(views)
-
-    @property
-    def n_params(self) -> int:
-        return sum(math.prod(shape) for _, shape in self._layout())
 
     def with_embedding(self, width: int = 4) -> "LinearAR":
         """Copy of this model with a fresh temperature knob, e(T) = T.
@@ -389,11 +348,8 @@ class LinearAR(ARModel):
         the knob would never move.
         """
         out = LinearAR(self.vocab_size, self.max_length, self.window, embedding_width=width)
-        flat = np.zeros(out.n_params)
-        w_ctx, w_pos, bias, _, emb_scale, _ = out.split(flat)
-        w_ctx[...], w_pos[...], bias[...] = self.w_ctx, self.w_pos, self.bias
-        emb_scale[...] = 1.0
-        out.set_param_array(flat)
+        out.w_ctx, out.w_pos, out.bias = self.w_ctx, self.w_pos, self.bias
+        out.emb_scale[...] = 1.0
         return out
 
     def _features(self, t_cond: float) -> np.ndarray:
@@ -427,24 +383,6 @@ class LinearAR(ARModel):
             np.matmul(self.w_emb.T, g_bias, out=g_e)
             np.multiply(g_e, float(t_cond), out=g_scale)
         return grad
-
-    def param_array(self) -> np.ndarray:
-        flat = np.empty(self.n_params)
-        for (name, _), view in zip(self._layout(), self.split(flat)):
-            view[...] = getattr(self, name)
-        return flat
-
-    def set_param_array(self, flat) -> None:
-        flat = np.asarray(flat, dtype=np.float64)
-        if flat.shape != (self.n_params,):
-            raise ModelError(f"parameter vector has shape {flat.shape}, expected ({self.n_params},)")
-        for (name, _), view in zip(self._layout(), self.split(flat.copy())):
-            setattr(self, name, view)
-
-    def copy(self) -> "LinearAR":
-        out = LinearAR(self.vocab_size, self.max_length, self.window, self.embedding_width)
-        out.set_param_array(self.param_array())
-        return out
 
 
 def tabular_from_table(table: CategoricalTable) -> TabularAR:

@@ -21,7 +21,7 @@ def make_skewed_ground_truth(vocab_size: int, length: int,
     from N(0, 1.5^2); the data source for the synthetic sequence
     experiments."""
     model = TabularAR(vocab_size, length)
-    model.logits = rng.normal(scale=1.5, size=model.logits.shape)
+    model.logits[...] = rng.normal(scale=1.5, size=model.logits.shape)
     return model
 
 

@@ -26,6 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .numerics import FlatParams
 from .trainer import WeightBatch, _importance_weights
 
 __all__ = [
@@ -90,33 +91,32 @@ def _step_features(k: np.ndarray, steps: int, n_freqs: int = 4) -> np.ndarray:
     return np.concatenate([np.sin(ang), np.cos(ang)], axis=1)
 
 
-class DenoiserMLP:
+class DenoiserMLP(FlatParams):
     """One tanh hidden layer mapping (point, step features) -> noise guess.
 
-    The parameters are one flat float64 vector, ``params``; w1, b1, w2 and b2
-    are views into it, laid out by ``split``, and are never rebound, so every
-    write into the vector (``set_param_array``, training) reaches the forward.
+    A ``numerics.FlatParams``: w1 (hidden, dim + 2 n_freqs), b1 (hidden,),
+    w2 (dim, hidden) and b2 (dim,) are views of the flat vector ``params``,
+    back to back in this order, so every write into the vector
+    (``set_param_array``, training's in-place updates) reaches the forward.
     """
+
+    _error = DiffusionError
 
     def __init__(self, dim: int, hidden: int = 64, n_freqs: int = 4,
                  rng: np.random.Generator | None = None):
         self.dim = dim
         self.hidden = hidden
         self.n_freqs = n_freqs
+        super().__init__()
         n_in = dim + 2 * n_freqs
-        self.params = np.zeros(hidden * n_in + hidden + dim * hidden + dim)
-        self.w1, self.b1, self.w2, self.b2 = self.split(self.params)
         if rng is None:
             rng = np.random.default_rng(0)
-        self.w1[...] = rng.standard_normal((hidden, n_in)) / math.sqrt(n_in)
-        self.w2[...] = rng.standard_normal((dim, hidden)) * (0.1 / math.sqrt(hidden))
+        self.w1 = rng.standard_normal((hidden, n_in)) / math.sqrt(n_in)
+        self.w2 = rng.standard_normal((dim, hidden)) * (0.1 / math.sqrt(hidden))
 
-    def split(self, flat: np.ndarray) -> tuple[np.ndarray, ...]:
-        """Views (w1, b1, w2, b2) of a parameter-sized vector: w1 is
-        (hidden, dim + 2 n_freqs), b1 (hidden,), w2 (dim, hidden), b2 (dim,)."""
-        h, d, n_in = self.hidden, self.dim, self.dim + 2 * self.n_freqs
-        i, j, k = h * n_in, h * n_in + h, h * n_in + h + d * h
-        return flat[:i].reshape(h, n_in), flat[i:j], flat[j:k].reshape(d, h), flat[k:]
+    def _layout(self):
+        h, d = self.hidden, self.dim
+        return [("w1", (h, d + 2 * self.n_freqs)), ("b1", (h,)), ("w2", (d, h)), ("b2", (d,))]
 
     def step_bias(self, feats: np.ndarray) -> np.ndarray:
         """The step features' share of the first layer plus its bias."""
@@ -144,7 +144,7 @@ class DenoiserMLP:
 
     def backward(self, x: np.ndarray, feats: np.ndarray, h: np.ndarray,
                  g_out: np.ndarray) -> np.ndarray:
-        """Flat parameter gradient, in the layout of ``split``, given
+        """Flat parameter gradient, in the layout of ``params``, given
         dL/d(output) of the forward of points x at step features feats that
         left the hidden activations h; closed form."""
         grad = np.empty_like(self.params)
@@ -157,23 +157,6 @@ class DenoiserMLP:
         np.matmul(g_z.T, feats, out=g_w1[:, self.dim:])
         g_z.sum(axis=0, out=g_b1)
         return grad
-
-    def param_array(self) -> np.ndarray:
-        return self.params.copy()
-
-    def set_param_array(self, flat: np.ndarray) -> None:
-        flat = np.asarray(flat, dtype=np.float64)
-        if flat.shape != self.params.shape:
-            raise DiffusionError(
-                f"parameter vector has shape {flat.shape}, expected {self.params.shape}")
-        self.params[...] = flat
-
-    def copy(self) -> "DenoiserMLP":
-        out = DenoiserMLP.__new__(DenoiserMLP)
-        out.dim, out.hidden, out.n_freqs = self.dim, self.hidden, self.n_freqs
-        out.params = self.params.copy()
-        out.w1, out.b1, out.w2, out.b2 = out.split(out.params)
-        return out
 
 
 class DiffusionModel:

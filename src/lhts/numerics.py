@@ -1,14 +1,17 @@
 """Deterministic numerical substrate: stable log-space arithmetic, the
 myopic temperature rescale of conditionals, splittable seeded randomness,
-and finite-difference gradient verification.
+finite-difference gradient verification, and ``FlatParams``, the one
+parameter store of every model.
 
-Everything is 64-bit. Gradients are written in closed form by the modules
-that own the parameters; ``finite_difference_gradient`` is the oracle the
-tests check them against.
+Everything is 64-bit. Gradients are written in closed form, in the layout
+of a model's flat parameter vector, by the modules that own the models;
+``finite_difference_gradient`` is the oracle the tests check them against.
 """
 
 from __future__ import annotations
 
+import copy
+import math
 import zlib
 from typing import Callable
 
@@ -19,6 +22,7 @@ __all__ = [
     "log_softmax",
     "myopic_rescale",
     "finite_difference_gradient",
+    "FlatParams",
     "Rng",
 ]
 
@@ -77,6 +81,74 @@ def finite_difference_gradient(
         xf[j] = orig
         flat[j] = (fp - fm) / (2.0 * eps)
     return out
+
+
+class FlatParams:
+    """A model whose parameters are one flat float64 vector, ``params``.
+
+    A subclass declares its fields once, in ``_layout()``: their names and
+    shapes, back to back in vector order, which ``split`` views in any
+    parameter-sized vector, the gradient included. Each field is a view of
+    ``params`` and is never rebound: ``set_param_array``, assigning to a
+    field and in-place updates of ``params`` all write into the one vector.
+    A vector or field of the wrong shape, or with a NaN or +inf entry,
+    raises the subclass's typed error ``_error``; -inf passes, as the logit
+    of a token of zero probability.
+    """
+
+    _error: type[Exception] = ValueError
+    _fields: tuple[str, ...] = ()  # the attributes that are views of ``params``
+
+    def __init__(self):
+        self._bind(np.zeros(sum(math.prod(shape) for _, shape in self._layout())))
+
+    def _layout(self) -> list[tuple[str, tuple[int, ...]]]:
+        raise NotImplementedError
+
+    def _bind(self, params: np.ndarray) -> None:
+        names = tuple(name for name, _ in self._layout())
+        self.__dict__.update(zip(names, self.split(params)), params=params, _fields=names)
+
+    def _checked(self, what: str, value, shape: tuple[int, ...]) -> np.ndarray:
+        value = np.asarray(value, dtype=np.float64)
+        if value.shape != shape:
+            raise self._error(f"{what} has shape {value.shape}, expected {shape}")
+        if not np.all(value < np.inf):  # False for NaN and +inf, True for -inf
+            raise self._error(f"{what} has a NaN or +inf entry")
+        return value
+
+    def __setattr__(self, name: str, value) -> None:
+        if name in self._fields:  # write into params, never rebind
+            field = self.__dict__[name]
+            field[...] = self._checked(name, value, field.shape)
+        else:
+            super().__setattr__(name, value)
+
+    def split(self, flat: np.ndarray) -> tuple[np.ndarray, ...]:
+        """Views of a parameter-sized vector, one per field of ``_layout``."""
+        views, end = [], 0
+        for _, shape in self._layout():
+            start, end = end, end + math.prod(shape)
+            views.append(flat[start:end].reshape(shape))
+        return tuple(views)
+
+    @property
+    def n_params(self) -> int:
+        return self.params.size
+
+    def param_array(self) -> np.ndarray:
+        """A copy of the parameter vector."""
+        return self.params.copy()
+
+    def set_param_array(self, flat) -> None:
+        """Copy ``flat`` into the parameter vector, in place."""
+        self.params[...] = self._checked("parameter vector", flat, self.params.shape)
+
+    def copy(self):
+        """A shallow copy of the model that holds a fresh parameter vector."""
+        out = copy.copy(self)
+        out._bind(self.params.copy())
+        return out
 
 
 class Rng:

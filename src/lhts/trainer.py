@@ -150,7 +150,6 @@ class WeightBatch:
     weights: np.ndarray
     exponents: np.ndarray
     clip: float
-    temperature: float
 
     @property
     def clip_rate(self) -> float:
@@ -228,12 +227,16 @@ class TrainSettings:
             raise TrainerError("temperatures must be a non-empty set of positive finite values")
         if self.clip is not None and not _finite_positive(self.clip):
             raise TrainerError("clip must be positive and finite")
-        if not (math.isfinite(self.kl_beta) and self.kl_beta >= 0):
+        if not (self.kl_beta == 0 or _finite_positive(self.kl_beta)):
             raise TrainerError("kl_beta must be finite and >= 0")
 
 
-def _finite_positive(value: float) -> bool:
-    return math.isfinite(value) and value > 0
+def _finite_positive(value) -> bool:
+    """A finite real number above 0; False for anything else."""
+    try:
+        return math.isfinite(value) and value > 0
+    except TypeError:
+        return False
 
 
 def _check_count(name: str, value, minimum: int) -> None:
@@ -285,7 +288,7 @@ def _importance_weights(log_liks: np.ndarray, baseline: float | np.ndarray,
         raise TrainerError(f"clip must be a number or None, got {clip}")
     exponents = (1.0 - temperature) / temperature * (np.asarray(log_liks, dtype=np.float64)
                                                      - baseline)
-    return WeightBatch(np.exp(np.minimum(exponents, c)), exponents, c, temperature)
+    return WeightBatch(np.exp(np.minimum(exponents, c)), exponents, c)
 
 
 def _check_finite_log_p(log_p: np.ndarray, xs: np.ndarray) -> None:
@@ -454,7 +457,7 @@ def lhts_step(state: TrainState, xs: np.ndarray, temperature: float,
 
     grad = grad * scale
     norm = float(np.sqrt(np.sum(grad * grad)))
-    state.q.set_param_array(state.q.param_array() - cfg.learning_rate * grad)
+    state.q.set_param_array(state.q.params - cfg.learning_rate * grad)
     state.step += 1
     record.normalized_loss = loss * scale
     record.grad_norm = norm

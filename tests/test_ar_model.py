@@ -688,7 +688,9 @@ def test_a_changed_state_rebuilds_the_rows(change, monkeypatch):
     u = model.per_token_log_probs_matrix(xs, t_cond=t_cond)
     batch = model.sample(40, myopic_t=0.6, t_cond=t_cond, rng=np.random.default_rng(5))
     assert counts == [3 ** min(pos, 2) for pos in range(5)]
-    fresh = model.copy()
+    # built from scratch: a copy would start with the model's cached tables
+    fresh, _ = random_model("linear", 3, 5, 2, True, 3)
+    fresh.set_param_array(model.params)
     assert np.array_equal(u, fresh.per_token_log_probs_matrix(xs, t_cond=t_cond))
     want = fresh.sample(40, myopic_t=0.6, t_cond=t_cond, rng=np.random.default_rng(5))
     assert np.array_equal(batch.sequences, want.sequences)

@@ -346,9 +346,8 @@ def test_lhts_weights_reject_non_finite_clip(clip):
 
 def test_finetune_raises_on_non_finite_loss():
     model, data = _model(), _data(8)
-    theta = model.param_array()
-    theta[-1] = np.nan
-    model.set_param_array(theta)
+    # set_param_array refuses a NaN, so plant it in the vector in place
+    model.net.params[-1] = np.nan
     with pytest.raises(DiffusionError, match="non-finite diffusion loss at step 0"):
         finetune_weighted(model, data, np.ones(8), 3, np.random.default_rng(26))
 

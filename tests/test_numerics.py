@@ -5,7 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lhts.numerics import Rng, finite_difference_gradient, log_softmax, myopic_rescale, row_max
+from lhts.ar_model import LinearAR, ModelError, TabularAR
+from lhts.diffusion import DenoiserMLP, DiffusionError
+from lhts.numerics import (FlatParams, Rng, finite_difference_gradient, log_softmax,
+                           myopic_rescale, row_max)
 
 
 def lse_reference(vals) -> float:
@@ -117,3 +120,105 @@ def test_rng_child_derivation():
     c = Rng(9).child("cell", 4).stream("x").random(4)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
+
+
+# ------------------------------------------------------- flat parameter store
+
+STORES = ["tabular", "linear", "linear-embedding", "denoiser"]
+
+
+def random_store(kind):
+    """A model of ``kind`` with random parameters, its typed error, and its
+    forward as a function of the model: every row table of an AR model, the
+    noise guess of a denoiser on fixed points."""
+    rng = np.random.default_rng(40)
+    if kind == "denoiser":
+        model, error = DenoiserMLP(2, hidden=5, n_freqs=2), DiffusionError
+        x, feats = rng.normal(size=(3, 2)), rng.normal(size=(1, 4))
+
+        def forward(m):
+            return m.forward(x, m.step_bias(feats))
+    else:
+        if kind == "tabular":
+            model = TabularAR(3, 3)
+        else:
+            model = LinearAR(3, 4, 2, embedding_width=4 if kind == "linear-embedding" else None)
+        error, t_cond = ModelError, 0.5 if model.has_embedding else None
+
+        def forward(m):
+            return np.concatenate([rows.ravel() for rows in m.row_tables(t_cond)])
+    model.set_param_array(rng.normal(size=model.n_params))
+    return model, error, forward
+
+
+@pytest.mark.parametrize("kind", STORES, ids=STORES)
+def test_every_field_is_a_view_of_params(kind):
+    model, _, _ = random_store(kind)
+    assert isinstance(model, FlatParams)
+    fields = [getattr(model, name) for name, _ in model._layout()]
+    assert [f.shape for f in fields] == [shape for _, shape in model._layout()]
+    assert all(np.shares_memory(f, model.params) for f in fields)
+    # back to back, in layout order
+    assert np.array_equal(np.concatenate([f.ravel() for f in fields]), model.params)
+    assert model.n_params == model.params.size == model.param_array().size
+
+
+@pytest.mark.parametrize("kind", STORES, ids=STORES)
+def test_assigning_a_field_writes_into_params_and_reaches_the_forward(kind):
+    model, _, forward = random_store(kind)
+    rng = np.random.default_rng(41)
+    for (name, shape), view in zip(model._layout(), model.split(model.params)):
+        before = forward(model)
+        value = rng.normal(size=shape)
+        setattr(model, name, value)
+        assert np.array_equal(view, value)
+        assert np.shares_memory(getattr(model, name), model.params)
+        after = forward(model)
+        assert not np.array_equal(after, before)
+        # the same vector set on another model gives the same forward
+        ref, _, _ = random_store(kind)
+        ref.set_param_array(model.params)
+        assert np.array_equal(forward(ref), after)
+
+
+@pytest.mark.parametrize("kind", STORES, ids=STORES)
+def test_a_bad_field_or_vector_raises_the_typed_error_and_leaves_params(kind):
+    model, error, _ = random_store(kind)
+    before = model.param_array()
+    for name, shape in model._layout():
+        for bad in (np.zeros(shape[:-1]), np.zeros(shape + (1,)), np.zeros(math.prod(shape) + 1)):
+            with pytest.raises(error, match=f"{name} has shape"):
+                setattr(model, name, bad)
+        for entry in (np.nan, np.inf):
+            value = np.zeros(shape)
+            value.flat[-1] = entry
+            with pytest.raises(error, match=rf"{name} has a NaN or \+inf entry"):
+                setattr(model, name, value)
+    for entry in (np.nan, np.inf):
+        flat = before.copy()
+        flat[0] = entry
+        with pytest.raises(error, match=r"parameter vector has a NaN or \+inf entry"):
+            model.set_param_array(flat)
+    assert np.array_equal(model.params, before)
+    # -inf passes: a logit of a token of zero probability
+    flat = before.copy()
+    flat[0] = -np.inf
+    model.set_param_array(flat)
+    assert np.array_equal(model.params, flat)
+
+
+@pytest.mark.parametrize("kind", STORES, ids=STORES)
+def test_copy_holds_its_own_vector(kind):
+    model, _, forward = random_store(kind)
+    before, out = model.param_array(), forward(model)
+    dup = model.copy()
+    assert type(dup) is type(model) and dup._layout() == model._layout()
+    assert np.array_equal(dup.params, before) and not np.shares_memory(dup.params, model.params)
+    assert all(np.shares_memory(getattr(dup, name), dup.params) for name, _ in dup._layout())
+    assert np.array_equal(forward(dup), out)
+    rng = np.random.default_rng(42)
+    for name, shape in dup._layout():
+        setattr(dup, name, rng.normal(size=shape))
+    dup.params[0] += 1.0
+    assert not np.array_equal(forward(dup), out)
+    assert np.array_equal(model.params, before) and np.array_equal(forward(model), out)

@@ -672,3 +672,12 @@ def test_settings_reject_non_finite_or_non_positive_knobs(field, value):
 def test_settings_reject_values_of_the_wrong_type(field, value):
     with pytest.raises(TrainerError, match=field):
         TrainSettings(**{field: value})
+
+
+@pytest.mark.parametrize("field, value", [
+    ("learning_rate", "x"), ("learning_rate", None), ("kl_beta", None), ("kl_beta", "0"),
+    ("clip", "1"),
+], ids=["learning_rate-str", "learning_rate-none", "kl_beta-none", "kl_beta-str", "clip-str"])
+def test_settings_reject_knobs_that_are_not_numbers(field, value):
+    with pytest.raises(TrainerError, match=field):
+        TrainSettings(**{field: value})
