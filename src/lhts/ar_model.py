@@ -12,8 +12,8 @@ has V^c contexts, c = min(i, window). Each model has one forward and one
 backward, both in the layout of those contexts: ``row_logits(i, t_cond)``
 is the (V^c, V) logits of every context at position i, row s for the
 context of id s (``oracle``'s lexicographic encoding), and
-``param_grad(i, g_rows, t_cond)`` maps a gradient in that layout back onto
-the flat parameter vector in closed form; the trainer owns the loss. Every
+``param_grad(g_tables, t_cond)`` maps every position's gradient in that
+layout onto the flat vector at once; the trainer owns the loss. Every
 model is a ``numerics.FlatParams``: its parameters are one vector,
 ``params``, whose layout its ``_layout`` declares once, and its fields are
 views of it. ``TabularAR``'s vector is its logit table, row-major, and
@@ -24,7 +24,9 @@ A conditional is always the log-softmax of its logits, so a -inf logit is a
 token of zero probability. ``row_tables`` takes that log-softmax of every
 position's ``row_logits`` once per parameter state and t_cond, and
 pricing, sampling, the trainer's loss and exact enumeration all read those
-tables, indexed by each sequence's rolling context id.
+tables, indexed by each sequence's rolling context id. A row of logits
+with no finite max (a NaN, a +inf, or every entry -inf) has no
+conditional, and ``row_tables`` refuses it.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import FlatParams, log_softmax, myopic_rescale
+from .numerics import FlatParams, check_count, log_softmax, myopic_rescale, row_max
 from .oracle import ENUMERATION_CAP, CategoricalTable
 
 __all__ = [
@@ -64,21 +66,10 @@ class SampleBatch:
         return self.sequences.shape[0]
 
 
-def _size(name: str, value, minimum: int) -> int:
-    """A model size: an int or numpy integer of at least ``minimum``, as an
-    int. Anything else raises ``ModelError`` naming the argument."""
-    # True is an int to Python, but no size
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ModelError(f"{name} must be an int, got {value!r}")
-    if value < minimum:
-        raise ModelError(f"{name} must be >= {minimum}, got {value}")
-    return int(value)
-
-
 class ARModel(FlatParams):
     """Shared machinery: row tables, chain-rule log-probs and ancestral
-    sampling on top of a parameterization's ``row_logits`` and its adjoint
-    ``param_grad``, over the flat parameter vector of ``FlatParams``."""
+    sampling on top of a parameterization's ``row_logits`` and their joint
+    adjoint ``param_grad``, over the flat vector of ``FlatParams``."""
 
     _error = ModelError
 
@@ -102,11 +93,10 @@ class ARModel(FlatParams):
         caller has checked t_cond and the position, as ``row_tables`` does."""
         raise NotImplementedError
 
-    def param_grad(self, position: int, g_rows: np.ndarray,
-                   t_cond: float | None = None) -> np.ndarray:
-        """The backward, the adjoint of ``row_logits``: given dL/dlogits
-        (V^c, V) of every context at ``position``, dL/dtheta as a flat vector
-        in ``param_array`` order."""
+    def param_grad(self, g_tables, t_cond: float | None = None) -> np.ndarray:
+        """The backward, the adjoint of every position's ``row_logits``:
+        given one dL/dlogits per position, (V^c, V) in ``row_tables``'
+        layout, dL/dtheta as one new flat vector in ``params`` order."""
         raise NotImplementedError
 
     # -- common ------------------------------------------------------------
@@ -147,7 +137,8 @@ class ARModel(FlatParams):
         exact bytes of ``params`` and by t_cond, and builds a new one
         when either differs, however the parameters were changed. A table
         past ``ENUMERATION_CAP`` entries raises ``ModelError`` before
-        anything is built.
+        anything is built, and so does a row of logits with no finite max,
+        naming its position.
         """
         self._check_t_cond(t_cond)
         key = (self.params.tobytes(), t_cond)
@@ -162,7 +153,13 @@ class ARModel(FlatParams):
                 f"window={self.window} or max_length={L}")
         tables = []
         for i in range(L):
-            rows = log_softmax(self.row_logits(i, t_cond))
+            logits = self.row_logits(i, t_cond)
+            # before the log-softmax, whose max-subtraction would turn such a
+            # row into NaN
+            if not np.isfinite(row_max(logits)).all():
+                raise ModelError(f"a row of logits at position {i} has no finite max "
+                                 "(a NaN, a +inf, or every entry -inf)")
+            rows = log_softmax(logits)
             rows.flags.writeable = False
             tables.append(rows)
         self._row_cache = (key, tuple(tables))
@@ -197,8 +194,7 @@ class ARModel(FlatParams):
         below 1 draws the last token. Recorded log-probs are the model's own
         joint, not the myopically rescaled one.
         """
-        if n < 1:
-            raise ModelError("need n >= 1 samples")
+        n = check_count("n", n, 1, ModelError)
         if not 0 <= myopic_t < math.inf:
             raise ModelError(f"myopic_t must be finite and >= 0, got {myopic_t}")
         if rng is None:
@@ -232,15 +228,15 @@ class TabularAR(ARModel):
     """One logit row per prefix, for every prefix up to length L-1.
 
     Rows are stored per position: position i holds V^i rows in lexicographic
-    prefix order, so ``row_logits(i)`` is the table's slice at offsets[i]
-    and ``param_grad`` writes its gradient into the same slice. A prefix's
-    conditional is the log-softmax of its row; a -inf logit stays a token
-    of zero probability.
+    prefix order, so ``row_logits(i)`` is the table's slice at offsets[i],
+    and ``param_grad``, given every position's rows, is those rows back to
+    back. A prefix's conditional is the log-softmax of its row; a -inf logit
+    stays a token of zero probability.
     """
 
     def __init__(self, vocab_size: int, max_length: int, logits: np.ndarray | None = None):
-        self.vocab_size = _size("vocab_size", vocab_size, 2)
-        self.max_length = _size("max_length", max_length, 1)
+        self.vocab_size = check_count("vocab_size", vocab_size, 2, ModelError)
+        self.max_length = check_count("max_length", max_length, 1, ModelError)
         self.offsets = np.zeros(max_length, dtype=np.int64)
         rows = 0
         for i in range(max_length):
@@ -292,11 +288,8 @@ class TabularAR(ARModel):
         start = self.offsets[position]
         return self.logits[start:start + self.vocab_size**position]
 
-    def param_grad(self, position, g_rows, t_cond=None):
-        grad = np.zeros_like(self.logits)
-        start = self.offsets[position]
-        grad[start:start + self.vocab_size**position] = g_rows
-        return grad.ravel()
+    def param_grad(self, g_tables, t_cond=None):
+        return np.concatenate(g_tables).ravel()
 
 
 class LinearAR(ARModel):
@@ -320,16 +313,16 @@ class LinearAR(ARModel):
     ``row_logits`` evaluates the formula on every context at once by
     broadcasting each w_ctx[:, j] onto the axis of the (V,)*c+(V,) context
     grid that holds the token j+1 places back; ``param_grad``, its adjoint,
-    sums the gradient over the other axes.
+    sums every position's gradient over the other axes into one vector.
     """
 
     def __init__(self, vocab_size: int, max_length: int, window: int = 3,
                  embedding_width: int | None = None):
-        self.vocab_size = _size("vocab_size", vocab_size, 2)
-        self.max_length = _size("max_length", max_length, 1)
-        self.window = _size("window", window, 0)
-        self.embedding_width = (None if embedding_width is None
-                                else _size("embedding_width", embedding_width, 1))
+        self.vocab_size = check_count("vocab_size", vocab_size, 2, ModelError)
+        self.max_length = check_count("max_length", max_length, 1, ModelError)
+        self.window = check_count("window", window, 0, ModelError)
+        self.embedding_width = (None if embedding_width is None else
+                                check_count("embedding_width", embedding_width, 1, ModelError))
         super().__init__()
 
     def _layout(self):
@@ -366,18 +359,19 @@ class LinearAR(ARModel):
             logits += self.w_emb @ self._features(t_cond)
         return logits
 
-    def param_grad(self, position, g_rows, t_cond=None):
-        V, c = self.vocab_size, min(self.window, position)
+    def param_grad(self, g_tables, t_cond=None):
         grad = np.zeros(self.n_params)
         g_ctx, g_pos, g_bias, *g_emb = self.split(grad)
-        # axis a of g is the context's token c - a places back
-        g = g_rows.reshape((V,) * c + (V,))
-        for j in range(c):
-            g_ctx[:, j] = g.sum(axis=tuple(a for a in range(c) if a != c - 1 - j)).T
-        g.sum(axis=tuple(range(c)), out=g_bias)
-        g_pos[:, position] = g_bias
+        for i, g_rows in enumerate(g_tables):
+            V, c = self.vocab_size, min(self.window, i)
+            # axis a of g is the context's token c - a places back
+            g = g_rows.reshape((V,) * c + (V,))
+            for j in range(c):
+                g_ctx[:, j] += g.sum(axis=tuple(a for a in range(c) if a != c - 1 - j)).T
+            g.sum(axis=tuple(range(c)), out=g_pos[:, i])
+            g_bias += g_pos[:, i]
         if g_emb:
-            # logits += w_emb @ e with e = emb_scale * T + emb_bias
+            # logits += w_emb @ e, e = emb_scale * T + emb_bias, at every position
             g_w_emb, g_scale, g_e = g_emb
             np.outer(g_bias, self._features(t_cond), out=g_w_emb)
             np.matmul(self.w_emb.T, g_bias, out=g_e)

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import FlatParams
+from .numerics import FlatParams, check_count
 from .trainer import WeightBatch, _importance_weights
 
 __all__ = [
@@ -265,8 +265,7 @@ def _elbo_draws_matrix(model: DiffusionModel, x0: np.ndarray,
     """(n_mc, N) matrix of single-draw variational lower bounds, in joint
     (summed over dimensions) space."""
     x0 = _points(x0, model.dim)
-    if n_mc < 1:
-        raise DiffusionError("n_mc must be >= 1")
+    n_mc = check_count("n_mc", n_mc, 1, DiffusionError)
     n, d = x0.shape
     sch = model.schedule
     K = sch.steps
@@ -371,10 +370,8 @@ def finetune_weighted(model: DiffusionModel, dataset: np.ndarray, weights: np.nd
         raise DiffusionError("need one weight per dataset point")
     if not (np.all(np.isfinite(weights)) and np.all(weights >= 0) and weights.sum() > 0):
         raise DiffusionError("weights must be finite and nonnegative with a positive mean")
-    if steps < 0:
-        raise DiffusionError("steps must be >= 0")
-    if batch_size < 1:
-        raise DiffusionError("batch_size must be >= 1")
+    steps = check_count("steps", steps, 0, DiffusionError)
+    batch_size = check_count("batch_size", batch_size, 1, DiffusionError)
     out = model.copy()
     params = out.net.params
     weight_norm = float(weights.mean())
@@ -423,8 +420,7 @@ def sample_ancestral(model: DiffusionModel, n: int, pseudo_temperature: float = 
     added on the final step."""
     if not 0.0 < pseudo_temperature <= 1.0:
         raise DiffusionError("pseudo_temperature must lie in (0, 1]")
-    if n < 0:
-        raise DiffusionError("n must be >= 0")
+    n = check_count("n", n, 0, DiffusionError)
     if n == 0:
         return np.zeros((0, model.dim))
     if rng is None:

@@ -1,7 +1,8 @@
 """Deterministic numerical substrate: stable log-space arithmetic, the
 myopic temperature rescale of conditionals, splittable seeded randomness,
-finite-difference gradient verification, and ``FlatParams``, the one
-parameter store of every model.
+finite-difference gradient verification, ``check_count``, the one check of
+a size or count argument, and ``FlatParams``, the one parameter store of
+every model.
 
 Everything is 64-bit. Gradients are written in closed form, in the layout
 of a model's flat parameter vector, by the modules that own the models;
@@ -22,6 +23,7 @@ __all__ = [
     "log_softmax",
     "myopic_rescale",
     "finite_difference_gradient",
+    "check_count",
     "FlatParams",
     "Rng",
 ]
@@ -81,6 +83,17 @@ def finite_difference_gradient(
         xf[j] = orig
         flat[j] = (fp - fm) / (2.0 * eps)
     return out
+
+
+def check_count(name: str, value, minimum: int, error: type[Exception]) -> int:
+    """A size or count: an int or numpy integer of at least ``minimum``, as
+    an int. Anything else raises the caller's typed ``error`` naming it."""
+    # True is an int to Python, but no count
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise error(f"{name} must be an int, got {value!r}")
+    if value < minimum:
+        raise error(f"{name} must be >= {minimum}, got {value}")
+    return int(value)
 
 
 class FlatParams:

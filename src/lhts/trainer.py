@@ -8,7 +8,7 @@ gradients, and importance weights are constants during differentiation.
 
 The loss is a weighted cross-entropy against q's softmax at every position,
 so its gradient wrt each logit row is the closed form (sum_t W_t) softmax - W;
-each model maps that row gradient onto its own parameters.
+one backward call maps every position's row gradients onto the parameters.
 
 Every objective prices a sequence with one importance weight,
 exp(min((1-T)/T (l - b), c)), where l is a log-likelihood under p (the
@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ar_model import ARModel, LinearAR
-from .numerics import Rng
+from .numerics import Rng, check_count
 from .oracle import CategoricalTable, enumerate_joint
 
 __all__ = [
@@ -217,10 +217,10 @@ class TrainSettings:
         except (TypeError, ValueError):
             raise TrainerError("temperatures must be an iterable of numbers, "
                                f"got {self.temperatures!r}") from None
-        _check_count("steps", self.steps, 0)
+        check_count("steps", self.steps, 0, TrainerError)
         for name in ("horizon", "batch_size", "eval_every"):
             if getattr(self, name) is not None:
-                _check_count(name, getattr(self, name), 1)
+                check_count(name, getattr(self, name), 1, TrainerError)
         if not _finite_positive(self.learning_rate):
             raise TrainerError("learning_rate must be positive and finite")
         if not self.temperatures or not all(map(_finite_positive, self.temperatures)):
@@ -237,15 +237,6 @@ def _finite_positive(value) -> bool:
         return math.isfinite(value) and value > 0
     except TypeError:
         return False
-
-
-def _check_count(name: str, value, minimum: int) -> None:
-    """A count is an int or numpy integer of at least ``minimum``."""
-    # True is an int to Python, but no count
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise TrainerError(f"{name} must be an int, got {value!r}")
-    if value < minimum:
-        raise TrainerError(f"{name} must be >= {minimum}")
 
 
 class TrainState:
@@ -368,8 +359,8 @@ def weighted_nll_loss_node(q: ARModel, xs: np.ndarray, importance: np.ndarray,
     reads its row s mod k for context s: the (S, V) sums are viewed as
     (S/k, k, V), and the narrower table's rows as (1, k, V) broadcast onto
     them, with no copy. The gradient wrt q's logits is summed back onto q's
-    own (V^c, V) rows, the layout of ``row_logits``, and ``q.param_grad``,
-    its adjoint, maps it onto the parameters.
+    own (V^c, V) rows, the layout of ``row_logits``, and one call of
+    ``q.param_grad`` maps every position's rows onto the parameters.
     """
     xs = q._check_tokens(xs)
     n, length = xs.shape
@@ -387,7 +378,7 @@ def weighted_nll_loss_node(q: ARModel, xs: np.ndarray, importance: np.ndarray,
     p_rows = base.row_tables() if anchored else q_rows
     V = q.vocab_size
     loss = 0.0
-    grad = np.zeros(q.n_params)
+    g_tables = []
     # flat is s V + x: the context id s, then the token x read after it
     flat = np.zeros(n, dtype=np.int64)
     for i in range(length):
@@ -416,8 +407,9 @@ def weighted_nll_loss_node(q: ARModel, xs: np.ndarray, importance: np.ndarray,
         g_logits = W.sum(axis=2, keepdims=True) * np.exp(log_q) - W
         if S > n_q:
             g_logits = g_logits.reshape(-1, n_q, V).sum(axis=0)
-        grad += q.param_grad(i, g_logits.reshape(n_q, V), t_cond)
-    return float(loss), grad
+        g_tables.append(g_logits.reshape(n_q, V))
+    g_tables += [np.zeros_like(rows) for rows in q_rows[length:]]  # past a short batch
+    return float(loss), q.param_grad(g_tables, t_cond)
 
 
 # ---------------------------------------------------------------------- step

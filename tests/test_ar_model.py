@@ -88,7 +88,8 @@ def test_token_out_of_vocab_errors(counterexample_model):
         counterexample_model.per_token_log_probs_matrix(np.array([[0, 5]]))
 
 
-@pytest.mark.parametrize("xs", [np.array([0, 1]), np.zeros((2, 2, 2), dtype=np.int64), 1])
+@pytest.mark.parametrize("xs", [pytest.param(np.array([0, 1]), id="1d"),
+                                pytest.param(np.zeros((2, 2, 2), dtype=np.int64), id="3d"), 1])
 def test_a_token_batch_that_is_not_2d_is_refused(counterexample_model, xs):
     with pytest.raises(ModelError, match="2-D batch of sequences"):
         counterexample_model.per_token_log_probs_matrix(xs)
@@ -185,10 +186,17 @@ def test_sample_replay_determinism(counterexample_model):
 
 
 def test_sample_validates_args(counterexample_model):
-    with pytest.raises(ModelError, match="n >= 1"):
+    with pytest.raises(ModelError, match="n must be >= 1"):
         counterexample_model.sample(0, rng=Rng(0).stream("s"))
     with pytest.raises(ModelError, match="myopic_t"):
         counterexample_model.sample(1, myopic_t=-1.0, rng=Rng(0).stream("s"))
+
+
+@pytest.mark.parametrize("n", [2.5, True, np.float64(3.0), "4"],
+                         ids=["float", "bool", "numpy-float", "str"])
+def test_sample_count_must_be_an_int(counterexample_model, n):
+    with pytest.raises(ModelError, match="n must be an int"):
+        counterexample_model.sample(n, rng=Rng(0).stream("s"))
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
@@ -631,18 +639,51 @@ def test_param_grad_is_the_adjoint_of_row_logits(kind, embedding):
     # V=3, L=4, window 2: the linear model's positions read 0, 1, 2, 2 tokens
     model, t_cond = random_model(kind, 3, 4, 2, embedding, 11)
     rng = np.random.default_rng(12)
-    for i in range(4):
-        g_rows = rng.normal(size=model.row_logits(i, t_cond).shape)
+    # one random gradient per position, paired with every position at once
+    g_tables = [rng.normal(size=model.row_logits(i, t_cond).shape) for i in range(4)]
 
-        def pairing(theta):
-            probe = model.copy()
-            probe.set_param_array(theta)
-            return float(np.sum(g_rows * probe.row_logits(i, t_cond)))
+    def pairing(theta):
+        probe = model.copy()
+        probe.set_param_array(theta)
+        return sum(float(np.sum(g * probe.row_logits(i, t_cond)))
+                   for i, g in enumerate(g_tables))
 
-        grad = model.param_grad(i, g_rows, t_cond)
-        fd = finite_difference_gradient(pairing, model.param_array())
-        assert grad.shape == (model.n_params,)
-        np.testing.assert_allclose(grad, fd, rtol=0, atol=1e-8)
+    grad = model.param_grad(g_tables, t_cond)
+    fd = finite_difference_gradient(pairing, model.param_array())
+    assert grad.shape == (model.n_params,)
+    np.testing.assert_allclose(grad, fd, rtol=0, atol=1e-8)
+
+
+def _plus_inf_logit():
+    # -inf in w_emb times a negative embedding feature is a +inf logit
+    model = LinearAR(3, 4, 2, embedding_width=1)
+    model.w_emb[0, 0] = -np.inf
+    model.emb_scale = [-1.0]
+    return model, 0.5, 0
+
+
+def _all_neg_inf_row():
+    model = TabularAR(2, 3)
+    model.logits[2] = -np.inf  # the row after the prefix (1,), at position 1
+    return model, None, 1
+
+
+def _nan_logit():
+    model = TabularAR(2, 3)
+    model.params[-1] = np.nan  # planted in place, as set_param_array refuses it
+    return model, None, 2
+
+
+@pytest.mark.parametrize("make", [_plus_inf_logit, _all_neg_inf_row, _nan_logit],
+                         ids=["linear-plus-inf", "tabular-all-neg-inf", "tabular-nan"])
+def test_row_tables_refuse_a_row_with_no_finite_max(make):
+    model, t_cond, position = make()
+    with pytest.raises(ModelError, match=f"position {position} has no finite max"):
+        model.row_tables(t_cond)
+    with pytest.raises(ModelError, match=f"position {position} has no finite max"):
+        model.sample(4, t_cond=t_cond, rng=np.random.default_rng(0))
+    with pytest.raises(ModelError, match=f"position {position} has no finite max"):
+        model.per_token_log_probs_matrix(np.zeros((2, 3), dtype=np.int64), t_cond)
 
 
 def test_pricing_and_sampling_evaluate_each_context_once(monkeypatch):

@@ -359,7 +359,8 @@ def test_model_rejects_denoiser_of_other_dim():
     assert elbo_batch(model, np.zeros((2, 3)), np.random.default_rng(27), 2).shape == (2,)
 
 
-@pytest.mark.parametrize("x0", [np.zeros((4, 3)), np.zeros(3), np.zeros((2, 4, 2))])
+@pytest.mark.parametrize("x0", [np.zeros((4, 3)), np.zeros(3), np.zeros((2, 4, 2))],
+                         ids=["three-columns", "vector-of-three", "3d"])
 def test_elbo_rejects_points_of_wrong_shape(x0):
     model = _model()
     rng = np.random.default_rng(15)
@@ -379,6 +380,20 @@ def test_elbo_rejects_non_positive_draw_count():
     assert rng.bit_generator.state == state
 
 
+@pytest.mark.parametrize("count", [2.5, True, "2"], ids=["float", "bool", "str"])
+@pytest.mark.parametrize("name, call", [
+    ("n_mc", lambda model, rng, n: elbo_draws(model, np.zeros(2), rng, n)),
+    ("n_mc", lambda model, rng, n: elbo_batch(model, np.zeros((3, 2)), rng, n)),
+    ("n", lambda model, rng, n: sample_ancestral(model, n, rng=rng)),
+], ids=["elbo_draws", "elbo_batch", "sample_ancestral"])
+def test_draw_and_sample_counts_must_be_ints(name, call, count):
+    rng = np.random.default_rng(15)
+    state = rng.bit_generator.state
+    with pytest.raises(DiffusionError, match=f"{name} must be an int"):
+        call(_model(), rng, count)
+    assert rng.bit_generator.state == state
+
+
 def test_single_point_elbo_rejects_several_points():
     rng = np.random.default_rng(15)
     state = rng.bit_generator.state
@@ -394,7 +409,13 @@ def test_single_point_elbo_rejects_several_points():
     ("nan", {}, "weights"),
     ("inf", {}, "weights"),
     ("zeros", {}, "weights"),
-])
+    ("ones", {"steps": 2.5}, "steps must be an int"),
+    ("ones", {"steps": True}, "steps must be an int"),
+    ("ones", {"batch_size": 2.5}, "batch_size must be an int"),
+    ("ones", {"batch_size": np.True_}, "batch_size must be an int"),
+], ids=["batch_size-zero", "steps-negative", "weights-negative", "weights-nan", "weights-inf",
+        "weights-zeros", "steps-float", "steps-bool", "batch_size-float",
+        "batch_size-numpy-bool"])
 def test_finetune_rejects_bad_arguments(weights, kwargs, message):
     model, data = _model(), _data(8)
     w = {"ones": np.ones(8), "zeros": np.zeros(8),
@@ -429,7 +450,8 @@ MEANS = [[-2.0, 0.0], [2.0, 0.0]]
     (MEANS, [0.25, math.nan], [0.5, 0.5], "stds must be 2"),
     (MEANS, [0.25, 0.25], [0.5, 0.25, 0.25], "weights must be 2"),
     (MEANS, [0.25, 0.25], [1.0], "weights must be 2"),
-])
+], ids=["means-3d", "means-empty", "stds-short", "stds-zero", "stds-nan", "weights-long",
+        "weights-short"])
 def test_mixture_checks_its_shapes(means, stds, weights, message):
     with pytest.raises(DiffusionError, match=message):
         MixtureGroundTruth(means=means, stds=stds, weights=weights)

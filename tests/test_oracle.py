@@ -1,6 +1,7 @@
 import math
 import re
 import tracemalloc
+import types
 import warnings
 
 import numpy as np
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import count_rows, prefix_log_probs, row_after
-from lhts.ar_model import LinearAR, TabularAR, tabular_from_table
+from lhts.ar_model import LinearAR, ModelError, TabularAR, tabular_from_table
 from lhts.data import shared_prefix_scenario
 from lhts.numerics import log_softmax, myopic_rescale
 from lhts.oracle import (
@@ -71,7 +72,8 @@ def test_sequence_at_checks_its_range(index):
 
 
 @pytest.mark.parametrize("seq, message", [((0, 2), "out of vocab"), ((-1, 0), "out of vocab"),
-                                          ((0,), "expected 2 tokens")])
+                                          ((0,), "expected 2 tokens")],
+                         ids=["token-too-large", "token-negative", "too-short"])
 def test_index_of_checks_its_tokens(seq, message):
     with pytest.raises(OracleError, match=message):
         SequenceSpace(2, 2).index_of(seq)
@@ -447,7 +449,8 @@ def references(p, q):
 
 
 @pytest.mark.parametrize("V, L", [(5, 7), (3, 11)])
-@pytest.mark.parametrize("holes", [(), (_BLOCK - 1, _BLOCK, 2 * _BLOCK + 3)])
+@pytest.mark.parametrize("holes", [(), (_BLOCK - 1, _BLOCK, 2 * _BLOCK + 3)],
+                         ids=["no-holes", "holes-at-block-edges"])
 def test_block_reductions_match_one_shot_across_blocks(V, L, holes):
     # at least three blocks, the last one partial
     assert V**L > 2 * _BLOCK and V**L % _BLOCK != 0
@@ -495,7 +498,8 @@ def test_kl_zero_mass_on_both_sides_of_a_block_boundary_matches_one_shot():
     np.testing.assert_allclose(got, ref_kl(p.log_probs, q.log_probs), rtol=1e-13, atol=0)
 
 
-@pytest.mark.parametrize("violations", [(_BLOCK - 1, _BLOCK), (5**7 - 1,)])
+@pytest.mark.parametrize("violations", [(_BLOCK - 1, _BLOCK), (5**7 - 1,)],
+                         ids=["across-a-block-edge", "in-the-last-entry"])
 def test_kl_names_the_first_violation_across_blocks(violations):
     space = SequenceSpace(5, 7)
     rng = np.random.default_rng(5)
@@ -677,7 +681,7 @@ def resize_loss(q, base, xs, w, d, t_cond, kl_beta):
     q_rows = q.row_tables(t_cond)
     p_rows = base.row_tables() if kl_beta > 0 else q_rows
     V = q.vocab_size
-    loss, grad = 0.0, np.zeros(q.n_params)
+    loss, g_tables = 0.0, []
     flat = np.zeros(len(xs), dtype=np.int64)
     for i in range(xs.shape[1]):
         n_q = q_rows[i].shape[0]
@@ -698,8 +702,8 @@ def resize_loss(q, base, xs, w, d, t_cond, kl_beta):
         g_logits = W.sum(axis=1, keepdims=True) * np.exp(log_q) - W
         if S > n_q:
             g_logits = g_logits.reshape(-1, n_q, V).sum(axis=0)
-        grad += q.param_grad(i, g_logits, t_cond)
-    return float(loss), grad
+        g_tables.append(g_logits)
+    return float(loss), q.param_grad(g_tables, t_cond)
 
 
 @given(
@@ -811,10 +815,18 @@ def test_windowed_tables_build_their_entries_only_when_read():
 
 
 def test_windowed_model_with_a_nan_log_prob_is_refused():
-    # the rows are checked instead of the entries they chain into
+    # the rows are checked instead of the entries they chain into: a model's
+    # row_tables refuses a NaN logit itself, and the oracle refuses a NaN
+    # row from any other source of rows
     model, _ = random_ar("linear", 3, 4, 2, False, 0)
-    model.bias[1] = np.nan
+    rows = model.row_tables()
+    nan_rows = rows[:2] + (np.full(rows[2].shape, np.nan),) + rows[3:]
+    source = types.SimpleNamespace(vocab_size=3, max_length=4, window=2,
+                                   row_tables=lambda t_cond=None: nan_rows)
     with pytest.raises(OracleError, match="finite or -inf"):
+        enumerate_joint(source)
+    model.bias[1] = np.nan
+    with pytest.raises(ModelError, match="position 0 has no finite max"):
         enumerate_joint(model)
 
 

@@ -294,7 +294,8 @@ def test_baseline_refuses_statistics_of_another_shape():
     assert baseline.means() == -3.0
 
 
-@pytest.mark.parametrize("xs", [np.array([[0, 1.5, 1], [1, 0, 0]]), np.array([0, 1, 1])])
+@pytest.mark.parametrize("xs", [np.array([[0, 1.5, 1], [1, 0, 0]]), np.array([0, 1, 1])],
+                         ids=["fractional-token", "1d"])
 def test_training_refuses_a_malformed_token_batch(xs):
     # a non-integral token or a batch that is not 2-D, before any state changes
     state = TrainState(TabularAR(2, 3), TrainSettings(learning_rate=0.5, temperatures=(0.5,)))
@@ -321,7 +322,8 @@ def test_step_refuses_a_batch_of_another_length_before_weighting():
 
 # [1e308, 1e308] is finite, but its sum overflows
 @pytest.mark.parametrize("bad", [[np.nan, 1.0], [np.inf, 1.0], [-1.0, 2.0], [0.0, 0.0],
-                                 [1e308, 1e308]])
+                                 [1e308, 1e308]],
+                         ids=["nan", "inf", "negative", "zero-sum", "overflowing-sum"])
 def test_data_weights_must_be_nonnegative_with_positive_finite_sum(counterexample_model, bad):
     xs = np.array([[0, 1], [1, 0]])
     with pytest.raises(TrainerError, match="data weights"):
@@ -334,11 +336,12 @@ def per_row_loss(q, xs, importance, d, t_cond, kl_beta, base):
     """Reference loss and gradient: both models' conditionals, computed one
     prefix at a time, and the weight matrix W taken on every row; each row's
     logit gradient is added to the row of its context in q's own (V^c, V)
-    layout, and param_grad maps those onto q's parameters."""
+    layout, and one param_grad call maps every position's rows onto q's
+    parameters."""
     n, length = xs.shape
     V = q.vocab_size
     w = importance if importance.ndim == 2 else np.repeat(importance[:, None], length, axis=1)
-    loss, grad = 0.0, np.zeros(q.n_params)
+    loss, g_tables = 0.0, []
     for i in range(length):
         c = i if q.window is None else min(i, q.window)
         log_q = prefix_log_probs(q, xs, i, t_cond)
@@ -353,8 +356,22 @@ def per_row_loss(q, xs, importance, d, t_cond, kl_beta, base):
         g_rows = np.zeros((V**c, V))
         np.add.at(g_rows, context_ids(xs[:, i - c:i], V),
                   W.sum(axis=1, keepdims=True) * np.exp(log_q) - W)
-        grad += q.param_grad(i, g_rows, t_cond)
-    return loss, grad
+        g_tables.append(g_rows)
+    return loss, q.param_grad(g_tables, t_cond)
+
+
+@pytest.mark.parametrize("kind", ["tabular", "linear"])
+def test_a_short_batch_is_a_full_one_with_no_weight_past_its_end(kind):
+    # param_grad takes every position's rows: those past the batch are zero
+    q = TabularAR(3, 4) if kind == "tabular" else LinearAR(3, 4, 2)
+    rng = np.random.default_rng(30)
+    q.set_param_array(rng.normal(size=q.n_params))
+    xs = rng.integers(0, 3, size=(50, 4))
+    w = rng.random((50, 4))
+    w[:, 2:] = 0.0
+    loss, grad = weighted_nll_loss_node(q, xs[:, :2], w[:, :2])
+    full_loss, full_grad = weighted_nll_loss_node(q, xs, w)
+    assert loss == full_loss and np.array_equal(grad, full_grad)
 
 
 def _linear(V, L, window, seed, embedding=False):
@@ -655,7 +672,8 @@ def test_base_model_never_modified(counterexample_model):
     ("clip", math.nan), ("clip", math.inf), ("clip", -1.0),
     ("kl_beta", math.nan), ("kl_beta", math.inf),
     ("batch_size", 0), ("batch_size", -1), ("eval_every", 0), ("eval_every", -1),
-    ("temperatures", (0.5, math.nan)), ("temperatures", (math.inf,)),
+    pytest.param("temperatures", (0.5, math.nan), id="temperatures-nan"),
+    pytest.param("temperatures", (math.inf,), id="temperatures-inf"),
 ])
 def test_settings_reject_non_finite_or_non_positive_knobs(field, value):
     with pytest.raises(TrainerError, match=field):
