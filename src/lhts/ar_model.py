@@ -31,7 +31,6 @@ conditional, and ``row_tables`` refuses it.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -114,10 +113,14 @@ class ARModel(FlatParams):
             raise ModelError(f"t_cond must be finite, got {t_cond}")
 
     def _check_tokens(self, x) -> np.ndarray:
-        """A batch of sequences as a 2-D int64 array of in-vocab tokens."""
+        """A batch of sequences as a 2-D int64 array of in-vocab tokens, no
+        longer than ``max_length``; a shorter batch is a batch of prefixes."""
         tokens = np.asarray(x)
         if tokens.ndim != 2:
             raise ModelError(f"tokens must be a 2-D batch of sequences, got shape {tokens.shape}")
+        if tokens.shape[1] > self.max_length:
+            raise ModelError(f"sequence length {tokens.shape[1]} exceeds max_length "
+                             f"{self.max_length}")
         if tokens.dtype != np.int64:
             with np.errstate(invalid="ignore"):  # NaN and inf cast to garbage, caught below
                 cast = tokens.astype(np.int64)
@@ -170,8 +173,6 @@ class ARModel(FlatParams):
         read from ``row_tables`` by each row's rolling context id."""
         xs = self._check_tokens(xs)
         n, length = xs.shape
-        if length > self.max_length:
-            raise ModelError(f"sequence length {length} exceeds max_length {self.max_length}")
         u = np.empty((n, length))
         # flat is s V + x: the context id s, then the token x read after it
         flat = np.zeros(n, dtype=np.int64)
@@ -232,9 +233,13 @@ class TabularAR(ARModel):
     and ``param_grad``, given every position's rows, is those rows back to
     back. A prefix's conditional is the log-softmax of its row; a -inf logit
     stays a token of zero probability.
+
+    A new model has zero logits, uniform conditionals. Any other table is a
+    write to ``logits``, which ``FlatParams`` checks, or comes from a joint
+    through ``tabular_from_table``.
     """
 
-    def __init__(self, vocab_size: int, max_length: int, logits: np.ndarray | None = None):
+    def __init__(self, vocab_size: int, max_length: int):
         self.vocab_size = check_count("vocab_size", vocab_size, 2, ModelError)
         self.max_length = check_count("max_length", max_length, 1, ModelError)
         self.offsets = np.zeros(max_length, dtype=np.int64)
@@ -244,44 +249,9 @@ class TabularAR(ARModel):
             rows += vocab_size**i
         self.n_rows = rows
         super().__init__()
-        if logits is not None:
-            self.logits = logits
 
     def _layout(self):
         return [("logits", (self.n_rows, self.vocab_size))]
-
-    @staticmethod
-    def from_conditionals(vocab_size: int, max_length: int,
-                          conditionals: dict) -> "TabularAR":
-        """Build from explicit per-prefix probability vectors.
-
-        Every prefix up to length L-1 must be present, as a sequence of
-        in-vocab tokens; any other key raises ``ModelError``. The stored
-        logits are the exact log of the given numbers and the conditionals
-        their log-softmax, which the sampler and ``myopic_scale_joint``
-        rescale with one ``numerics.myopic_rescale``.
-        """
-        model = TabularAR(vocab_size, max_length)
-        seen = 0
-        for prefix, probs in conditionals.items():
-            toks = np.asarray(prefix)
-            if toks.ndim != 1 or len(toks) >= max_length:
-                raise ModelError(f"prefix {prefix} is not a sequence shorter than {max_length}")
-            toks = model._check_tokens(toks[None])[0].tolist()
-            # its position's first row plus its lexicographic id
-            row = model.offsets[len(toks)] + functools.reduce(
-                lambda s, tok: s * vocab_size + tok, toks, 0)
-            p = np.asarray(probs, dtype=np.float64)
-            if p.shape != (vocab_size,):
-                raise ModelError(f"conditional for prefix {prefix} has wrong arity")
-            if abs(p.sum() - 1.0) > 1e-9 or np.any(p < 0):
-                raise ModelError(f"conditional for prefix {prefix} is not a distribution")
-            with np.errstate(divide="ignore"):
-                model.logits[row] = np.log(p)
-            seen += 1
-        if seen != model.n_rows:
-            raise ModelError(f"got {seen} conditionals, need one per prefix ({model.n_rows})")
-        return model
 
     def row_logits(self, position, t_cond=None):
         """A view of the table's V^position rows at ``position``."""

@@ -80,6 +80,7 @@ class NoiseSchedule:
 
 def linear_schedule(steps: int) -> NoiseSchedule:
     """``steps`` betas evenly spaced from 1e-3 to 0.25."""
+    steps = check_count("steps", steps, 1, DiffusionError)
     return NoiseSchedule(np.linspace(1e-3, 0.25, steps))
 
 
@@ -104,15 +105,15 @@ class DenoiserMLP(FlatParams):
 
     def __init__(self, dim: int, hidden: int = 64, n_freqs: int = 4,
                  rng: np.random.Generator | None = None):
-        self.dim = dim
-        self.hidden = hidden
-        self.n_freqs = n_freqs
+        self.dim = check_count("dim", dim, 1, DiffusionError)
+        self.hidden = check_count("hidden", hidden, 1, DiffusionError)
+        self.n_freqs = check_count("n_freqs", n_freqs, 1, DiffusionError)
         super().__init__()
-        n_in = dim + 2 * n_freqs
+        n_in = self.dim + 2 * self.n_freqs
         if rng is None:
             rng = np.random.default_rng(0)
-        self.w1 = rng.standard_normal((hidden, n_in)) / math.sqrt(n_in)
-        self.w2 = rng.standard_normal((dim, hidden)) * (0.1 / math.sqrt(hidden))
+        self.w1 = rng.standard_normal((self.hidden, n_in)) / math.sqrt(n_in)
+        self.w2 = rng.standard_normal((self.dim, self.hidden)) * (0.1 / math.sqrt(self.hidden))
 
     def _layout(self):
         h, d = self.hidden, self.dim
@@ -227,6 +228,7 @@ class MixtureGroundTruth:
         return self.means.shape[1]
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
+        n = check_count("n", n, 0, DiffusionError)
         comp = rng.choice(len(self.weights), size=n, p=self.weights)
         return self.means[comp] + self.stds[comp][:, None] * rng.standard_normal((n, self.dim))
 
@@ -260,10 +262,11 @@ def gaussian_kl(mu0, var0, mu1, var1):
     return 0.5 * (var0 / var1 + (mu1 - mu0) ** 2 / var1 - 1.0 + np.log(var1 / var0))
 
 
-def _elbo_draws_matrix(model: DiffusionModel, x0: np.ndarray,
-                       rng: np.random.Generator, n_mc: int) -> np.ndarray:
-    """(n_mc, N) matrix of single-draw variational lower bounds, in joint
-    (summed over dimensions) space."""
+def elbo_draws(model: DiffusionModel, x0, rng: np.random.Generator, n_mc: int) -> np.ndarray:
+    """Single-draw variational lower bounds of a batch of N points, in joint
+    (summed over dimensions) space: an (n_mc, N) matrix whose column means
+    are the points' ELBOs. A single point may be a vector; its draws are
+    column 0."""
     x0 = _points(x0, model.dim)
     n_mc = check_count("n_mc", n_mc, 1, DiffusionError)
     n, d = x0.shape
@@ -297,17 +300,10 @@ def _elbo_draws_matrix(model: DiffusionModel, x0: np.ndarray,
     return out
 
 
-def elbo_draws(model: DiffusionModel, x0, rng: np.random.Generator, n_mc: int) -> np.ndarray:
-    """Per-draw bound estimates for one point; their mean is the ELBO."""
-    x0 = _points(x0, model.dim)
-    if x0.shape[0] != 1:
-        raise DiffusionError(f"expected one point, got {x0.shape[0]}; use elbo_batch")
-    return _elbo_draws_matrix(model, x0, rng, n_mc)[:, 0]
-
-
 def elbo_batch(model: DiffusionModel, x0: np.ndarray, rng: np.random.Generator,
                n_mc: int = 16) -> np.ndarray:
-    return _elbo_draws_matrix(model, x0, rng, n_mc).mean(axis=0)
+    """Each point's ELBO, the mean of its ``n_mc`` draws from ``elbo_draws``."""
+    return elbo_draws(model, x0, rng, n_mc).mean(axis=0)
 
 
 # -------------------------------------------------------------------- weights

@@ -40,7 +40,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .numerics import myopic_rescale, row_max
+from .numerics import check_count, myopic_rescale, row_max
 
 __all__ = [
     "OracleError",
@@ -123,15 +123,13 @@ def _context_prefixes(ids: np.ndarray, vocab_size: int, c: int, width: int) -> n
 
 class SequenceSpace:
     """All length-L sequences over a vocab of size V, in lexicographic order.
-    A space of any size can be made, and its indices are exact Python ints;
-    ``all_sequences`` refuses one larger than ENUMERATION_CAP."""
+    A space of any size can be made, and its size and indices are exact
+    Python ints; ``all_sequences`` refuses one larger than ENUMERATION_CAP."""
 
     def __init__(self, vocab_size: int, length: int):
-        if vocab_size < 1 or length < 1:
-            raise OracleError("vocab_size and length must be positive")
-        self.vocab_size = vocab_size
-        self.length = length
-        self.size = vocab_size**length
+        self.vocab_size = check_count("vocab_size", vocab_size, 1, OracleError)
+        self.length = check_count("length", length, 1, OracleError)
+        self.size = self.vocab_size**self.length
 
     def index_of(self, seq: Sequence[int]) -> int:
         toks = np.asarray(seq, dtype=np.int64)

@@ -323,8 +323,7 @@ def apply_horizon(v: np.ndarray, horizon: int) -> np.ndarray:
     """Truncate suffix log-likelihoods to at most ``horizon`` tokens:
     out_i = v_i - v_{i+h}, entries past the end treated as zero. Works on a
     vector or row-wise on a matrix; h >= length is a no-op."""
-    if horizon < 1:
-        raise TrainerError("horizon must be >= 1")
+    horizon = check_count("horizon", horizon, 1, TrainerError)
     v = np.asarray(v, dtype=np.float64)
     out = v.copy()
     if horizon < v.shape[-1]:
@@ -494,11 +493,11 @@ def train(base: ARModel, xs: np.ndarray, data_weights: np.ndarray | None,
 # -------------------------------------------------------------- exact losses
 
 def joint_loss_exact(p_table: CategoricalTable, q_table: CategoricalTable,
-                     temperature: float, clip: float | None = None) -> tuple[float, float]:
+                     temperature: float) -> tuple[float, float]:
     """The joint-form loss under exact expectation over p, with the exact
-    batch-mean baseline. Returns (loss, baseline).
+    batch-mean baseline and no clipping. Returns (loss, baseline).
 
-    loss = sum_x p(x) exp(min((1-T)/T (log p(x) - m), c)) (-log q(x))
+    loss = sum_x p(x) exp((1-T)/T (log p(x) - m)) (-log q(x))
     m    = sum_x p(x) log p(x), and the returned baseline is (1-T)/T m
     """
     lp = p_table.log_probs
@@ -507,12 +506,11 @@ def joint_loss_exact(p_table: CategoricalTable, q_table: CategoricalTable,
     lp = lp[mass]
     pw = np.exp(lp)
     m = float(pw @ lp)
-    wb = _importance_weights(lp, m, temperature, clip)
+    wb = _importance_weights(lp, m, temperature, None)
     return float(np.sum(pw * wb.weights * (-lq[mass]))), (1.0 - temperature) / temperature * m
 
 
-def ar_loss_exact(p: ARModel, q: ARModel, temperature: float,
-                  horizon: int | None = None, t_cond: float | None = None) -> float:
+def ar_loss_exact(p: ARModel, q: ARModel, temperature: float) -> float:
     """The variance-reduced autoregressive loss under exact expectation
     over p, with exact per-index mean baselines and no clipping:
 
@@ -526,8 +524,6 @@ def ar_loss_exact(p: ARModel, q: ARModel, temperature: float,
     xs = table.space.all_sequences()[mass]
     pw = table.probs()[mass]
     v = suffix_log_liks_matrix(p, xs)
-    if horizon is not None:
-        v = apply_horizon(v, horizon)
     w = _importance_weights(v, pw @ v, temperature, None).weights
-    lq = q.per_token_log_probs_matrix(xs, t_cond=t_cond)
+    lq = q.per_token_log_probs_matrix(xs)
     return float(np.sum(pw[:, None] * w * (-lq)))

@@ -5,14 +5,24 @@ from lhts.ar_model import TabularAR
 from lhts.numerics import log_softmax
 
 
+def tabular(vocab_size: int, max_length: int, conditionals) -> TabularAR:
+    """A ``TabularAR`` whose logits are the exact log of the given
+    conditionals, one probability row per prefix in the row order of
+    ``logits`` (the empty prefix, then each position's prefixes in
+    lexicographic order); a 0 becomes a -inf logit."""
+    model = TabularAR(vocab_size, max_length)
+    with np.errstate(divide="ignore"):
+        model.logits = np.log(conditionals)
+    return model
+
+
 @pytest.fixture
 def counterexample_model() -> TabularAR:
     """Two-token, two-position model whose joint argmax disagrees with its
-    greedy path: p(x0)=[0.6,0.4], p(x1|0)=[0.55,0.45], p(x1|1)=[0.9,0.1].
+    greedy path: p(x0)=[0.6,0.4], p(x1|0)=[0.55,0.45], p(x1|1)=[0.9,0.1],
+    the rows of ``tabular`` in that order.
     Joint: 00->0.33, 01->0.27, 10->0.36, 11->0.04."""
-    return TabularAR.from_conditionals(
-        2, 2, {(): [0.6, 0.4], (0,): [0.55, 0.45], (1,): [0.9, 0.1]}
-    )
+    return tabular(2, 2, [[0.6, 0.4], [0.55, 0.45], [0.9, 0.1]])
 
 
 @pytest.fixture

@@ -14,6 +14,7 @@ from conftest import (
     prefix_log_probs,
     prefix_logits,
     row_after,
+    tabular,
 )
 from lhts.ar_model import (
     LinearAR,
@@ -47,6 +48,7 @@ def test_zero_linear_is_uniform():
 
 
 def test_tabular_from_conditionals_exact(counterexample_model):
+    # conditionals written through ``tabular`` read back from row_tables:
     # the logits are the exact log of the given numbers, and the
     # conditionals their log-softmax
     given = {(): [0.6, 0.4], (0,): [0.55, 0.45], (1,): [0.9, 0.1]}
@@ -56,22 +58,11 @@ def test_tabular_from_conditionals_exact(counterexample_model):
         np.testing.assert_allclose(row, np.log(probs), rtol=1e-15, atol=0)
 
 
-def test_from_conditionals_checks_its_prefixes():
-    half = [0.5, 0.5]
-    rows = {(): half, (0,): half, (0, 0): half, (0, 1): half, (1, 0): half, (1, 1): half}
-    # (2,) in place of (1,) would land on the row of (0, 0)
-    with pytest.raises(ModelError, match="out of vocab"):
-        TabularAR.from_conditionals(2, 3, {**rows, (2,): [0.9, 0.1]})
-    with pytest.raises(ModelError, match="shorter than 1"):
-        TabularAR.from_conditionals(2, 1, {(): half, (0,): half})
-    with pytest.raises(ModelError, match="shorter than 2"):
-        TabularAR.from_conditionals(2, 2, {(): half, ((0,),): half, (1,): half})
-
-
 def test_conditionals_normalize():
     for seed in range(3):
         model = random_linear(seed)
-        tab = TabularAR(3, 3, np.random.default_rng(seed).normal(size=(13, 3)))
+        tab = TabularAR(3, 3)
+        tab.logits = np.random.default_rng(seed).normal(size=(13, 3))
         for m in (model, tab):
             for prefix in [(), (0,), (1, 2)]:
                 row = row_after(m, prefix)
@@ -158,7 +149,8 @@ def test_uniform_sampling_frequencies(uniform_model):
 
 
 def test_sampling_unbiased_chi_square():
-    model = TabularAR(2, 3, np.random.default_rng(2).normal(size=(7, 2)))
+    model = TabularAR(2, 3)
+    model.logits = np.random.default_rng(2).normal(size=(7, 2))
     table = enumerate_joint(model)
     batch = model.sample(100_000, myopic_t=1.0, rng=Rng(2).stream("s"))
     idx = batch.sequences @ np.array([4, 2, 1])
@@ -168,7 +160,8 @@ def test_sampling_unbiased_chi_square():
 
 
 def test_myopic_sampling_law():
-    model = TabularAR(2, 3, np.random.default_rng(3).normal(size=(7, 2)))
+    model = TabularAR(2, 3)
+    model.logits = np.random.default_rng(3).normal(size=(7, 2))
     target = myopic_scale_joint(model, 0.5)
     batch = model.sample(100_000, myopic_t=0.5, rng=Rng(3).stream("s"))
     idx = batch.sequences @ np.array([4, 2, 1])
@@ -267,7 +260,7 @@ def _draw_first(model, myopic_t, u):
 
 @pytest.mark.parametrize("myopic_t", [0.6, 1.0])
 def test_draw_ties_go_to_the_smaller_token(myopic_t):
-    model = TabularAR.from_conditionals(4, 1, {(): [0.125, 0.375, 0.25, 0.25]})
+    model = tabular(4, 1, [[0.125, 0.375, 0.25, 0.25]])
     cdf = _first_cdf(model, myopic_t)
     u = [0.0, cdf[0], np.nextafter(cdf[0], 1.0), cdf[1], cdf[2], np.nextafter(cdf[2], 1.0)]
     assert _draw_first(model, myopic_t, u).tolist() == [0, 0, 1, 1, 2, 3]
@@ -275,7 +268,7 @@ def test_draw_ties_go_to_the_smaller_token(myopic_t):
 
 @pytest.mark.parametrize("myopic_t", [0.6, 1.0])
 def test_draw_never_picks_a_zero_probability_token(myopic_t):
-    model = TabularAR.from_conditionals(3, 1, {(): [0.5, 0.0, 0.5]})
+    model = tabular(3, 1, [[0.5, 0.0, 0.5]])
     assert model.logits[0, 1] == -np.inf
     cdf = _first_cdf(model, myopic_t)
     assert cdf[0] == cdf[1]
@@ -303,8 +296,8 @@ def test_kl_to_base_zero_for_self(counterexample_model):
 
 
 def test_kl_to_base_hand_value():
-    p = TabularAR.from_conditionals(2, 1, {(): [0.5, 0.5]})
-    q = TabularAR.from_conditionals(2, 1, {(): [0.75, 0.25]})
+    p = tabular(2, 1, [[0.5, 0.5]])
+    q = tabular(2, 1, [[0.75, 0.25]])
     assert kl_to_base_per_position(p, q, [0]) == pytest.approx(0.1438, abs=1e-4)
 
 
@@ -518,8 +511,7 @@ def test_checkpoint_stores_the_flat_parameter_vector(counterexample_model):
 
 
 def test_checkpoint_keeps_neg_inf_logits():
-    model = TabularAR.from_conditionals(2, 2, {(): [1.0, 0.0], (0,): [0.5, 0.5],
-                                               (1,): [0.25, 0.75]})
+    model = tabular(2, 2, [[1.0, 0.0], [0.5, 0.5], [0.25, 0.75]])
     for back in (rebuild(model, model.param_array()), model.copy()):
         assert back.logits[0, 1] == -np.inf
         assert np.array_equal(back.logits, model.logits)

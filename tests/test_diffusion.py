@@ -97,7 +97,7 @@ def test_elbo_matches_reference_loop():
     got = elbo_batch(model, x0, np.random.default_rng(2), n_mc=8)
     want = _reference_elbo(model, x0, np.random.default_rng(2), 8).mean(axis=0)
     assert np.max(np.abs(got - want)) <= 1e-12
-    draws = elbo_draws(model, x0[3], np.random.default_rng(3), n_mc=300)
+    draws = elbo_draws(model, x0[3], np.random.default_rng(3), n_mc=300)[:, 0]
     assert np.max(np.abs(draws - _reference_elbo(model, x0[3:4], np.random.default_rng(3),
                                                  300)[:, 0])) <= 1e-12
 
@@ -137,7 +137,7 @@ def test_single_step_elbo_closed_form():
     model = _model(steps=1)
     sch = model.schedule
     x0 = np.random.default_rng(7).normal(size=(5, 2))
-    got = elbo_draws(model, x0[0], np.random.default_rng(8), n_mc=4)
+    got = elbo_draws(model, x0[0], np.random.default_rng(8), n_mc=4)[:, 0]
     eps = np.random.default_rng(8).standard_normal((4, 2))
     ab, var = sch.alphas_bar[1], sch.posterior_var[0]
     x1 = math.sqrt(ab) * x0[0] + math.sqrt(1.0 - ab) * eps
@@ -385,20 +385,19 @@ def test_elbo_rejects_non_positive_draw_count():
     ("n_mc", lambda model, rng, n: elbo_draws(model, np.zeros(2), rng, n)),
     ("n_mc", lambda model, rng, n: elbo_batch(model, np.zeros((3, 2)), rng, n)),
     ("n", lambda model, rng, n: sample_ancestral(model, n, rng=rng)),
-], ids=["elbo_draws", "elbo_batch", "sample_ancestral"])
+    ("n", lambda model, rng, n: MixtureGroundTruth([[0.0, 0.0]], [1.0], [1.0]).sample(n, rng)),
+    ("steps", lambda model, rng, n: linear_schedule(n)),
+    ("dim", lambda model, rng, n: DenoiserMLP(n, rng=rng)),
+    ("hidden", lambda model, rng, n: DenoiserMLP(2, hidden=n, rng=rng)),
+    ("n_freqs", lambda model, rng, n: DenoiserMLP(2, n_freqs=n, rng=rng)),
+], ids=["elbo_draws", "elbo_batch", "sample_ancestral", "mixture_sample", "linear_schedule",
+        "denoiser_dim", "denoiser_hidden", "denoiser_n_freqs"])
 def test_draw_and_sample_counts_must_be_ints(name, call, count):
+    # the sizes of a schedule and a denoiser too, before the rng is read
     rng = np.random.default_rng(15)
     state = rng.bit_generator.state
     with pytest.raises(DiffusionError, match=f"{name} must be an int"):
         call(_model(), rng, count)
-    assert rng.bit_generator.state == state
-
-
-def test_single_point_elbo_rejects_several_points():
-    rng = np.random.default_rng(15)
-    state = rng.bit_generator.state
-    with pytest.raises(DiffusionError, match="one point"):
-        elbo_draws(_model(), np.zeros((3, 2)), rng, 2)
     assert rng.bit_generator.state == state
 
 

@@ -63,8 +63,8 @@ def max_reference_log_softmax(z):
     return z - (m + np.log(np.exp(z - m).sum(axis=-1, keepdims=True)))
 
 
-@pytest.mark.parametrize("shape", [(6,), (9, 4), (3, 5, 7)])
-@pytest.mark.parametrize("empty_row", [False, True])
+@pytest.mark.parametrize("shape", [(6,), (9, 4), (3, 5, 7)], ids=["1d", "2d", "3d"])
+@pytest.mark.parametrize("empty_row", [False, True], ids=["no_empty_row", "empty_row"])
 def test_row_max_keeps_log_softmax_and_the_rescale_exact(shape, empty_row):
     # the token-major max against z.max(axis=-1): equal entries, with -inf
     # holes, and NaN in the same places where a row is all -inf

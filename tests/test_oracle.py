@@ -79,6 +79,28 @@ def test_index_of_checks_its_tokens(seq, message):
         SequenceSpace(2, 2).index_of(seq)
 
 
+@pytest.mark.parametrize("args, name", [
+    ((2.5, 2), "vocab_size"),
+    ((True, 2), "vocab_size"),
+    ((2, 2.5), "length"),
+    ((2, np.True_), "length"),
+    ((0, 2), "vocab_size"),
+    ((2, 0), "length"),
+], ids=["vocab_size-float", "vocab_size-bool", "length-float", "length-numpy_bool",
+        "vocab_size-zero", "length-zero"])
+def test_space_sizes_must_be_positive_ints(args, name):
+    with pytest.raises(OracleError, match=f"{name} must be"):
+        SequenceSpace(*args)
+
+
+def test_a_space_of_numpy_ints_has_an_exact_size():
+    # 2^64 wraps to 0 in int64; as a Python int it is past the cap
+    space = SequenceSpace(np.int64(2), np.int64(64))
+    assert space.size == 2**64 and type(space.size) is int
+    with pytest.raises(OracleError, match="enumeration cap"):
+        space.all_sequences()
+
+
 def test_space_cap_error_reports_sizes():
     # a space past the cap can be made; building its entries is refused,
     # and a whole-prefix model is refused before its contexts are allocated
@@ -111,7 +133,8 @@ def test_enumerate_counterexample_hand_values(counterexample_model):
 def test_enumerate_normalizes():
     rng = np.random.default_rng(0)
     for seed in range(5):
-        model = TabularAR(3, 3, rng.normal(size=(13, 3)))
+        model = TabularAR(3, 3)
+        model.logits = rng.normal(size=(13, 3))
         table = enumerate_joint(model)
         assert abs(np.exp(table.log_probs).sum() - 1.0) < 1e-9
 
@@ -291,7 +314,8 @@ def test_myopic_identity_at_one(counterexample_model):
 @settings(max_examples=100, deadline=None)
 def test_myopic_equals_exact_at_length_one(logits, temperature):
     # one position: per-position rescaling is the joint rescaling
-    model = TabularAR(len(logits), 1, np.array([logits]))
+    model = TabularAR(len(logits), 1)
+    model.logits = [logits]
     myopic = myopic_scale_joint(model, temperature)
     exact = temperature_scale_exact(enumerate_joint(model), temperature)
     assert np.allclose(myopic.log_probs, exact.log_probs, rtol=0, atol=1e-12)

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import context_ids, kl_to_base_per_position, prefix_log_probs
+from conftest import context_ids, kl_to_base_per_position, prefix_log_probs, tabular
 from lhts.ar_model import (
     LinearAR,
     ModelError,
@@ -83,8 +83,11 @@ def test_horizon_two_pad_semantics():
 
 
 def test_horizon_validates():
-    with pytest.raises(TrainerError):
+    with pytest.raises(TrainerError, match="horizon must be >= 1"):
         apply_horizon(np.zeros(3), 0)
+    for bad in (2.5, True):
+        with pytest.raises(TrainerError, match="horizon must be an int"):
+            apply_horizon(np.zeros(3), bad)
 
 
 # -------------------------------------------------------------------- weights
@@ -116,7 +119,7 @@ def test_joint_weights_prequential_first_batch_uses_zero():
 
 
 def test_joint_weights_error_names_example():
-    bad = TabularAR.from_conditionals(2, 1, {(): [1.0, 0.0]})
+    bad = tabular(2, 1, [[1.0, 0.0]])
     with pytest.raises(TrainerError, match="example 1"):
         joint_weights(bad, np.array([[0], [1]]), 0.5, StreamingBaseline())
 
@@ -128,16 +131,13 @@ def test_clip_semantics():
     assert wb.clip_rate == 1.0
 
 
-def test_weights_reject_nan_clip(counterexample_model):
+def test_weights_reject_nan_clip():
     # a NaN clip would make every weight NaN with a clip rate of 0
     nan = float("nan")
     with pytest.raises(TrainerError, match="clip"):
         ar_weights(np.array([[1.0, -2.0]]), 0.5, np.zeros(2), clip=nan)
     with pytest.raises(TrainerError, match="clip"):
         joint_weights(TabularAR(2, 2), np.array([[0, 1]]), 0.5, StreamingBaseline(), clip=nan)
-    table = enumerate_joint(counterexample_model)
-    with pytest.raises(TrainerError, match="clip"):
-        joint_loss_exact(table, table, 0.5, clip=nan)
 
 
 @pytest.mark.parametrize("T", [math.nan, math.inf, -math.inf, 0.0])
@@ -307,6 +307,19 @@ def test_training_refuses_a_malformed_token_batch(xs):
             call()
     assert np.array_equal(state.q.param_array(), q)
     assert state.step == 0 and state.baseline.n == 0
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda q, xs: weighted_nll_loss_node(q, xs, np.ones(3)), id="loss"),
+    pytest.param(lambda q, xs: lhts_step(TrainState(q, TrainSettings()), xs, 0.5),
+                 id="lhts_step"),
+    # with no steps, only the check before any state is built can refuse it
+    pytest.param(lambda q, xs: train(q, xs, None, TrainSettings(steps=0), Rng(0)),
+                 id="train"),
+])
+def test_a_batch_longer_than_max_length_is_refused(call):
+    with pytest.raises(ModelError, match="exceeds max_length 2"):
+        call(TabularAR(2, 2), np.zeros((3, 4), dtype=np.int64))
 
 
 def test_step_refuses_a_batch_of_another_length_before_weighting():
@@ -639,8 +652,7 @@ def test_ar_loss_exact_drops_sequences_without_mass():
     # p never starts with 1; on the two sequences it reaches, every suffix
     # log-likelihood equals its mean, so each weight is 1 and the loss is
     # sum_x p(x) (-log q(x)) = log 2
-    p = TabularAR.from_conditionals(2, 2, {(): [1.0, 0.0], (0,): [0.5, 0.5],
-                                           (1,): [0.5, 0.5]})
+    p = tabular(2, 2, [[1.0, 0.0], [0.5, 0.5], [0.5, 0.5]])
     assert ar_loss_exact(p, p.copy(), 0.5) == pytest.approx(math.log(2), rel=1e-15)
 
 
