@@ -8,35 +8,33 @@ embedding.
 
 A model's ``window`` declares which prefix tokens its conditionals read: the
 last ``window`` of them, or the whole prefix when it is None, so position i
-has V^c contexts, c = min(i, window). Each model has one forward and one
-backward, both in the layout of those contexts: ``row_logits(i, t_cond)``
-is the (V^c, V) logits of every context at position i, row s for the
-context of id s (``oracle``'s lexicographic encoding), and
-``param_grad(g_tables, t_cond)`` maps every position's gradient in that
-layout onto the flat vector at once; the trainer owns the loss. Every
-model is a ``numerics.FlatParams``: its parameters are one vector,
-``params``, whose layout its ``_layout`` declares once, and its fields are
-views of it. ``TabularAR``'s vector is its logit table, row-major, and
-``LinearAR``'s holds the linear model's fields back to back. Parameters and
-gradients both use that layout.
+has V^c contexts, c = min(i, window). ``row_starts`` lays them out once:
+position i's rows are [row_starts[i], row_starts[i+1]) of an (R, V) row
+array, row s for the context of id s (``oracle``'s lexicographic encoding).
+Each model has one forward, ``row_logits(t_cond)``, the (R, V) logits of
+every context, and one backward, ``param_grad(g, t_cond)``, which maps an
+(R, V) gradient onto the flat vector; the trainer owns the loss. Every model
+is a ``numerics.FlatParams``: one vector, ``params``, laid out once by its
+``_layout``, of which its fields are views: ``TabularAR``'s (R, V) logit
+table, or ``LinearAR``'s fields back to back. Gradients use that layout.
 
 A conditional is always the log-softmax of its logits, so a -inf logit is a
-token of zero probability. ``row_tables`` takes that log-softmax of every
-position's ``row_logits`` once per parameter state and t_cond, and
-pricing, sampling, the trainer's loss and exact enumeration all read those
-tables, indexed by each sequence's rolling context id. A row of logits
-with no finite max (a NaN, a +inf, or every entry -inf) has no
+token of zero probability. ``row_tables`` takes it once per parameter state
+and t_cond, and pricing, sampling, the trainer's loss and exact enumeration
+read each position's block by each sequence's rolling context id. A row of
+logits with no finite max (a NaN, a +inf, or every entry -inf) has no
 conditional, and ``row_tables`` refuses it.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import FlatParams, check_count, log_softmax, myopic_rescale, row_max
+from .numerics import FlatParams, _real_or_nan, check_count, log_softmax, myopic_rescale
 from .oracle import ENUMERATION_CAP, CategoricalTable
 
 __all__ = [
@@ -66,9 +64,9 @@ class SampleBatch:
 
 
 class ARModel(FlatParams):
-    """Shared machinery: row tables, chain-rule log-probs and ancestral
-    sampling on top of a parameterization's ``row_logits`` and their joint
-    adjoint ``param_grad``, over the flat vector of ``FlatParams``."""
+    """Shared machinery: the row layout, row tables, chain-rule log-probs
+    and ancestral sampling on top of a parameterization's ``row_logits`` and
+    its adjoint ``param_grad``, over the flat vector of ``FlatParams``."""
 
     _error = ModelError
 
@@ -84,21 +82,33 @@ class ARModel(FlatParams):
     # the last tables ``row_tables`` built, as ((parameter bytes, t_cond), tables)
     _row_cache: tuple | None = None
 
+    def __init__(self, vocab_size: int, max_length: int):
+        self.vocab_size = check_count("vocab_size", vocab_size, 2, ModelError)
+        self.max_length = check_count("max_length", max_length, 1, ModelError)
+        super().__init__()
+
     # -- to implement ------------------------------------------------------
 
-    def row_logits(self, position: int, t_cond: float | None = None) -> np.ndarray:
-        """The forward: unnormalized next-token logits (V^c, V) of every
-        context at ``position``, in the row order of ``row_tables``. The
-        caller has checked t_cond and the position, as ``row_tables`` does."""
+    def row_logits(self, t_cond: float | None = None) -> np.ndarray:
+        """The forward: unnormalized next-token logits (R, V) of every
+        context of every position, in the layout of ``row_starts``. The
+        caller has checked t_cond, as ``row_tables`` does."""
         raise NotImplementedError
 
-    def param_grad(self, g_tables, t_cond: float | None = None) -> np.ndarray:
-        """The backward, the adjoint of every position's ``row_logits``:
-        given one dL/dlogits per position, (V^c, V) in ``row_tables``'
-        layout, dL/dtheta as one new flat vector in ``params`` order."""
+    def param_grad(self, g: np.ndarray, t_cond: float | None = None) -> np.ndarray:
+        """The backward, the adjoint of ``row_logits``: given dL/dlogits as
+        one (R, V) array in the layout of ``row_starts``, dL/dtheta as one
+        new flat vector in ``params`` order."""
         raise NotImplementedError
 
     # -- common ------------------------------------------------------------
+
+    @property
+    def row_starts(self) -> tuple[int, ...]:
+        """L+1 offsets, each position's first row in every (R, V) row array."""
+        V, w = self.vocab_size, self.window
+        return tuple(itertools.accumulate(
+            (V ** (i if w is None else min(i, w)) for i in range(self.max_length)), initial=0))
 
     @property
     def has_embedding(self) -> bool:
@@ -109,8 +119,8 @@ class ARModel(FlatParams):
             raise ModelError("this model conditions on a temperature: pass t_cond")
         if not self.has_embedding and t_cond is not None:
             raise ModelError("t_cond given but the model has no temperature embedding")
-        if t_cond is not None and not math.isfinite(t_cond):
-            raise ModelError(f"t_cond must be finite, got {t_cond}")
+        if t_cond is not None and not math.isfinite(_real_or_nan(t_cond)):
+            raise ModelError(f"t_cond must be finite, got {t_cond!r}")
 
     def _check_tokens(self, x) -> np.ndarray:
         """A batch of sequences as a 2-D int64 array of in-vocab tokens, no
@@ -134,38 +144,36 @@ class ARModel(FlatParams):
     def row_tables(self, t_cond: float | None = None) -> tuple[np.ndarray, ...]:
         """Each position's conditionals on every context it reads.
 
-        Position i's table is a read-only (V^c, V) array, the log-softmax of
-        ``row_logits(i, t_cond)``: row s is the conditional after the
-        context of id s. The model keeps the last set it built, keyed by the
-        exact bytes of ``params`` and by t_cond, and builds a new one
-        when either differs, however the parameters were changed. A table
-        past ``ENUMERATION_CAP`` entries raises ``ModelError`` before
-        anything is built, and so does a row of logits with no finite max,
-        naming its position.
+        Position i's table is its read-only (V^c, V) block of the log-softmax
+        of ``row_logits(t_cond)``: row s is the conditional after the context
+        of id s. The model keeps the last set it built, keyed by the exact
+        bytes of ``params`` and by t_cond, and builds a new one when either
+        differs, however the parameters were changed. A table past
+        ``ENUMERATION_CAP`` entries raises ``ModelError`` before anything is
+        built, and so does a row of logits with no finite max, naming its
+        position.
         """
         self._check_t_cond(t_cond)
         key = (self.params.tobytes(), t_cond)
         if self._row_cache is not None and self._row_cache[0] == key:
             return self._row_cache[1]
-        V, L = self.vocab_size, self.max_length
-        c = L - 1 if self.window is None else min(L - 1, self.window)
-        if V**c * V > ENUMERATION_CAP:
-            raise ModelError(
-                f"the row table at position {L - 1} needs {V**c * V} entries but "
-                f"the enumeration cap allows {ENUMERATION_CAP}; reduce vocab_size={V}, "
-                f"window={self.window} or max_length={L}")
-        tables = []
-        for i in range(L):
-            logits = self.row_logits(i, t_cond)
-            # before the log-softmax, whose max-subtraction would turn such a
-            # row into NaN
-            if not np.isfinite(row_max(logits)).all():
-                raise ModelError(f"a row of logits at position {i} has no finite max "
-                                 "(a NaN, a +inf, or every entry -inf)")
-            rows = log_softmax(logits)
-            rows.flags.writeable = False
-            tables.append(rows)
-        self._row_cache = (key, tuple(tables))
+        V, L, starts = self.vocab_size, self.max_length, self.row_starts
+        entries = (starts[L] - starts[L - 1]) * V
+        if entries > ENUMERATION_CAP:
+            raise ModelError(f"the row table at position {L - 1} needs {entries} entries but "
+                             f"the enumeration cap allows {ENUMERATION_CAP}; reduce "
+                             f"vocab_size={V}, window={self.window} or max_length={L}")
+        with np.errstate(invalid="ignore"):  # caught below
+            table = log_softmax(self.row_logits(t_cond))
+        # a row's log-normalizer is NaN, and so is its first entry, exactly
+        # when the row has no finite max
+        bad = np.isnan(table[:, 0])
+        if bad.any():
+            i = np.searchsorted(starts, bad.argmax(), side="right") - 1
+            raise ModelError(f"a row of logits at position {i} has no finite max "
+                             "(a NaN, a +inf, or every entry -inf)")
+        table.flags.writeable = False
+        self._row_cache = (key, tuple(table[a:b] for a, b in zip(starts, starts[1:])))
         return self._row_cache[1]
 
     def per_token_log_probs_matrix(self, xs: np.ndarray, t_cond: float | None = None) -> np.ndarray:
@@ -196,8 +204,8 @@ class ARModel(FlatParams):
         joint, not the myopically rescaled one.
         """
         n = check_count("n", n, 1, ModelError)
-        if not 0 <= myopic_t < math.inf:
-            raise ModelError(f"myopic_t must be finite and >= 0, got {myopic_t}")
+        if not 0 <= _real_or_nan(myopic_t) < math.inf:
+            raise ModelError(f"myopic_t must be finite and >= 0, got {myopic_t!r}")
         if rng is None:
             raise ModelError("pass an explicit numpy Generator for reproducibility")
         V = self.vocab_size
@@ -228,38 +236,24 @@ class ARModel(FlatParams):
 class TabularAR(ARModel):
     """One logit row per prefix, for every prefix up to length L-1.
 
-    Rows are stored per position: position i holds V^i rows in lexicographic
-    prefix order, so ``row_logits(i)`` is the table's slice at offsets[i],
-    and ``param_grad``, given every position's rows, is those rows back to
-    back. A prefix's conditional is the log-softmax of its row; a -inf logit
-    stays a token of zero probability.
+    The table is the (R, V) row array of ``row_starts``, position i's V^i
+    rows in lexicographic prefix order: ``row_logits`` is the table itself,
+    and ``param_grad`` a flat copy of its gradient. A -inf logit stays a
+    token of zero probability.
 
     A new model has zero logits, uniform conditionals. Any other table is a
     write to ``logits``, which ``FlatParams`` checks, or comes from a joint
     through ``tabular_from_table``.
     """
 
-    def __init__(self, vocab_size: int, max_length: int):
-        self.vocab_size = check_count("vocab_size", vocab_size, 2, ModelError)
-        self.max_length = check_count("max_length", max_length, 1, ModelError)
-        self.offsets = np.zeros(max_length, dtype=np.int64)
-        rows = 0
-        for i in range(max_length):
-            self.offsets[i] = rows
-            rows += vocab_size**i
-        self.n_rows = rows
-        super().__init__()
-
     def _layout(self):
-        return [("logits", (self.n_rows, self.vocab_size))]
+        return [("logits", (self.row_starts[-1], self.vocab_size))]
 
-    def row_logits(self, position, t_cond=None):
-        """A view of the table's V^position rows at ``position``."""
-        start = self.offsets[position]
-        return self.logits[start:start + self.vocab_size**position]
+    def row_logits(self, t_cond=None):
+        return self.logits
 
-    def param_grad(self, g_tables, t_cond=None):
-        return np.concatenate(g_tables).ravel()
+    def param_grad(self, g, t_cond=None):
+        return g.flatten()
 
 
 class LinearAR(ARModel):
@@ -280,20 +274,18 @@ class LinearAR(ARModel):
     ``param_grad`` returns its gradient in the same layout. Zero weights
     give uniform conditionals, and a zero embedding adds nothing.
 
-    ``row_logits`` evaluates the formula on every context at once by
-    broadcasting each w_ctx[:, j] onto the axis of the (V,)*c+(V,) context
-    grid that holds the token j+1 places back; ``param_grad``, its adjoint,
-    sums every position's gradient over the other axes into one vector.
+    ``row_logits`` fills each position's block of the (R, V) logits by
+    broadcasting each w_ctx[:, j] onto the axis of the block's (V,)*c+(V,)
+    context grid that holds the token j+1 places back; ``param_grad``, its
+    adjoint, sums each block of the gradient over the other axes.
     """
 
     def __init__(self, vocab_size: int, max_length: int, window: int = 3,
                  embedding_width: int | None = None):
-        self.vocab_size = check_count("vocab_size", vocab_size, 2, ModelError)
-        self.max_length = check_count("max_length", max_length, 1, ModelError)
         self.window = check_count("window", window, 0, ModelError)
         self.embedding_width = (None if embedding_width is None else
                                 check_count("embedding_width", embedding_width, 1, ModelError))
-        super().__init__()
+        super().__init__(vocab_size, max_length)
 
     def _layout(self):
         V, E = self.vocab_size, self.embedding_width
@@ -318,27 +310,30 @@ class LinearAR(ARModel):
     def _features(self, t_cond: float) -> np.ndarray:
         return self.emb_scale * float(t_cond) + self.emb_bias
 
-    def row_logits(self, position, t_cond=None):
-        V, c = self.vocab_size, min(self.window, position)
-        logits = np.tile(self.bias + self.w_pos[:, position], (V**c, 1))
-        # axis a of the view is the context's token c - a places back
-        view = logits.reshape((V,) * c + (V,))
-        for j in range(c):
-            view += self.w_ctx[:, j].T.reshape((V,) + (1,) * j + (V,))
+    def row_logits(self, t_cond=None):
+        V, starts = self.vocab_size, self.row_starts
+        logits = np.empty((starts[-1], V))
+        for i in range(self.max_length):
+            c = min(self.window, i)
+            # axis a of the view is the context's token c - a places back
+            view = logits[starts[i]:starts[i + 1]].reshape((V,) * c + (V,))
+            view[...] = self.bias + self.w_pos[:, i]
+            for j in range(c):
+                view += self.w_ctx[:, j].T.reshape((V,) + (1,) * j + (V,))
         if self.has_embedding:
             logits += self.w_emb @ self._features(t_cond)
         return logits
 
-    def param_grad(self, g_tables, t_cond=None):
+    def param_grad(self, g, t_cond=None):
+        V, starts = self.vocab_size, self.row_starts
         grad = np.zeros(self.n_params)
         g_ctx, g_pos, g_bias, *g_emb = self.split(grad)
-        for i, g_rows in enumerate(g_tables):
-            V, c = self.vocab_size, min(self.window, i)
-            # axis a of g is the context's token c - a places back
-            g = g_rows.reshape((V,) * c + (V,))
+        for i in range(self.max_length):
+            c = min(self.window, i)
+            view = g[starts[i]:starts[i + 1]].reshape((V,) * c + (V,))
             for j in range(c):
-                g_ctx[:, j] += g.sum(axis=tuple(a for a in range(c) if a != c - 1 - j)).T
-            g.sum(axis=tuple(range(c)), out=g_pos[:, i])
+                g_ctx[:, j] += view.sum(axis=tuple(a for a in range(c) if a != c - 1 - j)).T
+            view.sum(axis=tuple(range(c)), out=g_pos[:, i])
             g_bias += g_pos[:, i]
         if g_emb:
             # logits += w_emb @ e, e = emb_scale * T + emb_bias, at every position
@@ -359,11 +354,11 @@ def tabular_from_table(table: CategoricalTable) -> TabularAR:
     ``numerics.myopic_rescale``.
     """
     V, L = table.vocab_size, table.length
-    model = TabularAR(V, L)
+    model, blocks = TabularAR(V, L), []
     log_mass = table.log_probs
-    for i in range(L - 1, -1, -1):
+    for _ in range(L):  # the last position's rows first
         rows = log_mass.reshape(-1, V)
         log_mass = np.logaddexp.reduce(rows, axis=1)
-        model.logits[model.offsets[i]:model.offsets[i] + V**i] = np.where(
-            log_mass[:, None] == -np.inf, 0.0, rows)
+        blocks.append(np.where(log_mass[:, None] == -np.inf, 0.0, rows))
+    model.logits = np.concatenate(blocks[::-1])
     return model

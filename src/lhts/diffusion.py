@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import FlatParams, check_count
+from .numerics import FlatParams, _real_or_nan, check_count
 from .trainer import WeightBatch, _importance_weights
 
 __all__ = [
@@ -241,8 +241,8 @@ class MixtureGroundTruth:
     def scaled_weights(self, temperature: float) -> np.ndarray:
         """Component proportions of the temperature-scaled density, exact up
         to overlap corrections for well-separated equal-shape components."""
-        if not (math.isfinite(temperature) and temperature > 0):
-            raise DiffusionError(f"temperature must be positive and finite, got {temperature}")
+        if not 0 < _real_or_nan(temperature) < math.inf:
+            raise DiffusionError(f"temperature must be positive and finite, got {temperature!r}")
         w = self.weights ** (1.0 / temperature)
         return w / w.sum()
 
@@ -313,8 +313,8 @@ def lhts_diffusion_weights(model: DiffusionModel, dataset: np.ndarray, temperatu
     """Per-point weights exp(min((1-T)/T (elbo_i - b), c)) with b the mean
     elbo over the dataset. ``elbos`` holds one ELBO per point under the
     frozen base model, priced once before finetuning (``elbo_batch``)."""
-    if not (math.isfinite(temperature) and temperature > 0):
-        raise DiffusionError("temperature must be positive and finite")
+    if not 0 < _real_or_nan(temperature) < math.inf:
+        raise DiffusionError(f"temperature must be positive and finite, got {temperature!r}")
     if clip is not None and not math.isfinite(clip):
         raise DiffusionError(f"clip must be finite, got {clip}")
     n = _points(dataset, model.dim).shape[0]

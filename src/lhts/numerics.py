@@ -1,8 +1,8 @@
 """Deterministic numerical substrate: stable log-space arithmetic, the
 myopic temperature rescale of conditionals, splittable seeded randomness,
 finite-difference gradient verification, ``check_count``, the one check of
-a size or count argument, and ``FlatParams``, the one parameter store of
-every model.
+a size or count argument, ``FlatParams``, the one parameter store of every
+model, and ``_real_or_nan``, which the range checks of the other modules read.
 
 Everything is 64-bit. Gradients are written in closed form, in the layout
 of a model's flat parameter vector, by the modules that own the models;
@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import copy
 import math
+import numbers
 import zlib
 from typing import Callable
 
@@ -94,6 +95,11 @@ def check_count(name: str, value, minimum: int, error: type[Exception]) -> int:
     if value < minimum:
         raise error(f"{name} must be >= {minimum}, got {value}")
     return int(value)
+
+
+def _real_or_nan(value) -> float:
+    """``value`` as a float if it is a real number, else NaN, out of every range."""
+    return float(value) if isinstance(value, numbers.Real) else math.nan
 
 
 class FlatParams:

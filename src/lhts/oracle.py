@@ -9,13 +9,13 @@ stay cache-sized. A table of one block is one pass with one-shot arithmetic;
 on larger tables the block sums move a result by a few ulp.
 
 Enumeration reads the model's row tables (``ARModel.row_tables``): each
-position's conditionals once per context. A model whose ``window``
-attribute is an int declares that its conditionals read only the last
-``window`` tokens of the prefix, so position i has V^min(i, window) rows;
-``window`` None means the whole prefix, V^i rows. A context of c tokens has
-one id in [0, V^c), its lexicographic index with the first token most
-significant; the models' pricing, sampling and loss index the same tables
-by the same encoding.
+position's conditionals once per context, a read-only block of the one
+log-softmax of the model's forward. A model whose ``window`` attribute is an
+int declares that its conditionals read only the last ``window`` tokens of
+the prefix, so position i has V^min(i, window) rows; ``window`` None means
+the whole prefix, V^i rows. A context of c tokens has one id in [0, V^c),
+its lexicographic index with the first token most significant; the models'
+pricing, sampling and loss index the same tables by the same encoding.
 
 A table comes in two representations. A *raw* table holds only its V^L
 entries. A *chain* table, which enumeration returns for a model with an int
@@ -40,7 +40,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .numerics import check_count, myopic_rescale, row_max
+from .numerics import _real_or_nan, check_count, myopic_rescale, row_max
 
 __all__ = [
     "OracleError",
@@ -300,8 +300,8 @@ def temperature_scale_exact(table: CategoricalTable, temperature: float) -> Cate
     - a raw table allocates p/T once, reduces its log Z block by block and
       subtracts it in place.
     """
-    if not 0 < temperature < math.inf:
-        raise OracleError(f"temperature must be positive and finite, got {temperature} "
+    if not 0 < _real_or_nan(temperature) < math.inf:
+        raise OracleError(f"temperature must be positive and finite, got {temperature!r} "
                           "(the T -> 0 limit is served by argmax_joint)")
     if temperature == 1.0:
         # the source's entries if they are built (a raw table's always are)
@@ -366,8 +366,8 @@ def myopic_scale_joint(model, temperature: float, t_cond: float | None = None) -
     rescaled rows, which builds its entries only when they are first read,
     and a whole-prefix model a raw table.
     """
-    if not 0 < temperature < math.inf:
-        raise OracleError(f"temperature must be positive and finite, got {temperature}")
+    if not 0 < _real_or_nan(temperature) < math.inf:
+        raise OracleError(f"temperature must be positive and finite, got {temperature!r}")
     return _chain_joint(model, t_cond, temperature)
 
 

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ar_model import ARModel, LinearAR
-from .numerics import Rng, check_count
+from .numerics import Rng, _real_or_nan, check_count
 from .oracle import CategoricalTable, enumerate_joint
 
 __all__ = [
@@ -233,10 +233,7 @@ class TrainSettings:
 
 def _finite_positive(value) -> bool:
     """A finite real number above 0; False for anything else."""
-    try:
-        return math.isfinite(value) and value > 0
-    except TypeError:
-        return False
+    return 0 < _real_or_nan(value) < math.inf
 
 
 class TrainState:
@@ -358,8 +355,9 @@ def weighted_nll_loss_node(q: ARModel, xs: np.ndarray, importance: np.ndarray,
     reads its row s mod k for context s: the (S, V) sums are viewed as
     (S/k, k, V), and the narrower table's rows as (1, k, V) broadcast onto
     them, with no copy. The gradient wrt q's logits is summed back onto q's
-    own (V^c, V) rows, the layout of ``row_logits``, and one call of
-    ``q.param_grad`` maps every position's rows onto the parameters.
+    own (V^c, V) rows of one zeroed (R, V) array, the layout of
+    ``row_logits``, and one call of ``q.param_grad`` maps it onto the
+    parameters.
     """
     xs = q._check_tokens(xs)
     n, length = xs.shape
@@ -375,9 +373,8 @@ def weighted_nll_loss_node(q: ARModel, xs: np.ndarray, importance: np.ndarray,
     q_rows = q.row_tables(t_cond)
     # without the anchor, S is q's own count of contexts
     p_rows = base.row_tables() if anchored else q_rows
-    V = q.vocab_size
-    loss = 0.0
-    g_tables = []
+    V, starts = q.vocab_size, q.row_starts
+    loss, g = 0.0, np.zeros((starts[-1], V))
     # flat is s V + x: the context id s, then the token x read after it
     flat = np.zeros(n, dtype=np.int64)
     for i in range(length):
@@ -406,9 +403,8 @@ def weighted_nll_loss_node(q: ARModel, xs: np.ndarray, importance: np.ndarray,
         g_logits = W.sum(axis=2, keepdims=True) * np.exp(log_q) - W
         if S > n_q:
             g_logits = g_logits.reshape(-1, n_q, V).sum(axis=0)
-        g_tables.append(g_logits.reshape(n_q, V))
-    g_tables += [np.zeros_like(rows) for rows in q_rows[length:]]  # past a short batch
-    return float(loss), q.param_grad(g_tables, t_cond)
+        g[starts[i]:starts[i + 1]] = g_logits.reshape(n_q, V)
+    return float(loss), q.param_grad(g, t_cond)
 
 
 # ---------------------------------------------------------------------- step

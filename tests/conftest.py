@@ -31,8 +31,8 @@ def uniform_model() -> TabularAR:
 
 
 # -- per-prefix references ---------------------------------------------------
-# The models evaluate every context of a position at once (``row_logits``)
-# and read each sequence's conditionals from ``row_tables``. These helpers
+# The models evaluate every context of every position at once
+# (``row_logits``) and read each sequence's conditionals from ``row_tables``. These helpers
 # compute the same quantities one prefix at a time, from each model's
 # definition, for the tests to compare against.
 
@@ -50,7 +50,7 @@ def prefix_logits(model, prefixes, position: int, t_cond=None) -> np.ndarray:
     tokens, adding the terms in the order ``row_logits`` does."""
     prefixes = np.asarray(prefixes, dtype=np.int64)
     if isinstance(model, TabularAR):
-        return model.logits[model.offsets[position] +
+        return model.logits[model.row_starts[position] +
                             context_ids(prefixes[:, :position], model.vocab_size)]
     logits = np.tile(model.bias + model.w_pos[:, position], (prefixes.shape[0], 1))
     for j in range(min(model.window, position)):
@@ -74,12 +74,13 @@ def row_after(model, prefix, t_cond=None) -> np.ndarray:
 
 def count_rows(model, monkeypatch) -> list:
     """Record the number of rows of each ``row_logits`` call the model
-    makes, in the list returned."""
+    makes, in the list returned; a ``row_tables`` build makes one call, of
+    the model's R = row_starts[-1] rows."""
     counts = []
     inner = model.row_logits
 
-    def counting(position, t_cond=None):
-        rows = inner(position, t_cond=t_cond)
+    def counting(t_cond=None):
+        rows = inner(t_cond=t_cond)
         counts.append(rows.shape[0])
         return rows
 

@@ -23,7 +23,13 @@ from lhts.ar_model import (
     tabular_from_table,
 )
 from lhts.numerics import Rng, finite_difference_gradient, myopic_rescale
-from lhts.oracle import _context_prefixes, enumerate_joint, myopic_scale_joint
+from lhts.oracle import (
+    OracleError,
+    _context_prefixes,
+    enumerate_joint,
+    myopic_scale_joint,
+    temperature_scale_exact,
+)
 from lhts.trainer import (
     TrainerError,
     TrainSettings,
@@ -235,6 +241,33 @@ def test_non_finite_t_cond_is_rejected(bad):
         model.row_tables(t_cond=bad)
 
 
+_NOT_A_NUMBER = [
+    ("row_tables-t_cond-str", lambda m: m.row_tables(t_cond="a"), ModelError, "t_cond"),
+    ("row_tables-t_cond-list", lambda m: m.row_tables(t_cond=[0.5]), ModelError, "t_cond"),
+    ("sample-myopic_t-none", lambda m: m.sample(4, myopic_t=None, t_cond=0.5,
+                                                rng=np.random.default_rng(0)),
+     ModelError, "myopic_t"),
+    ("sample-myopic_t-str", lambda m: m.sample(4, myopic_t="a", t_cond=0.5,
+                                               rng=np.random.default_rng(0)),
+     ModelError, "myopic_t"),
+    ("scale_exact-str", lambda m: temperature_scale_exact(enumerate_joint(m, 0.5), "a"),
+     OracleError, "temperature"),
+    ("scale_exact-none", lambda m: temperature_scale_exact(enumerate_joint(m, 0.5), None),
+     OracleError, "temperature"),
+    ("myopic_joint-str", lambda m: myopic_scale_joint(m, "a", t_cond=0.5),
+     OracleError, "temperature"),
+    ("myopic_joint-none", lambda m: myopic_scale_joint(m, None, t_cond=0.5),
+     OracleError, "temperature"),
+]
+
+
+@pytest.mark.parametrize("call, error, name", [case[1:] for case in _NOT_A_NUMBER],
+                         ids=[case[0] for case in _NOT_A_NUMBER])
+def test_a_temperature_that_is_not_a_number_raises_the_typed_error(call, error, name):
+    with pytest.raises(error, match=f"^{name} must be"):
+        call(random_linear(0, embedding=True))
+
+
 class _StubUniforms:
     """Stands in for a numpy Generator: each ``random((n, 1))`` call
     returns the next given row of u's."""
@@ -314,7 +347,7 @@ def test_kl_to_base_strictly_increases_off_base(counterexample_model):
 
 def test_embedding_affine_in_temperature():
     model = random_linear(7, embedding=True)
-    l1, l2, l3 = (model.row_logits(2, t_cond=t) for t in (0.5, 1.0, 1.5))
+    l1, l2, l3 = (model.row_logits(t_cond=t) for t in (0.5, 1.0, 1.5))
     assert np.allclose(l3 - 2.0 * l2 + l1, 0.0, rtol=0, atol=1e-12)
     assert not np.allclose(l2, l1)
 
@@ -610,13 +643,15 @@ def test_row_logits_match_the_per_prefix_reference(kind, V, L, window_frac, embe
     window = round(window_frac * (L + 1))
     model, t_cond = random_model(kind, V, L, window, embedding, seed)
     tables = model.row_tables(t_cond)
-    assert len(tables) == L
+    logits, starts = model.row_logits(t_cond), model.row_starts
+    assert len(tables) == L and logits.shape == (starts[L], V)
     for i in range(L):
         # every context of the position, as a prefix of i tokens whose
         # last c hold the context and whose first i - c are zeros
         c = i if model.window is None else min(i, model.window)
         prefixes = _context_prefixes(np.arange(V**c), V, c, i)
-        assert np.array_equal(model.row_logits(i, t_cond),
+        assert starts[i + 1] - starts[i] == V**c
+        assert np.array_equal(logits[starts[i]:starts[i + 1]],
                               prefix_logits(model, prefixes, i, t_cond))
         assert np.array_equal(tables[i], prefix_log_probs(model, prefixes, i, t_cond))
         # the same context after other tokens further back reads the same row
@@ -631,16 +666,15 @@ def test_param_grad_is_the_adjoint_of_row_logits(kind, embedding):
     # V=3, L=4, window 2: the linear model's positions read 0, 1, 2, 2 tokens
     model, t_cond = random_model(kind, 3, 4, 2, embedding, 11)
     rng = np.random.default_rng(12)
-    # one random gradient per position, paired with every position at once
-    g_tables = [rng.normal(size=model.row_logits(i, t_cond).shape) for i in range(4)]
+    # one random gradient of every row of every position
+    g = rng.normal(size=model.row_logits(t_cond).shape)
 
     def pairing(theta):
         probe = model.copy()
         probe.set_param_array(theta)
-        return sum(float(np.sum(g * probe.row_logits(i, t_cond)))
-                   for i, g in enumerate(g_tables))
+        return float(np.sum(g * probe.row_logits(t_cond)))
 
-    grad = model.param_grad(g_tables, t_cond)
+    grad = model.param_grad(g, t_cond)
     fd = finite_difference_gradient(pairing, model.param_array())
     assert grad.shape == (model.n_params,)
     np.testing.assert_allclose(grad, fd, rtol=0, atol=1e-8)
@@ -668,7 +702,7 @@ def _nan_logit():
 
 @pytest.mark.parametrize("make", [_plus_inf_logit, _all_neg_inf_row, _nan_logit],
                          ids=["linear-plus-inf", "tabular-all-neg-inf", "tabular-nan"])
-def test_row_tables_refuse_a_row_with_no_finite_max(make):
+def test_row_tables_refuse_a_row_with_no_finite_max(make, monkeypatch):
     model, t_cond, position = make()
     with pytest.raises(ModelError, match=f"position {position} has no finite max"):
         model.row_tables(t_cond)
@@ -676,6 +710,25 @@ def test_row_tables_refuse_a_row_with_no_finite_max(make):
         model.sample(4, t_cond=t_cond, rng=np.random.default_rng(0))
     with pytest.raises(ModelError, match=f"position {position} has no finite max"):
         model.per_token_log_probs_matrix(np.zeros((2, 3), dtype=np.int64), t_cond)
+    # the position is looked up from the row's index in the one (R, V)
+    # forward: the same bad row, planted at the first and at the last row of
+    # each position of a model with finite logits, names that position
+    with np.errstate(invalid="ignore"):
+        logits = model.row_logits(t_cond)
+        bad = logits[np.flatnonzero(~np.isfinite(logits.max(axis=1)))[0]].copy()
+    clean = model.copy()
+    clean.set_param_array(np.zeros(clean.n_params))
+    forward, starts = clean.row_logits, clean.row_starts
+    for i in range(clean.max_length):
+        for row in sorted({starts[i], starts[i + 1] - 1}):
+            def planted(t_cond=None, row=row):
+                logits = forward(t_cond).copy()
+                logits[row] = bad
+                return logits
+
+            monkeypatch.setattr(clean, "row_logits", planted)
+            with pytest.raises(ModelError, match=f"position {i} has no finite max"):
+                clean.row_tables(t_cond)
 
 
 def test_pricing_and_sampling_evaluate_each_context_once(monkeypatch):
@@ -683,8 +736,8 @@ def test_pricing_and_sampling_evaluate_each_context_once(monkeypatch):
     xs = np.random.default_rng(1).integers(0, 8, size=(5000, 7))
     counts = count_rows(model, monkeypatch)
     model.per_token_log_probs_matrix(xs)
-    # one row_logits call per position, of every context it reads
-    assert counts == [8 ** min(pos, 3) for pos in range(7)] and sum(counts) == 2121
+    # one row_logits call, of every context of every position
+    assert counts == [sum(8 ** min(pos, 3) for pos in range(7))] == [2121]
     # the same parameter state: a second price and a sample build no rows
     counts.clear()
     model.per_token_log_probs_matrix(xs)
@@ -720,7 +773,7 @@ def test_a_changed_state_rebuilds_the_rows(change, monkeypatch):
     counts = count_rows(model, monkeypatch)
     u = model.per_token_log_probs_matrix(xs, t_cond=t_cond)
     batch = model.sample(40, myopic_t=0.6, t_cond=t_cond, rng=np.random.default_rng(5))
-    assert counts == [3 ** min(pos, 2) for pos in range(5)]
+    assert counts == [sum(3 ** min(pos, 2) for pos in range(5))] == [31]
     # built from scratch: a copy would start with the model's cached tables
     fresh, _ = random_model("linear", 3, 5, 2, True, 3)
     fresh.set_param_array(model.params)

@@ -322,6 +322,8 @@ def test_lhts_weights_are_ones_at_unit_temperature():
     (0.0, "ok", "temperature"),
     (-0.5, "ok", "temperature"),
     (math.nan, "ok", "temperature"),
+    ("a", "ok", "temperature"),
+    (None, "ok", "temperature"),
     (0.5, "nan", "finite elbo"),
     (0.5, "short", "one finite elbo per point"),
     (0.5, "long", "one finite elbo per point"),
@@ -456,7 +458,7 @@ def test_mixture_checks_its_shapes(means, stds, weights, message):
         MixtureGroundTruth(means=means, stds=stds, weights=weights)
 
 
-@pytest.mark.parametrize("temperature", [0.0, -1.0, math.inf, math.nan])
+@pytest.mark.parametrize("temperature", [0.0, -1.0, math.inf, math.nan, "a", None])
 def test_scaled_weights_reject_bad_temperature(temperature):
     truth = MixtureGroundTruth(means=MEANS, stds=[0.25, 0.25], weights=[0.7, 0.3])
     with pytest.raises(DiffusionError, match="temperature must be positive and finite"):

@@ -192,8 +192,7 @@ def test_linear_enumeration_evaluates_each_context_once(monkeypatch):
     model, _ = random_ar("linear", 8, 7, 3, False, 0)
     counts = count_rows(model, monkeypatch)
     enumerate_joint(model)
-    assert counts == [8 ** min(pos, 3) for pos in range(7)]
-    assert sum(counts) == 2121
+    assert counts == [sum(8 ** min(pos, 3) for pos in range(7))] == [2121]
     # the same parameter state: the model's row tables are reused
     counts.clear()
     myopic_scale_joint(model, 0.5)
@@ -204,7 +203,7 @@ def test_tabular_enumeration_evaluates_every_prefix(monkeypatch):
     model, _ = random_ar("tabular", 3, 4, None, False, 0)
     counts = count_rows(model, monkeypatch)
     enumerate_joint(model)
-    assert counts == [3**pos for pos in range(4)]
+    assert counts == [sum(3**pos for pos in range(4))] == [40]
 
 
 # --------------------------------------------------- temperature_scale_exact
@@ -704,8 +703,8 @@ def resize_entropy(rows):
 def resize_loss(q, base, xs, w, d, t_cond, kl_beta):
     q_rows = q.row_tables(t_cond)
     p_rows = base.row_tables() if kl_beta > 0 else q_rows
-    V = q.vocab_size
-    loss, g_tables = 0.0, []
+    V, starts = q.vocab_size, q.row_starts
+    loss, g = 0.0, np.zeros((starts[-1], V))
     flat = np.zeros(len(xs), dtype=np.int64)
     for i in range(xs.shape[1]):
         n_q = q_rows[i].shape[0]
@@ -726,8 +725,8 @@ def resize_loss(q, base, xs, w, d, t_cond, kl_beta):
         g_logits = W.sum(axis=1, keepdims=True) * np.exp(log_q) - W
         if S > n_q:
             g_logits = g_logits.reshape(-1, n_q, V).sum(axis=0)
-        g_tables.append(g_logits)
-    return float(loss), q.param_grad(g_tables, t_cond)
+        g[starts[i]:starts[i + 1]] = g_logits
+    return float(loss), q.param_grad(g, t_cond)
 
 
 @given(

@@ -251,9 +251,10 @@ def test_loss_grad_matches_finite_differences(kind, per_index, data_weighted, kl
     assert np.max(np.abs(grad - fd)) < 1e-6 * np.max(np.abs(fd))
     if isinstance(q, TabularAR):
         # rows no prefix of the batch reaches get exactly zero
-        reached = np.concatenate([q.offsets[i] + context_ids(xs[:, :i], 3) for i in range(3)])
-        unreached = np.setdiff1d(np.arange(q.n_rows), reached)
-        assert unreached.size and not np.any(grad.reshape(q.n_rows, 3)[unreached])
+        starts = q.row_starts
+        reached = np.concatenate([starts[i] + context_ids(xs[:, :i], 3) for i in range(3)])
+        unreached = np.setdiff1d(np.arange(starts[-1]), reached)
+        assert unreached.size and not np.any(grad.reshape(-1, 3)[unreached])
 
 
 def test_loss_validates_inputs(counterexample_model):
@@ -349,8 +350,8 @@ def per_row_loss(q, xs, importance, d, t_cond, kl_beta, base):
     """Reference loss and gradient: both models' conditionals, computed one
     prefix at a time, and the weight matrix W taken on every row; each row's
     logit gradient is added to the row of its context in q's own (V^c, V)
-    layout, and one param_grad call maps every position's rows onto q's
-    parameters."""
+    rows, and one param_grad call maps every position's rows, back to back,
+    onto q's parameters."""
     n, length = xs.shape
     V = q.vocab_size
     w = importance if importance.ndim == 2 else np.repeat(importance[:, None], length, axis=1)
@@ -370,7 +371,7 @@ def per_row_loss(q, xs, importance, d, t_cond, kl_beta, base):
         np.add.at(g_rows, context_ids(xs[:, i - c:i], V),
                   W.sum(axis=1, keepdims=True) * np.exp(log_q) - W)
         g_tables.append(g_rows)
-    return loss, q.param_grad(g_tables, t_cond)
+    return loss, q.param_grad(np.concatenate(g_tables), t_cond)
 
 
 @pytest.mark.parametrize("kind", ["tabular", "linear"])
@@ -526,7 +527,7 @@ def test_temperature_embedding_trains():
     q, records = train(base, xs, dw, settings, Rng(5), embedding_width=2)
     assert {r.temperature for r in records} == {0.5, 1.0}
     assert np.any(q.w_emb != 0)
-    assert not np.array_equal(q.row_logits(2, t_cond=0.5), q.row_logits(2, t_cond=1.0))
+    assert not np.array_equal(q.row_logits(t_cond=0.5), q.row_logits(t_cond=1.0))
 
 
 def test_zero_steps_returns_copy_of_base(counterexample_model):
