@@ -19,11 +19,12 @@ is a ``numerics.FlatParams``: one vector, ``params``, laid out once by its
 table, or ``LinearAR``'s fields back to back. Gradients use that layout.
 
 A conditional is always the log-softmax of its logits, so a -inf logit is a
-token of zero probability. ``row_tables`` takes it once per parameter state
-and t_cond, and pricing, sampling, the trainer's loss and exact enumeration
-read each position's block by each sequence's rolling context id. A row of
-logits with no finite max (a NaN, a +inf, or every entry -inf) has no
-conditional, and ``row_tables`` refuses it.
+token of zero probability. ``row_table`` takes it once per parameter state
+and t_cond, one read-only (R, V) array: pricing, sampling, the trainer's loss
+and exact enumeration do their row-wise work once on it, and walk each
+sequence's rolling context id s along the positions, to row row_starts[i] + s.
+A row of logits with no finite max (a NaN, a +inf, or every entry -inf) has
+no conditional, and ``row_table`` refuses it.
 """
 
 from __future__ import annotations
@@ -64,7 +65,7 @@ class SampleBatch:
 
 
 class ARModel(FlatParams):
-    """Shared machinery: the row layout, row tables, chain-rule log-probs
+    """Shared machinery: the row layout, the row table, chain-rule log-probs
     and ancestral sampling on top of a parameterization's ``row_logits`` and
     its adjoint ``param_grad``, over the flat vector of ``FlatParams``."""
 
@@ -74,12 +75,12 @@ class ARModel(FlatParams):
     max_length: int
     # the conditionals read only the last ``window`` tokens; None means the
     # whole prefix. Pricing, sampling, the loss and enumeration read one row
-    # per context from ``row_tables``
+    # per context from ``row_table``
     window: int | None = None
     # width of the temperature embedding; None when the model does not
     # condition on a temperature
     embedding_width: int | None = None
-    # the last tables ``row_tables`` built, as ((parameter bytes, t_cond), tables)
+    # the last table ``row_table`` built, as ((parameter bytes, t_cond), table)
     _row_cache: tuple | None = None
 
     def __init__(self, vocab_size: int, max_length: int):
@@ -92,7 +93,7 @@ class ARModel(FlatParams):
     def row_logits(self, t_cond: float | None = None) -> np.ndarray:
         """The forward: unnormalized next-token logits (R, V) of every
         context of every position, in the layout of ``row_starts``. The
-        caller has checked t_cond, as ``row_tables`` does."""
+        caller has checked t_cond, as ``row_table`` does."""
         raise NotImplementedError
 
     def param_grad(self, g: np.ndarray, t_cond: float | None = None) -> np.ndarray:
@@ -141,14 +142,12 @@ class ARModel(FlatParams):
             raise ModelError(f"token out of vocab of size {self.vocab_size}: {tokens}")
         return tokens
 
-    def row_tables(self, t_cond: float | None = None) -> tuple[np.ndarray, ...]:
-        """Each position's conditionals on every context it reads.
-
-        Position i's table is its read-only (V^c, V) block of the log-softmax
-        of ``row_logits(t_cond)``: row s is the conditional after the context
-        of id s. The model keeps the last set it built, keyed by the exact
+    def row_table(self, t_cond: float | None = None) -> np.ndarray:
+        """The read-only (R, V) log-softmax of ``row_logits(t_cond)``: row
+        row_starts[i] + s is the conditional at position i after the context
+        of id s. The model keeps the last table it built, keyed by the exact
         bytes of ``params`` and by t_cond, and builds a new one when either
-        differs, however the parameters were changed. A table past
+        differs, however the parameters were changed. A position past
         ``ENUMERATION_CAP`` entries raises ``ModelError`` before anything is
         built, and so does a row of logits with no finite max, naming its
         position.
@@ -173,18 +172,20 @@ class ARModel(FlatParams):
             raise ModelError(f"a row of logits at position {i} has no finite max "
                              "(a NaN, a +inf, or every entry -inf)")
         table.flags.writeable = False
-        self._row_cache = (key, tuple(table[a:b] for a, b in zip(starts, starts[1:])))
-        return self._row_cache[1]
+        self._row_cache = (key, table)
+        return table
 
     def per_token_log_probs_matrix(self, xs: np.ndarray, t_cond: float | None = None) -> np.ndarray:
         """u over a batch: a new (N, L) matrix of conditional log-probs,
-        read from ``row_tables`` by each row's rolling context id."""
+        read from ``row_table`` by each row's rolling context id."""
         xs = self._check_tokens(xs)
         n, length = xs.shape
+        table, starts = self.row_table(t_cond), self.row_starts
         u = np.empty((n, length))
         # flat is s V + x: the context id s, then the token x read after it
         flat = np.zeros(n, dtype=np.int64)
-        for i, rows in enumerate(self.row_tables(t_cond)[:length]):
+        for i in range(length):
+            rows = table[starts[i]:starts[i + 1]]
             flat = flat % rows.shape[0] * self.vocab_size + xs[:, i]
             u[:, i] = rows.ravel()[flat]
         return u
@@ -208,28 +209,32 @@ class ARModel(FlatParams):
             raise ModelError(f"myopic_t must be finite and >= 0, got {myopic_t!r}")
         if rng is None:
             raise ModelError("pass an explicit numpy Generator for reproducibility")
-        V = self.vocab_size
+        V, starts, table = self.vocab_size, self.row_starts, self.row_table(t_cond)
+        if myopic_t == 0.0:
+            best = np.argmax(table, axis=1)
+        else:
+            probs = np.exp(myopic_rescale(table, myopic_t))
+            probs /= probs.sum(axis=1, keepdims=True)
+            # cum[k] is every row's CDF at token k, for k < V-1; the last
+            # entry could only add what the cap at V-1 takes away
+            cum = np.empty((V - 1, table.shape[0]))
+            np.cumsum(probs[:, :-1], axis=1, out=cum.T)
         seqs = np.zeros((n, self.max_length), dtype=np.int64)
         logp = np.zeros(n)
         flat = np.zeros(n, dtype=np.int64)
-        for i, rows in enumerate(self.row_tables(t_cond)):
-            ids = flat % rows.shape[0]
+        for i in range(self.max_length):
+            ids = flat % (starts[i + 1] - starts[i])
+            rows = ids + starts[i]
             if myopic_t == 0.0:
-                toks = np.argmax(rows, axis=1)[ids]
+                toks = best[rows]
             else:
-                probs = np.exp(myopic_rescale(rows, myopic_t))
-                probs /= probs.sum(axis=1, keepdims=True)
-                # cum[k] is every context's CDF at token k, for k < V-1; the
-                # last entry could only add what the cap at V-1 takes away
-                cum = np.empty((V - 1, rows.shape[0]))
-                np.cumsum(probs[:, :-1], axis=1, out=cum.T)
                 u = rng.random((n, 1))[:, 0]
                 toks = np.zeros(n, dtype=np.int64)
                 for col in cum:
-                    toks += col[ids] < u
+                    toks += col[rows] < u
             seqs[:, i] = toks
             flat = ids * V + toks
-            logp += rows.ravel()[flat]
+            logp += table.ravel()[starts[i] * V + flat]
         return SampleBatch(seqs, logp)
 
 

@@ -315,7 +315,7 @@ def lhts_diffusion_weights(model: DiffusionModel, dataset: np.ndarray, temperatu
     frozen base model, priced once before finetuning (``elbo_batch``)."""
     if not 0 < _real_or_nan(temperature) < math.inf:
         raise DiffusionError(f"temperature must be positive and finite, got {temperature!r}")
-    if clip is not None and not math.isfinite(clip):
+    if clip is not None and not math.isfinite(_real_or_nan(clip)):
         raise DiffusionError(f"clip must be finite, got {clip}")
     n = _points(dataset, model.dim).shape[0]
     elbos = np.asarray(elbos, dtype=np.float64)
@@ -368,6 +368,8 @@ def finetune_weighted(model: DiffusionModel, dataset: np.ndarray, weights: np.nd
         raise DiffusionError("weights must be finite and nonnegative with a positive mean")
     steps = check_count("steps", steps, 0, DiffusionError)
     batch_size = check_count("batch_size", batch_size, 1, DiffusionError)
+    if not 0 < _real_or_nan(learning_rate) < math.inf:
+        raise DiffusionError(f"learning_rate must be positive and finite, got {learning_rate!r}")
     out = model.copy()
     params = out.net.params
     weight_norm = float(weights.mean())
@@ -414,8 +416,8 @@ def sample_ancestral(model: DiffusionModel, n: int, pseudo_temperature: float = 
     """Reverse-process sampling; the per-step noise standard deviation is
     scaled by the pseudo-temperature (1 = standard sampling). No noise is
     added on the final step."""
-    if not 0.0 < pseudo_temperature <= 1.0:
-        raise DiffusionError("pseudo_temperature must lie in (0, 1]")
+    if not 0.0 < _real_or_nan(pseudo_temperature) <= 1.0:
+        raise DiffusionError(f"pseudo_temperature must lie in (0, 1], got {pseudo_temperature!r}")
     n = check_count("n", n, 0, DiffusionError)
     if n == 0:
         return np.zeros((0, model.dim))

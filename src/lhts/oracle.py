@@ -8,14 +8,15 @@ entropy) are reduced over blocks of ``_BLOCK`` entries, so their temporaries
 stay cache-sized. A table of one block is one pass with one-shot arithmetic;
 on larger tables the block sums move a result by a few ulp.
 
-Enumeration reads the model's row tables (``ARModel.row_tables``): each
-position's conditionals once per context, a read-only block of the one
+Enumeration reads the model's row table (``ARModel.row_table``): every
+position's conditionals once per context, position i's at rows
+[row_starts[i], row_starts[i+1]) of one read-only (R, V) array, the
 log-softmax of the model's forward. A model whose ``window`` attribute is an
 int declares that its conditionals read only the last ``window`` tokens of
 the prefix, so position i has V^min(i, window) rows; ``window`` None means
 the whole prefix, V^i rows. A context of c tokens has one id in [0, V^c),
 its lexicographic index with the first token most significant; the models'
-pricing, sampling and loss index the same tables by the same encoding.
+pricing, sampling and loss index the same table by the same encoding.
 
 A table comes in two representations. A *raw* table holds only its V^L
 entries. A *chain* table, which enumeration returns for a model with an int
@@ -236,33 +237,32 @@ def _extend(log_joint: np.ndarray, rows: np.ndarray) -> np.ndarray:
 
 
 def _chain_joint(model, t_cond: float | None, temperature: float = 1.0) -> CategoricalTable:
-    """The model's row tables, as a chain table or chained into a raw one.
+    """The model's row table, as a chain table or chained into a raw one.
 
-    Each row is rescaled by ``numerics.myopic_rescale``, which
-    ``ARModel.sample`` also draws from; at T = 1 it returns the rows
+    The table is rescaled once by ``numerics.myopic_rescale``, which
+    ``ARModel.sample`` also draws from; at T = 1 it returns the table
     untouched. A model with an int window shorter than L - 1 gives a chain
-    table, which keeps the checked read-only rows and builds no entry. A
-    window of L - 1 or more reads whole prefixes, where rows as large as the
-    entries would save no work: each position's rows are added at once to
-    the lexicographic prefixes that share their last c tokens (``_extend``),
-    giving a raw table.
+    table, which keeps each position's block of the checked read-only table
+    and builds no entry. A window of L - 1 or more reads whole prefixes,
+    where rows as large as the entries would save no work: each position's
+    rows are added at once to the lexicographic prefixes that share their
+    last c tokens (``_extend``), giving a raw table.
     """
     length = model.max_length
     space = SequenceSpace(model.vocab_size, length)
-    window = model.window
-    if window is not None and window >= length - 1:
-        window = None
-    if window is None:
+    whole_prefix = model.window is None or model.window >= length - 1
+    if whole_prefix:
         _check_cap(space)  # before the V^(L-1) contexts are allocated
-    rows = [myopic_rescale(r, temperature) for r in model.row_tables(t_cond)]
-    if window is None:
+    starts = model.row_starts
+    table = myopic_rescale(model.row_table(t_cond), temperature)
+    table.flags.writeable = False  # before the blocks are sliced, so they are read-only too
+    rows = [table[a:b] for a, b in zip(starts, starts[1:])]
+    if whole_prefix:
         return CategoricalTable(space, functools.reduce(_extend, rows, np.zeros(1)),
                                 normalize=False)
     # a chain of finite or -inf rows has finite or -inf entries, so checking
     # the rows checks the entries
-    for r in rows:
-        _checked_max(r)
-        r.flags.writeable = False
+    _checked_max(table)
     return _derived_table(space, None, 0.0, _Rows(rows))
 
 
@@ -270,9 +270,9 @@ def enumerate_joint(model, t_cond: float | None = None) -> CategoricalTable:
     """Chain-rule enumeration of a model's joint over all sequences.
 
     The model must expose ``vocab_size``, ``max_length`` (the length L of
-    the sequences), ``window`` and ``row_tables(t_cond)``, each position's
-    normalized conditionals on every context it reads, as an
-    ``ar_model.ARModel`` does. Entry for x is sum_i log p(x_i | x_<i).
+    the sequences), ``window``, ``row_starts`` and ``row_table(t_cond)``, the
+    normalized conditionals of every context it reads, laid out as in an
+    ``ar_model.ARModel``. Entry for x is sum_i log p(x_i | x_<i).
 
     When the window is an int shorter than L - 1 the result is a chain
     table of those rows, whose entries are built only when ``log_probs`` is

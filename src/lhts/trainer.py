@@ -227,13 +227,18 @@ class TrainSettings:
             raise TrainerError("temperatures must be a non-empty set of positive finite values")
         if self.clip is not None and not _finite_positive(self.clip):
             raise TrainerError("clip must be positive and finite")
-        if not (self.kl_beta == 0 or _finite_positive(self.kl_beta)):
-            raise TrainerError("kl_beta must be finite and >= 0")
+        _check_kl_beta(self.kl_beta)
 
 
 def _finite_positive(value) -> bool:
     """A finite real number above 0; False for anything else."""
     return 0 < _real_or_nan(value) < math.inf
+
+
+def _check_kl_beta(kl_beta) -> None:
+    """The anchor's weight: 0 (no anchor), or finite and positive."""
+    if not 0 <= _real_or_nan(kl_beta) < math.inf:
+        raise TrainerError(f"kl_beta must be finite and >= 0, got {kl_beta!r}")
 
 
 class TrainState:
@@ -271,7 +276,7 @@ def _importance_weights(log_liks: np.ndarray, baseline: float | np.ndarray,
     """
     if not _finite_positive(temperature):
         raise TrainerError(f"temperature must be positive and finite, got {temperature}")
-    c = math.inf if clip is None else float(clip)
+    c = math.inf if clip is None else _real_or_nan(clip)
     if math.isnan(c):
         raise TrainerError(f"clip must be a number or None, got {clip}")
     exponents = (1.0 - temperature) / temperature * (np.asarray(log_liks, dtype=np.float64)
@@ -349,15 +354,10 @@ def weighted_nll_loss_node(q: ARModel, xs: np.ndarray, importance: np.ndarray,
     ``importance`` is (n, L) per-index weights or (n,) per-example weights
     (the joint form, applied to every index). Importance weights and the
     base conditionals are constants; only q's parameters carry gradients.
-    Each position sums the weights over the S contexts of the wider window
-    of q and the anchor's base, and reads both models' ``row_tables``, the
-    log-softmax of their ``row_logits``. The narrower table, of k rows,
-    reads its row s mod k for context s: the (S, V) sums are viewed as
-    (S/k, k, V), and the narrower table's rows as (1, k, V) broadcast onto
-    them, with no copy. The gradient wrt q's logits is summed back onto q's
-    own (V^c, V) rows of one zeroed (R, V) array, the layout of
-    ``row_logits``, and one call of ``q.param_grad`` maps it onto the
-    parameters.
+    kl_beta is 0 (no anchor) or finite and positive, and the anchor's base
+    has q's ``row_starts``. The weights are summed once onto q's (R, V)
+    ``row_table``, at row row_starts[i] + s for context s at position i, and
+    one call of ``q.param_grad`` maps the logits' gradient onto q.
     """
     xs = q._check_tokens(xs)
     n, length = xs.shape
@@ -367,43 +367,38 @@ def weighted_nll_loss_node(q: ARModel, xs: np.ndarray, importance: np.ndarray,
     if w.shape != (n, length):
         raise TrainerError(f"importance weights must be (n,) or (n, length), got {w.shape}")
     d = _norm_weights(n, data_weights)
+    _check_kl_beta(kl_beta)
     anchored = kl_beta > 0.0
-    if anchored and base is None:
-        raise TrainerError("kl_beta > 0 needs the base model")
-    q_rows = q.row_tables(t_cond)
-    # without the anchor, S is q's own count of contexts
-    p_rows = base.row_tables() if anchored else q_rows
     V, starts = q.vocab_size, q.row_starts
-    loss, g = 0.0, np.zeros((starts[-1], V))
-    # flat is s V + x: the context id s, then the token x read after it
+    if anchored and (base is None or base.row_starts != starts):
+        raise TrainerError("kl_beta > 0 needs the base model, with q's row layout")
+    log_q = q.row_table(t_cond)
+    # rows[:, i] is each sequence's row at position i, from its rolling
+    # context id; flat is s V + x: the context id s, then the token x
+    rows = np.empty((n, length), dtype=np.int64)
     flat = np.zeros(n, dtype=np.int64)
     for i in range(length):
-        n_q = q_rows[i].shape[0]
-        k, S = sorted((n_q, p_rows[i].shape[0]))
-        ids = flat % S
+        ids = flat % (starts[i + 1] - starts[i])
+        rows[:, i] = ids + starts[i]
         flat = ids * V + xs[:, i]
-        # the (S, V) sums are read as (S/k, k, V) views, on which the
-        # narrower table's (1, k, V) view broadcasts
-        log_q = q_rows[i].reshape(-1, k, V)
-        # W[s, t] weighs -log q(t|s), summed over the rows with context s;
-        # zero entries are skipped in the loss so that a -inf log-prob with
-        # no weight adds nothing
-        W = np.bincount(flat, weights=d * w[:, i], minlength=S * V).reshape(-1, k, V)
-        if anchored:
-            log_p = p_rows[i].reshape(-1, k, V)
-            # KL = sum_t p_t log p_t - sum_t p_t log q_t: the cross term
-            # joins W, the entropy term is a constant shift of the loss
-            d_ctx = np.bincount(ids, weights=d, minlength=S)
-            pw = kl_beta * d_ctx.reshape(-1, k, 1) * np.exp(log_p)
-            W += pw
-            mass = pw > 0
-            loss += pw[mass] @ np.broadcast_to(log_p, pw.shape)[mass]
-        used = W != 0
-        loss -= W[used] @ np.broadcast_to(log_q, W.shape)[used]
-        g_logits = W.sum(axis=2, keepdims=True) * np.exp(log_q) - W
-        if S > n_q:
-            g_logits = g_logits.reshape(-1, n_q, V).sum(axis=0)
-        g[starts[i]:starts[i + 1]] = g_logits.reshape(n_q, V)
+    # W[r, t] weighs -log q(t|r), summed over the sequences that read row r;
+    # zero entries are skipped in the loss so that a -inf log-prob with no
+    # weight adds nothing
+    W = np.bincount((rows * V + xs).ravel(), weights=(d[:, None] * w).ravel(),
+                    minlength=log_q.size).reshape(log_q.shape)
+    loss = 0.0
+    if anchored:
+        log_p = base.row_table()
+        # KL = sum_t p_t log p_t - sum_t p_t log q_t: the cross term joins
+        # W, the entropy term is a constant shift of the loss
+        d_row = np.bincount(rows.ravel(), weights=np.repeat(d, length), minlength=len(log_p))
+        pw = kl_beta * d_row[:, None] * np.exp(log_p)
+        W += pw
+        mass = pw > 0
+        loss = pw[mass] @ log_p[mass]
+    used = W != 0
+    loss -= W[used] @ log_q[used]
+    g = W.sum(axis=1, keepdims=True) * np.exp(log_q) - W
     return float(loss), q.param_grad(g, t_cond)
 
 

@@ -1,8 +1,16 @@
+import os
+
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from lhts.ar_model import TabularAR
 from lhts.numerics import log_softmax
+
+# a failing property prints the @reproduce_failure blob that replays it
+settings.register_profile("ci", print_blob=True)
+if os.environ.get("HYPOTHESIS_PROFILE") == "ci":
+    settings.load_profile("ci")
 
 
 def tabular(vocab_size: int, max_length: int, conditionals) -> TabularAR:
@@ -32,13 +40,14 @@ def uniform_model() -> TabularAR:
 
 # -- per-prefix references ---------------------------------------------------
 # The models evaluate every context of every position at once
-# (``row_logits``) and read each sequence's conditionals from ``row_tables``. These helpers
-# compute the same quantities one prefix at a time, from each model's
-# definition, for the tests to compare against.
+# (``row_logits``) and read each sequence's conditionals from ``row_table``.
+# These helpers compute the same quantities one prefix at a time, from each
+# model's definition, for the tests to compare against.
 
 def context_ids(tokens, vocab_size: int) -> np.ndarray:
     """Lexicographic id of each row of an (n, c) token array, first token
-    most significant: the row order of ``row_tables``."""
+    most significant: the row order of each position's block of
+    ``row_table``."""
     tokens = np.asarray(tokens, dtype=np.int64)
     return tokens @ vocab_size ** np.arange(tokens.shape[1] - 1, -1, -1, dtype=np.int64)
 
@@ -65,16 +74,23 @@ def prefix_log_probs(model, prefixes, position: int, t_cond=None) -> np.ndarray:
     return log_softmax(prefix_logits(model, prefixes, position, t_cond))
 
 
+def position_rows(model, t_cond=None) -> tuple:
+    """Each position's (V^c, V) block of the model's ``row_table``, as
+    views: rows [row_starts[i], row_starts[i+1])."""
+    table, starts = model.row_table(t_cond), model.row_starts
+    return tuple(table[a:b] for a, b in zip(starts, starts[1:]))
+
+
 def row_after(model, prefix, t_cond=None) -> np.ndarray:
-    """The model's conditional after one prefix, read from its row tables."""
+    """The model's conditional after one prefix, read from its row table."""
     prefix = np.asarray(prefix, dtype=np.int64).reshape(1, -1)
-    rows = model.row_tables(t_cond)[prefix.shape[1]]
+    rows = position_rows(model, t_cond)[prefix.shape[1]]
     return rows[context_ids(prefix, model.vocab_size)[0] % rows.shape[0]]
 
 
 def count_rows(model, monkeypatch) -> list:
     """Record the number of rows of each ``row_logits`` call the model
-    makes, in the list returned; a ``row_tables`` build makes one call, of
+    makes, in the list returned; a ``row_table`` build makes one call, of
     the model's R = row_starts[-1] rows."""
     counts = []
     inner = model.row_logits

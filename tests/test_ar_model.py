@@ -11,6 +11,7 @@ from scipy import stats
 from conftest import (
     count_rows,
     kl_to_base_per_position,
+    position_rows,
     prefix_log_probs,
     prefix_logits,
     row_after,
@@ -54,7 +55,7 @@ def test_zero_linear_is_uniform():
 
 
 def test_tabular_from_conditionals_exact(counterexample_model):
-    # conditionals written through ``tabular`` read back from row_tables:
+    # conditionals written through ``tabular`` read back from row_table:
     # the logits are the exact log of the given numbers, and the
     # conditionals their log-softmax
     given = {(): [0.6, 0.4], (0,): [0.55, 0.45], (1,): [0.9, 0.1]}
@@ -110,10 +111,10 @@ def test_non_integral_tokens_are_refused(bad):
 def test_t_cond_strictness():
     plain = random_linear(0)
     with pytest.raises(ModelError, match="no temperature embedding"):
-        plain.row_tables(t_cond=1.0)
+        plain.row_table(t_cond=1.0)
     cond = random_linear(0, embedding=True)
     with pytest.raises(ModelError, match="pass t_cond"):
-        cond.row_tables()
+        cond.row_table()
 
 
 # ----------------------------------------------------------- sequence logprob
@@ -238,12 +239,12 @@ def test_non_finite_t_cond_is_rejected(bad):
     with pytest.raises(ModelError, match="t_cond must be finite"):
         model.per_token_log_probs_matrix(np.zeros((2, 4), dtype=np.int64), t_cond=bad)
     with pytest.raises(ModelError, match="t_cond must be finite"):
-        model.row_tables(t_cond=bad)
+        model.row_table(t_cond=bad)
 
 
 _NOT_A_NUMBER = [
-    ("row_tables-t_cond-str", lambda m: m.row_tables(t_cond="a"), ModelError, "t_cond"),
-    ("row_tables-t_cond-list", lambda m: m.row_tables(t_cond=[0.5]), ModelError, "t_cond"),
+    ("row_table-t_cond-str", lambda m: m.row_table(t_cond="a"), ModelError, "t_cond"),
+    ("row_table-t_cond-list", lambda m: m.row_table(t_cond=[0.5]), ModelError, "t_cond"),
     ("sample-myopic_t-none", lambda m: m.sample(4, myopic_t=None, t_cond=0.5,
                                                 rng=np.random.default_rng(0)),
      ModelError, "myopic_t"),
@@ -281,7 +282,7 @@ class _StubUniforms:
 
 def _first_cdf(model, myopic_t):
     """The CDF that ``sample`` draws the first token from."""
-    scaled = myopic_rescale(model.row_tables()[0], myopic_t)
+    scaled = myopic_rescale(model.row_table()[:1], myopic_t)
     probs = np.exp(scaled)
     probs /= probs.sum(axis=1, keepdims=True)
     return np.cumsum(probs, axis=1)[0]
@@ -355,7 +356,7 @@ def test_embedding_affine_in_temperature():
 def test_embedding_conditionals_continuous_in_t():
     model = random_linear(7, embedding=True)
     for t in np.linspace(0.1, 2.0, 25):
-        rows = model.row_tables(t_cond=float(t))[1]
+        rows = position_rows(model, float(t))[1]
         assert np.all(np.isfinite(rows))
         assert np.all(np.abs(np.logaddexp.reduce(rows, axis=1)) < 1e-12)
 
@@ -363,8 +364,7 @@ def test_embedding_conditionals_continuous_in_t():
 def test_with_embedding_is_noop_until_trained():
     base = random_linear(8)
     cond = base.with_embedding()
-    for a, b in zip(base.row_tables(), cond.row_tables(t_cond=0.5), strict=True):
-        assert np.array_equal(a, b)
+    assert np.array_equal(base.row_table(), cond.row_table(t_cond=0.5))
 
 
 # ------------------------------------------------------- parameter layout
@@ -504,8 +504,7 @@ def test_checkpoint_roundtrip_linear_with_embedding():
     assert back.embedding_width == model.embedding_width == 4
     # the rebuilt model prices every prefix as the original does
     for t_cond in (0.5, 2.0):
-        for a, b in zip(back.row_tables(t_cond), model.row_tables(t_cond)):
-            assert np.array_equal(a, b)
+        assert np.array_equal(back.row_table(t_cond), model.row_table(t_cond))
     model.set_param_array(np.zeros_like(flat))  # the checkpoint is a copy
     assert np.array_equal(back.param_array(), flat)
 
@@ -516,8 +515,7 @@ def test_checkpoint_roundtrip_linear_without_embedding():
     back = rebuild(model, flat)
     assert isinstance(back, LinearAR) and back.window == 3 and not back.has_embedding
     assert np.array_equal(back.param_array(), model.param_array())
-    for a, b in zip(back.row_tables(None), model.row_tables(None)):
-        assert np.array_equal(a, b)
+    assert np.array_equal(back.row_table(None), model.row_table(None))
     model.set_param_array(np.zeros_like(flat))  # the checkpoint is a copy
     assert np.array_equal(back.param_array(), flat)
 
@@ -642,7 +640,7 @@ def test_row_logits_match_the_per_prefix_reference(kind, V, L, window_frac, embe
     # windows 0..L+1: wider than the sequence means the whole prefix
     window = round(window_frac * (L + 1))
     model, t_cond = random_model(kind, V, L, window, embedding, seed)
-    tables = model.row_tables(t_cond)
+    tables = position_rows(model, t_cond)
     logits, starts = model.row_logits(t_cond), model.row_starts
     assert len(tables) == L and logits.shape == (starts[L], V)
     for i in range(L):
@@ -702,10 +700,10 @@ def _nan_logit():
 
 @pytest.mark.parametrize("make", [_plus_inf_logit, _all_neg_inf_row, _nan_logit],
                          ids=["linear-plus-inf", "tabular-all-neg-inf", "tabular-nan"])
-def test_row_tables_refuse_a_row_with_no_finite_max(make, monkeypatch):
+def test_row_table_refuses_a_row_with_no_finite_max(make, monkeypatch):
     model, t_cond, position = make()
     with pytest.raises(ModelError, match=f"position {position} has no finite max"):
-        model.row_tables(t_cond)
+        model.row_table(t_cond)
     with pytest.raises(ModelError, match=f"position {position} has no finite max"):
         model.sample(4, t_cond=t_cond, rng=np.random.default_rng(0))
     with pytest.raises(ModelError, match=f"position {position} has no finite max"):
@@ -728,7 +726,7 @@ def test_row_tables_refuse_a_row_with_no_finite_max(make, monkeypatch):
 
             monkeypatch.setattr(clean, "row_logits", planted)
             with pytest.raises(ModelError, match=f"position {i} has no finite max"):
-                clean.row_tables(t_cond)
+                clean.row_table(t_cond)
 
 
 def test_pricing_and_sampling_evaluate_each_context_once(monkeypatch):
@@ -793,12 +791,11 @@ def test_tabular_in_place_edit_rebuilds_the_rows(counterexample_model):
 
 def test_cached_rows_are_read_only():
     model, t_cond = random_model("linear", 3, 4, 2, True, 0)
-    tables = model.row_tables(t_cond)
-    assert model.row_tables(t_cond) is tables
-    for rows in tables:
-        assert not rows.flags.writeable
-        with pytest.raises(ValueError, match="read-only"):
-            rows[0, 0] = 0.0
+    table = model.row_table(t_cond)
+    assert model.row_table(t_cond) is table
+    assert table.shape == (model.row_starts[-1], 3) and not table.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        table[0, 0] = 0.0
 
 
 def test_a_row_table_past_the_cap_is_refused_before_it_is_built():

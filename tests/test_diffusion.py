@@ -110,6 +110,15 @@ def test_sampler_matches_reference_loop(pseudo_temperature):
     assert np.max(np.abs(got - want)) <= 1e-10
 
 
+@pytest.mark.parametrize("pseudo_temperature", [0.0, 1.5, math.nan, "a", None])
+def test_sampler_rejects_a_pseudo_temperature_outside_the_unit_interval(pseudo_temperature):
+    rng = np.random.default_rng(4)
+    state = rng.bit_generator.state
+    with pytest.raises(DiffusionError, match="pseudo_temperature"):
+        sample_ancestral(_model(steps=5), 3, pseudo_temperature, rng)
+    assert rng.bit_generator.state == state
+
+
 def test_predict_noise_matches_concat_formula():
     # every row at one step; rows at their own steps are checked against
     # the concatenated input by the weighted noise loss's reference
@@ -337,7 +346,8 @@ def test_lhts_weights_reject_bad_arguments(temperature, elbos, message):
         lhts_diffusion_weights(model, data, temperature, elbos=e)
 
 
-@pytest.mark.parametrize("clip", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("clip", [math.nan, math.inf, -math.inf, "a", [1.0]],
+                         ids=["nan", "inf", "-inf", "str", "list"])
 def test_lhts_weights_reject_non_finite_clip(clip):
     model, data = _model(), _data(8)
     with pytest.raises(DiffusionError, match="clip"):
@@ -414,9 +424,14 @@ def test_draw_and_sample_counts_must_be_ints(name, call, count):
     ("ones", {"steps": True}, "steps must be an int"),
     ("ones", {"batch_size": 2.5}, "batch_size must be an int"),
     ("ones", {"batch_size": np.True_}, "batch_size must be an int"),
+    # one step with a NaN rate would return NaN parameters
+    ("ones", {"steps": 1, "learning_rate": math.nan}, "learning_rate"),
+    ("ones", {"learning_rate": "a"}, "learning_rate"),
+    ("ones", {"learning_rate": -1e-3}, "learning_rate"),
 ], ids=["batch_size-zero", "steps-negative", "weights-negative", "weights-nan", "weights-inf",
         "weights-zeros", "steps-float", "steps-bool", "batch_size-float",
-        "batch_size-numpy-bool"])
+        "batch_size-numpy-bool", "learning_rate-nan", "learning_rate-str",
+        "learning_rate-negative"])
 def test_finetune_rejects_bad_arguments(weights, kwargs, message):
     model, data = _model(), _data(8)
     w = {"ones": np.ones(8), "zeros": np.zeros(8),
@@ -428,6 +443,15 @@ def test_finetune_rejects_bad_arguments(weights, kwargs, message):
     state = rng.bit_generator.state
     with pytest.raises(DiffusionError, match=message):
         finetune_weighted(model, data, w, args.pop("steps"), rng, **args)
+    assert rng.bit_generator.state == state
+
+
+@pytest.mark.parametrize("learning_rate", [math.nan, "a"], ids=["nan", "str"])
+def test_train_base_rejects_a_learning_rate_that_is_not_positive_and_finite(learning_rate):
+    rng = np.random.default_rng(16)
+    state = rng.bit_generator.state
+    with pytest.raises(DiffusionError, match="learning_rate"):
+        train_base(_model(), _data(8), 1, rng, learning_rate=learning_rate)
     assert rng.bit_generator.state == state
 
 

@@ -146,7 +146,7 @@ def random_store(kind):
         error, t_cond = ModelError, 0.5 if model.has_embedding else None
 
         def forward(m):
-            return np.concatenate([rows.ravel() for rows in m.row_tables(t_cond)])
+            return m.row_table(t_cond).ravel()
     model.set_param_array(rng.normal(size=model.n_params))
     return model, error, forward
 

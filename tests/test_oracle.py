@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import count_rows, prefix_log_probs, row_after
+from conftest import count_rows, position_rows, prefix_log_probs, row_after
 from lhts.ar_model import LinearAR, ModelError, TabularAR, tabular_from_table
 from lhts.data import shared_prefix_scenario
 from lhts.numerics import log_softmax, myopic_rescale
@@ -701,8 +701,8 @@ def resize_entropy(rows):
 
 
 def resize_loss(q, base, xs, w, d, t_cond, kl_beta):
-    q_rows = q.row_tables(t_cond)
-    p_rows = base.row_tables() if kl_beta > 0 else q_rows
+    q_rows = position_rows(q, t_cond)
+    p_rows = position_rows(base) if kl_beta > 0 else q_rows
     V, starts = q.vocab_size, q.row_starts
     loss, g = 0.0, np.zeros((starts[-1], V))
     flat = np.zeros(len(xs), dtype=np.int64)
@@ -750,8 +750,8 @@ def test_aligned_views_match_the_resize_reference(V, L, window_fracs, embedding,
     if hole:
         p_model.bias[1] = -np.inf
     q_model, tq = random_ar("linear", V, L, wq, embedding, seed + 1)
-    p_rows = p_model.row_tables()
-    q_rows = tuple(myopic_rescale(r, T) for r in q_model.row_tables(tq))
+    p_rows = position_rows(p_model)
+    q_rows = tuple(myopic_rescale(r, T) for r in position_rows(q_model, tq))
 
     scaled, log_z = _scale_rows(p_rows, T)
     want, want_log_z = resize_scale_rows(p_rows, T)
@@ -767,15 +767,21 @@ def test_aligned_views_match_the_resize_reference(V, L, window_fracs, embedding,
         table = _derived_table(space, None, 0.0, _Rows(rows))
         assert entropy(table) == resize_entropy(rows)
 
+    # the loss's anchor has q's row layout: p's weights at q's window
+    anchor, _ = random_ar("linear", V, L, wq, False, seed)
+    if hole:
+        anchor.bias[1] = -np.inf
     rng = np.random.default_rng(seed)
     xs = rng.integers(V, size=(16, L))
     w = rng.uniform(0.1, 2.0, size=xs.shape)
     dw = rng.uniform(0.1, 1.0, size=len(xs))
     for kl_beta in (0.0, 0.3):
         loss, grad = weighted_nll_loss_node(q_model, xs, w, dw, t_cond=tq, kl_beta=kl_beta,
-                                            base=p_model)
-        want_loss, want_grad = resize_loss(q_model, p_model, xs, w, dw / dw.sum(), tq, kl_beta)
-        assert loss == want_loss
+                                            base=anchor)
+        want_loss, want_grad = resize_loss(q_model, anchor, xs, w, dw / dw.sum(), tq, kl_beta)
+        # the loss is summed over all positions at once, the reference one
+        # position at a time
+        assert loss == pytest.approx(want_loss, rel=1e-15)
         assert np.array_equal(grad, want_grad)
 
 
@@ -834,18 +840,20 @@ def test_windowed_tables_build_their_entries_only_when_read():
     model, _ = random_ar("linear", 3, 5, 2, False, 0)
     for table in (enumerate_joint(model), myopic_scale_joint(model, 0.5)):
         assert "log_probs" not in vars(table)
+        assert not any(rows.flags.writeable for rows in table.rows)
     assert _peak_bytes(enumerate_joint, LinearAR(8, 7, 3)) < 2**20
 
 
 def test_windowed_model_with_a_nan_log_prob_is_refused():
     # the rows are checked instead of the entries they chain into: a model's
-    # row_tables refuses a NaN logit itself, and the oracle refuses a NaN
+    # row_table refuses a NaN logit itself, and the oracle refuses a NaN
     # row from any other source of rows
     model, _ = random_ar("linear", 3, 4, 2, False, 0)
-    rows = model.row_tables()
-    nan_rows = rows[:2] + (np.full(rows[2].shape, np.nan),) + rows[3:]
-    source = types.SimpleNamespace(vocab_size=3, max_length=4, window=2,
-                                   row_tables=lambda t_cond=None: nan_rows)
+    starts = model.row_starts
+    nan_rows = model.row_table().copy()
+    nan_rows[starts[2]:starts[3]] = np.nan
+    source = types.SimpleNamespace(vocab_size=3, max_length=4, window=2, row_starts=starts,
+                                   row_table=lambda t_cond=None: nan_rows)
     with pytest.raises(OracleError, match="finite or -inf"):
         enumerate_joint(source)
     model.bias[1] = np.nan

@@ -132,12 +132,14 @@ def test_clip_semantics():
 
 
 def test_weights_reject_nan_clip():
-    # a NaN clip would make every weight NaN with a clip rate of 0
-    nan = float("nan")
-    with pytest.raises(TrainerError, match="clip"):
-        ar_weights(np.array([[1.0, -2.0]]), 0.5, np.zeros(2), clip=nan)
-    with pytest.raises(TrainerError, match="clip"):
-        joint_weights(TabularAR(2, 2), np.array([[0, 1]]), 0.5, StreamingBaseline(), clip=nan)
+    # a NaN clip would make every weight NaN with a clip rate of 0; a clip
+    # that is not a number is refused the same way
+    for clip in (float("nan"), "a", [1.0]):
+        with pytest.raises(TrainerError, match="clip"):
+            ar_weights(np.array([[1.0, -2.0]]), 0.5, np.zeros(2), clip=clip)
+        with pytest.raises(TrainerError, match="clip"):
+            joint_weights(TabularAR(2, 2), np.array([[0, 1]]), 0.5, StreamingBaseline(),
+                          clip=clip)
 
 
 @pytest.mark.parametrize("T", [math.nan, math.inf, -math.inf, 0.0])
@@ -263,6 +265,16 @@ def test_loss_validates_inputs(counterexample_model):
         weighted_nll_loss_node(counterexample_model, xs, np.ones(3))
     with pytest.raises(TrainerError, match="base model"):
         weighted_nll_loss_node(counterexample_model, xs, np.ones(2), kl_beta=0.1)
+
+
+@pytest.mark.parametrize("kl_beta", [math.nan, -1.0, math.inf, "a", None],
+                         ids=["nan", "negative", "inf", "str", "none"])
+def test_loss_refuses_a_kl_beta_that_is_not_zero_or_finite_and_positive(counterexample_model,
+                                                                          kl_beta):
+    # a NaN or negative kl_beta would drop the anchor without a word
+    with pytest.raises(TrainerError, match="kl_beta"):
+        weighted_nll_loss_node(counterexample_model, np.array([[0, 1]]), np.ones(1),
+                               kl_beta=kl_beta, base=counterexample_model)
 
 
 @pytest.mark.parametrize("columns", [0, 7])
@@ -395,7 +407,9 @@ def _linear(V, L, window, seed, embedding=False):
 
 
 def _anchor_pair(case):
-    """(q, base): the base reads more of the prefix than q, less, or as much."""
+    """(q, base): the base reads more of the prefix than q, less, or as
+    much. Only the last two share q's row layout: a window of L - 1 reads
+    the whole prefix, as the tabular model does."""
     rng = np.random.default_rng(21)
     tabular = make_skewed_ground_truth(3, 4, rng)
     return {
@@ -404,13 +418,14 @@ def _anchor_pair(case):
         "linear_base1_linear_q3": (_linear(3, 4, 3, 4), _linear(3, 4, 1, 5)),
         "linear_base1_tabular_q": (tabular.copy(), _linear(3, 4, 1, 6)),
         "linear_base2_linear_q2": (_linear(3, 4, 2, 7), _linear(3, 4, 2, 8)),
+        "tabular_base_linear_q3": (_linear(3, 4, 3, 9, embedding=True), tabular),
     }[case]
 
 
 @pytest.mark.parametrize("kl_beta", [0.0, 0.3])
 @pytest.mark.parametrize("case", ["tabular_base_linear_q1", "linear_base3_linear_q1",
                                   "linear_base1_linear_q3", "linear_base1_tabular_q",
-                                  "linear_base2_linear_q2"])
+                                  "linear_base2_linear_q2", "tabular_base_linear_q3"])
 def test_loss_grad_match_per_row_reference(case, kl_beta):
     q, base = _anchor_pair(case)
     t_cond = 0.7 if q.has_embedding else None
@@ -418,6 +433,12 @@ def test_loss_grad_match_per_row_reference(case, kl_beta):
     # 400 rows over 81 sequences: every context is shared by many rows
     xs = rng.integers(0, 3, size=(400, 4))
     dw = rng.random(400) + 0.1
+    if kl_beta > 0.0 and base.row_starts != q.row_starts:
+        # the anchor's rows are read at q's rows, so another layout is refused
+        with pytest.raises(TrainerError, match="row layout"):
+            weighted_nll_loss_node(q, xs, np.ones(400), data_weights=dw, t_cond=t_cond,
+                                   kl_beta=kl_beta, base=base)
+        return
     for importance in (np.exp(rng.normal(scale=0.5, size=xs.shape)),
                        np.exp(rng.normal(scale=0.5, size=400))):
         loss, grad = weighted_nll_loss_node(q, xs, importance, data_weights=dw,
